@@ -53,7 +53,7 @@ class CubeWindow:
     def __post_init__(self):
         object.__setattr__(self, "center",
                            tuple(float(c) for c in self.center))
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise DomainError("window half-width must be positive")
 
 

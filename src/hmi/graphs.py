@@ -49,11 +49,6 @@ def adjacency_masks(graph: Graph) -> list[int]:
     return adj
 
 
-def has_edge(graph: Graph, u: int, v: int) -> bool:
-    a, b = sorted((u, v))
-    return (a, b) in set(graph.edges)
-
-
 def max_clique_masks(adj: list[int], p: int) -> list[int]:
     """Bron-Kerbosch with pivoting; returns facet masks (isolated vertices
     appear as singleton cliques)."""
@@ -86,15 +81,6 @@ def max_clique_masks(adj: list[int], p: int) -> list[int]:
     if p:
         expand(0, (1 << p) - 1, 0)
     return sorted(out)
-
-
-def maximal_cliques(graph: Graph) -> list[frozenset[int]]:
-    adj = adjacency_masks(graph)
-    out = []
-    for mask in max_clique_masks(adj, graph.p):
-        out.append(frozenset(graph.labels[i] for i in range(graph.p)
-                             if mask >> i & 1))
-    return sorted(out, key=lambda c: (len(c), sorted(c)))
 
 
 def mcs_order(graph: Graph) -> list[int]:

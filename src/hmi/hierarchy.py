@@ -7,10 +7,11 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError, NotDecomposableError
-from .graphs import find_chordless_cycle, is_chordal, mcs_order
+from .graphs import (Graph, adjacency_masks, find_chordless_cycle,
+                     is_chordal, mcs_order)
 from .ideal import SquareFreeIdeal, complex_of
 from .simplicial import (SimplicialComplex, _antichain, is_face,
-                         minimal_nonfaces, one_skeleton)
+                         minimal_transversals, one_skeleton)
 
 
 @dataclass(frozen=True)
@@ -39,28 +40,52 @@ class CIStatement:
             raise DomainError("I, J, K must partition {1..p}")
 
 
-def _nonflag_witness(S: SimplicialComplex) -> frozenset[int] | None:
-    """A minimal non-face that is a clique of the 1-skeleton, if any.
-    S equals the flag complex of its skeleton iff there is none."""
-    skeleton = one_skeleton(S)
-    edge_set = {frozenset(e) for e in skeleton.edges}
-    for nf in minimal_nonfaces(S):
-        if len(nf) < 2:
+def _nonflag_witness(S: SimplicialComplex,
+                     skeleton: Graph) -> frozenset[int] | None:
+    """The (len, sorted)-first minimal non-face that is a clique of the
+    chordal 1-skeleton, if any.  S equals the flag complex of its skeleton
+    iff there is none.
+
+    On a chordal graph every maximal clique is {v} plus the neighbours
+    visited before v in the MCS order.  Any clique-shaped minimal non-face
+    lies in one of them, C, which is then not a face; the minimal
+    non-faces inside C are the minimal transversals of {C & ~f : f facet}.
+    Only those cliques are searched."""
+    adj = adjacency_masks(skeleton)
+    pos = {lbl: i for i, lbl in enumerate(skeleton.labels)}
+    visited = 0
+    candidates = []
+    for lbl in mcs_order(skeleton):
+        bit = 1 << pos[lbl]
+        candidates.append(bit | adj[pos[lbl]] & visited)
+        visited |= bit
+    found = []
+    for clique in _antichain(candidates):
+        if clique.bit_count() < 3 or any(clique & f == clique
+                                         for f in S.facets):
             continue
-        verts = sorted(nf)
-        if all(frozenset((verts[i], verts[j])) in edge_set
-               for i in range(len(verts)) for j in range(i + 1, len(verts))):
-            return nf
-    return None
+        found += minimal_transversals([clique & ~f for f in S.facets], S.p)
+    if not found:
+        return None
+    return min((S.vertices_of(m) for m in found),
+               key=lambda f: (len(f), sorted(f)))
+
+
+def _witness(S: SimplicialComplex, skeleton: Graph):
+    if not is_chordal(skeleton):
+        return find_chordless_cycle(skeleton)
+    return _nonflag_witness(S, skeleton)
 
 
 def decomposability_witness(S: SimplicialComplex):
     """None when decomposable, otherwise a witness: a chordless cycle
-    (list of vertices) or a non-flag minimal non-face (frozenset)."""
-    skeleton = one_skeleton(S)
-    if not is_chordal(skeleton):
-        return find_chordless_cycle(skeleton)
-    return _nonflag_witness(S)
+    (list of vertices) or a non-flag minimal non-face (frozenset).
+
+    A non-flag witness is the (len, sorted)-first minimal non-face that is
+    a clique of the 1-skeleton.  It is searched for only inside the
+    maximal cliques of the chordal skeleton that are not faces, so the
+    minimal non-faces of S are never all computed."""
+    return _witness(S, one_skeleton(S))
 
 
 def is_decomposable(S: SimplicialComplex) -> bool:
@@ -72,14 +97,14 @@ def is_decomposable(S: SimplicialComplex) -> bool:
 def factorize(S: SimplicialComplex) -> Factorization:
     """Perfect ordering of the maximal cliques with separators, derived from
     a maximum cardinality search with lowest-index tie-break."""
-    witness = decomposability_witness(S)
+    skeleton = one_skeleton(S)
+    witness = _witness(S, skeleton)
     if witness is not None:
         kind = "chordless cycle" if isinstance(witness, list) \
             else "non-flag face"
         raise NotDecomposableError(
             f"complex is not decomposable ({kind}: {sorted(witness)})",
             witness=witness)
-    skeleton = one_skeleton(S)
     rank = {lbl: i for i, lbl in enumerate(mcs_order(skeleton))}
     cliques = sorted(S.facet_sets(),
                      key=lambda c: (max(rank[v] for v in c), sorted(c)))
@@ -96,6 +121,15 @@ def factorize(S: SimplicialComplex) -> Factorization:
     return Factorization(tuple(cliques), tuple(separators))
 
 
+def _compact(mask: int, positions: list[int]) -> int:
+    """Renumber the bits of mask at the kept old positions to 0, 1, ..."""
+    new = 0
+    for new_i, old_i in enumerate(positions):
+        if mask >> old_i & 1:
+            new |= 1 << new_i
+    return new
+
+
 def marginalize(S: SimplicialComplex, J: Iterable[int]) -> SimplicialComplex:
     """Delete the vertex set J, valid when J lies in exactly one maximal
     clique; the result lives on the remaining labels."""
@@ -108,17 +142,9 @@ def marginalize(S: SimplicialComplex, J: Iterable[int]) -> SimplicialComplex:
     if len(containing) != 1:
         raise DomainError(
             f"{sorted(J)} is not a facet of a unique maximal clique")
-    mask = S.mask_of(J)
     keep_labels = tuple(lbl for lbl in S.labels if lbl not in J)
     positions = [i for i, lbl in enumerate(S.labels) if lbl not in J]
-    new_facets = []
-    for f in S.facets:
-        stripped = f & ~mask
-        new = 0
-        for new_i, old_i in enumerate(positions):
-            if stripped >> old_i & 1:
-                new |= 1 << new_i
-        new_facets.append(new)
+    new_facets = [_compact(f, positions) for f in S.facets]
     return SimplicialComplex(len(keep_labels), _antichain(new_facets),
                              keep_labels)
 
@@ -131,19 +157,8 @@ def ideal_marginalize(I: SquareFreeIdeal, J: Iterable[int]) -> SquareFreeIdeal:
     marginalize(S, J)        # enforces the unique-maximal-clique condition
     keep_labels = tuple(lbl for lbl in I.labels if lbl not in J)
     positions = [i for i, lbl in enumerate(I.labels) if lbl not in J]
-    mask = 0
-    pos = {lbl: i for i, lbl in enumerate(I.labels)}
-    for v in J:
-        mask |= 1 << pos[v]
-    new_gens = []
-    for g in I.generators:
-        if g & mask:
-            continue
-        new = 0
-        for new_i, old_i in enumerate(positions):
-            if g >> old_i & 1:
-                new |= 1 << new_i
-        new_gens.append(new)
+    mask = S.mask_of(J)
+    new_gens = [_compact(g, positions) for g in I.generators if not g & mask]
     return SquareFreeIdeal(len(keep_labels), tuple(sorted(
         new_gens, key=lambda m: (m.bit_count(), m))), keep_labels)
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import DomainError
-from .graphs import make_graph, is_chordal, maximal_cliques
+from .graphs import make_graph, is_chordal
 from .simplicial import (SimplicialComplex, minimal_nonface_masks,
                          minimal_transversals, _antichain, _minimize)
 
@@ -41,7 +41,6 @@ class FerrerShape:
 def make_ideal(p: int, generators: Iterable[Iterable[int]],
                labels=None) -> SquareFreeIdeal:
     labels = tuple(labels) if labels is not None else tuple(range(1, p + 1))
-    shell = SquareFreeIdeal(p, (), labels)
     pos = {lbl: i for i, lbl in enumerate(labels)}
     masks = []
     for g in generators:
@@ -53,7 +52,6 @@ def make_ideal(p: int, generators: Iterable[Iterable[int]],
         if mask == 0:
             raise DomainError("generator with empty support")
         masks.append(mask)
-    del shell
     return SquareFreeIdeal(p, _minimize(masks), labels)
 
 
@@ -208,12 +206,6 @@ def ferrer_cliques(shape: FerrerShape
             separators.append(frozenset(c & covered))
         covered |= c
     return cliques, separators
-
-
-def brute_force_cliques(I: SquareFreeIdeal) -> list[frozenset[int]]:
-    """Independent maximal-clique enumeration on the non-generator graph;
-    the oracle the Ferrer clique rule is certified against."""
-    return maximal_cliques(_skeleton_graph(I))
 
 
 def ideal_to_json(I: SquareFreeIdeal) -> dict:

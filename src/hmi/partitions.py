@@ -9,6 +9,7 @@ that every partition of a multiset has exactly one representation.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -57,7 +58,11 @@ def unit_vector(p: int, i: int) -> MultiIndex:
 
 def _validate(k) -> MultiIndex:
     k = tuple(k)
-    if not k or any(not isinstance(v, int) or v < 0 for v in k):
+    try:
+        k = tuple(operator.index(v) for v in k)
+    except TypeError:
+        raise DomainError(f"invalid multi-index {k!r}") from None
+    if not k or any(v < 0 for v in k):
         raise DomainError(f"invalid multi-index {k!r}")
     return k
 

@@ -78,18 +78,30 @@ def _minimize(masks: Iterable[int]) -> tuple[int, ...]:
 
 def minimal_transversals(edge_masks: Iterable[int], p: int) -> tuple[int, ...]:
     """Inclusion-minimal hitting sets of a family of nonempty masks
-    (Berge's sequential algorithm).  The empty family has transversal {0}."""
+    (Berge's sequential algorithm).  The empty family has transversal {0}.
+
+    An edge that every transversal already hits changes nothing and is
+    skipped.  Otherwise each transversal t missing the edge grows to
+    t | bit for every bit of the edge, and only the grown sets are tested
+    for minimality: t | bit is dropped iff some kept h that contains bit
+    has h & ~bit inside t.  No other comparison is needed, because two
+    grown sets never contain one another (their t's form an antichain and
+    miss the edge) and a kept set never contains a grown one."""
     trans = [0]
     for e in edge_masks:
+        missed = [t for t in trans if not t & e]
+        if not missed:
+            continue
         hit = [t for t in trans if t & e]
-        missed = [t for t in trans if not (t & e)]
         grown = []
         probe = e
         while probe:
-            v = (probe & -probe).bit_length() - 1
+            bit = probe & -probe
             probe &= probe - 1
-            grown.extend(t | (1 << v) for t in missed)
-        trans = list(_minimize(hit + grown))
+            rests = [h & ~bit for h in hit if h & bit]
+            grown.extend(t | bit for t in missed
+                         if not any(r & ~t == 0 for r in rests))
+        trans = hit + grown
     return tuple(sorted(trans, key=_sort_key))
 
 

@@ -161,8 +161,36 @@ def brute_maximal_cliques(p, edges):
                   key=lambda c: (len(c), sorted(c)))
 
 
+def brute_force_cliques(ideal):
+    """Maximal cliques of the graph of variable pairs that are not
+    generators of a square-free ideal on variables 1..p."""
+    assert ideal.labels == tuple(range(1, ideal.p + 1))
+    gens = {frozenset(g) for g in ideal.generator_sets()}
+    pairs = [pair for pair in combinations(range(1, ideal.p + 1), 2)
+             if frozenset(pair) not in gens]
+    return brute_maximal_cliques(ideal.p, pairs)
+
+
 # ---------------------------------------------------------------------------
-# simplicial complexes by brute force
+# hitting sets and simplicial complexes by brute force
+
+def brute_minimal_transversals(p, edge_masks):
+    """Inclusion-minimal hitting sets of a family of bit masks over
+    positions 0..p-1, by subset enumeration, as masks in (size, value)
+    order.  Hitting sets are closed upwards, so one is minimal exactly when
+    dropping any single member loses an edge."""
+    edges = [{i for i in range(p) if e >> i & 1} for e in edge_masks]
+
+    def hits(sub):
+        return all(sub & e for e in edges)
+
+    subsets = (set(sub) for size in range(p + 1)
+               for sub in combinations(range(p), size))
+    minimal = [sub for sub in subsets
+               if hits(sub) and not any(hits(sub - {v}) for v in sub)]
+    masks = [sum(1 << i for i in sub) for sub in minimal]
+    return sorted(masks, key=lambda m: (bin(m).count("1"), m))
+
 
 def brute_minimal_nonfaces(p, facet_sets):
     """Inclusion-minimal non-faces of the complex with the given facets

@@ -26,11 +26,11 @@ from hmi import (make_complex, make_ideal, stanley_reisner, complex_of,
                  PointCloud, nerve_complex, filtration)
 from hmi.graphs import make_graph
 from hmi.hierarchy import format_factorization
-from hmi.ideal import SquareFreeIdeal, brute_force_cliques, format_generators
+from hmi.ideal import SquareFreeIdeal, format_generators
 from hmi.simplicial import SimplicialComplex
 
 from oracles import (bell, gaussian_moment_table, brute_chordal,
-                     brute_minimal_nonfaces)
+                     brute_force_cliques, brute_minimal_nonfaces)
 
 
 def report(n, label):

@@ -163,6 +163,11 @@ def test_dimension_and_method_validation():
         local_moment(f5, CubeWindow((0.0,) * 5, 0.1), (1,) * 5)
 
 
+def test_nan_half_width_rejected():
+    with pytest.raises(DomainError, match="half-width"):
+        CubeWindow((0.0, 0.0), float("nan"))
+
+
 def test_non_positive_density_rejected():
     f = DensityOracle(1, lambda pts: pts[:, 0])    # negative left of 0
     with pytest.raises(DomainError, match="non-positive"):

@@ -3,9 +3,11 @@ check that the Gaussian density really factors), marginalization and
 conditional-independence generators."""
 import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hmi import (CIStatement, NotDecomposableError, make_complex, make_ideal,
                  is_decomposable, factorize, marginalize, ideal_marginalize,
@@ -13,6 +15,8 @@ from hmi import (CIStatement, NotDecomposableError, make_complex, make_ideal,
 from hmi.errors import DomainError
 from hmi.hierarchy import decomposability_witness, format_factorization
 from hmi.ideal import format_generators
+
+from oracles import brute_chordal, brute_minimal_nonfaces
 
 
 CHAIN = [[1, 2, 3], [2, 3, 4], [3, 4, 5]]
@@ -172,3 +176,31 @@ def test_factorization_cliques_cover_vertices():
         fact = factorize(S)
         assert set().union(*fact.cliques) == set(range(1, p + 1))
         assert len(fact.separators) == len(fact.cliques) - 1
+
+
+@st.composite
+def small_complexes(draw):
+    p = draw(st.integers(min_value=1, max_value=7))
+    facets = draw(st.lists(st.sets(st.integers(min_value=1, max_value=p),
+                                   min_size=1, max_size=4),
+                           min_size=1, max_size=9))
+    return p, facets
+
+
+@given(small_complexes())
+def test_witness_is_first_clique_shaped_minimal_nonface(case):
+    p, facets = case
+    S = make_complex(p, facets)
+    edges = {frozenset(e) for f in S.facet_sets()
+             for e in combinations(sorted(f), 2)}
+    clique_nonfaces = [
+        nf for nf in brute_minimal_nonfaces(p, S.facet_sets())
+        if len(nf) >= 2
+        and all(frozenset(e) in edges for e in combinations(nf, 2))]
+    witness = decomposability_witness(S)
+    if not brute_chordal(p, edges):
+        assert isinstance(witness, list) and len(witness) >= 4
+    elif clique_nonfaces:
+        assert witness == clique_nonfaces[0]
+    else:
+        assert witness is None

@@ -9,11 +9,10 @@ from hmi import (FerrerShape, make_complex, make_ideal, stanley_reisner,
                  complex_of, contains, has_2linear_resolution,
                  recognize_ferrer, ferrer_cliques)
 from hmi.errors import DomainError
-from hmi.ideal import (brute_force_cliques, format_generators,
-                       ideal_to_json, ideal_from_json)
+from hmi.ideal import format_generators, ideal_to_json, ideal_from_json
 from hmi.simplicial import SimplicialComplex
 
-from oracles import brute_chordal, brute_maximal_cliques
+from oracles import brute_chordal, brute_force_cliques, brute_maximal_cliques
 
 
 def gens(I):

@@ -3,6 +3,7 @@ transform, certified against labelled set partitions and the exact Isserlis
 recursion."""
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -122,6 +123,16 @@ def test_empty_and_oversized_indices_rejected():
         enumerate_partitions((13,))
     with pytest.raises(DomainError):
         collapse_number(((0, 0),))
+
+
+def test_numpy_integer_entries_accepted():
+    assert enumerate_partitions((np.int64(1),) * 3) == \
+        enumerate_partitions((1, 1, 1))
+    assert len(enumerate_partitions(np.array([2, 1]))) == 4
+    with pytest.raises(DomainError):
+        enumerate_partitions((1.0, 1))
+    with pytest.raises(DomainError):
+        enumerate_partitions((np.int64(-1), 2))
 
 
 def test_norms_and_units():

@@ -4,15 +4,16 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from hmi import (SimplicialComplex, make_complex, is_face, minimal_nonfaces,
                  alexander_dual, one_skeleton, flag_complex)
 from hmi.errors import DomainError
 from hmi.graphs import make_graph
 from hmi.simplicial import (complex_to_json, complex_from_json,
-                            minimal_nonface_masks)
+                            minimal_nonface_masks, minimal_transversals)
 
-from oracles import brute_minimal_nonfaces
+from oracles import brute_minimal_nonfaces, brute_minimal_transversals
 
 
 def all_complexes(p):
@@ -163,3 +164,26 @@ def test_make_complex_validation():
         make_complex(2, [[3]])
     with pytest.raises(DomainError):
         make_complex(65, [])
+
+
+@st.composite
+def edge_families(draw):
+    """Families of nonempty masks on p <= 10 positions, with duplicated and
+    nested edges mixed in."""
+    p = draw(st.integers(min_value=1, max_value=10))
+    full = (1 << p) - 1
+    edges = draw(st.lists(st.integers(min_value=1, max_value=full),
+                          max_size=8))
+    if edges:
+        for e in draw(st.lists(st.sampled_from(edges), max_size=4)):
+            edges.append(e | draw(st.integers(min_value=0, max_value=full)))
+    return p, draw(st.permutations(edges))
+
+
+@given(edge_families())
+@example((4, []))
+@example((5, [0b00110, 0b00110, 0b11111, 0b00010]))
+def test_minimal_transversals_match_subset_search(case):
+    p, edges = case
+    assert list(minimal_transversals(edges, p)) == \
+        brute_minimal_transversals(p, edges)
