@@ -16,11 +16,17 @@ from . import simplicial
 from .errors import DomainError
 
 
-def _load_json(path):
+def _read_text(path):
     try:
-        return json.loads(Path(path).read_text())
-    except OSError as exc:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path}: {exc}") from None
+
+
+def _load_json(path):
+    text = _read_text(path)
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"bad JSON in {path}: {exc}") from None
 
@@ -61,7 +67,11 @@ def _load_density(path):
 
 
 def _floats(text):
-    return [float(t) for t in text.split(",")]
+    try:
+        return [float(t) for t in text.split(",")]
+    except ValueError:
+        raise DomainError(f"not a comma-separated list of numbers: "
+                          f"{text!r}") from None
 
 
 # --------------------------------------------------------------------------
@@ -185,7 +195,7 @@ def cmd_network_duality(args):
 
 
 def cmd_nerve(args):
-    cloud = nerve.points_from_csv(Path(args.points).read_text())
+    cloud = nerve.points_from_csv(_read_text(args.points))
     if args.filtration:
         steps = nerve.filtration(cloud, _floats(args.filtration),
                                  max_dim=args.max_dim)
@@ -244,7 +254,7 @@ def cmd_chain_rule(args):
 def _poly_from_args(args):
     text = args.poly
     if args.poly_file:
-        text = Path(args.poly_file).read_text()
+        text = _read_text(args.poly_file)
     if text is None:
         raise DomainError("need --poly or --poly-file")
     return logdensity.parse_poly(text, args.p)

@@ -29,12 +29,9 @@ TENSOR_GRID_MAX_DIM = 4
 @dataclass(frozen=True)
 class DensityOracle:
     """Strictly positive density on the queried region.  ``fn`` maps an
-    (n, p) array of points to an (n,) array of density values; an optional
-    closed-form ``log_derivative`` (alpha, point) -> value is carried by the
-    built-in families for use as a test oracle."""
+    (n, p) array of points to an (n,) array of density values."""
     p: int
     fn: Callable[[np.ndarray], np.ndarray]
-    log_derivative: Callable | None = None
 
     def __call__(self, x) -> float:
         pts = np.atleast_2d(np.asarray(x, dtype=float))
@@ -344,19 +341,7 @@ def gaussian_density(mean, precision) -> DensityOracle:
         quad = np.einsum("ni,ij,nj->n", diff, lam, diff)
         return np.exp(lognorm - 0.5 * quad)
 
-    def log_derivative(alpha, point):
-        # closed-form D^alpha log f for |alpha| <= 2: test oracle
-        axes = [i for i, a in enumerate(alpha) if a]
-        diff = np.asarray(point, dtype=float) - mu
-        if len(axes) == 0:
-            return float(lognorm - 0.5 * diff @ lam @ diff)
-        if len(axes) == 1:
-            return float(-(lam @ diff)[axes[0]])
-        if len(axes) == 2:
-            return float(-lam[axes[0], axes[1]])
-        return 0.0
-
-    return DensityOracle(p, fn, log_derivative)
+    return DensityOracle(p, fn)
 
 
 def mec_density(coeffs, p: int) -> DensityOracle:

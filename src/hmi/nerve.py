@@ -1,7 +1,25 @@
 """Nerve complex of a union of equal-radius balls around a point cloud, and
-its filtration over increasing radii."""
+its filtration over increasing radii.
+
+The balls B_i(r) at the points of J share a point iff r is at least the
+radius of the smallest ball enclosing those points, the *enclosing radius*
+er(J).  Each simplex J gets a *birth radius*
+
+    birth(J) = max(er(J), max birth of J's facets),
+
+and the nerve at radius s is the set of J with birth(J) <= s +
+FACE_TOLERANCE.  By induction on |J| that is exactly the level-by-level
+recursion "enclosing radius within tolerance, and every facet present", so
+a whole filtration is one set of birth radii, thresholded at each step.
+
+Balls are inherited rather than re-solved where possible: if a vertex w of
+J lies in the smallest enclosing ball of J minus w, that ball encloses J
+too and is its smallest one.  Otherwise the newest vertex lies outside the
+ball of the face it extends, so it lies on the boundary of J's ball, and
+Welzl's recursion runs over the face with that vertex on the boundary."""
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -27,8 +45,7 @@ class PointCloud:
             raise DomainError("point cloud must be a non-empty p x d array")
         if not np.all(np.isfinite(arr)):
             raise DomainError("points must be finite")
-        object.__setattr__(self, "points",
-                           tuple(tuple(row) for row in arr))
+        object.__setattr__(self, "points", tuple(map(tuple, arr.tolist())))
 
     @property
     def p(self):
@@ -42,20 +59,69 @@ class PointCloud:
         return np.asarray(self.points, dtype=float)
 
 
-def _circumball(boundary: list[np.ndarray], d: int):
-    """Smallest ball with the given (affinely independent) points on its
-    boundary; least-squares keeps degenerate inputs finite."""
+def _inside(pt, ball) -> bool:
+    center, radius = ball
+    return radius >= 0 and \
+        math.dist(pt, center) <= radius * (1 + 1e-12) + 1e-14
+
+
+def _circumball(boundary: tuple, d: int):
+    """Smallest ball with the given points on its boundary.  The center is
+    boundary[0] + sum lam_j (q_j - boundary[0]), where lam solves the Gram
+    system G lam = diag(G)/2 by Gaussian elimination with partial pivoting.
+    A point whose pivot is within 1e-12 of the largest diagonal entry
+    depends affinely on the earlier ones and is skipped (lam_j = 0), which
+    keeps duplicated and collinear inputs finite; the radius still covers
+    every boundary point."""
     if not boundary:
-        return np.zeros(d), -1.0
+        return (0.0,) * d, -1.0
     base = boundary[0]
     if len(boundary) == 1:
-        return base.copy(), 0.0
-    rows = np.array([q - base for q in boundary[1:]])
-    rhs = 0.5 * np.einsum("ij,ij->i", rows, rows)
-    sol, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-    center = base + sol
-    radius = max(float(np.linalg.norm(center - q)) for q in boundary)
-    return center, radius
+        return base, 0.0
+    rows = [[a - b for a, b in zip(q, base)] for q in boundary[1:]]
+    m = len(rows)
+    aug = [[sum(x * y for x, y in zip(ri, rj)) for rj in rows]
+           + [0.5 * sum(x * x for x in ri)] for ri in rows]
+    tol = 1e-12 * max(aug[i][i] for i in range(m))
+    free, pivots = list(range(m)), []
+    for col in range(m):
+        best = max(free, key=lambda i: abs(aug[i][col]))
+        if abs(aug[best][col]) <= tol:
+            continue
+        free.remove(best)
+        prow = aug[best]
+        for i in free:
+            factor = aug[i][col] / prow[col]
+            if factor:
+                aug[i] = [x - factor * y for x, y in zip(aug[i], prow)]
+        pivots.append((best, col))
+    lam = [0.0] * m
+    for row, col in reversed(pivots):
+        r = aug[row]
+        lam[col] = (r[m] - sum(r[k] * lam[k] for k in range(col + 1, m))) \
+            / r[col]
+    center = tuple(b + sum(lj * row[k] for lj, row in zip(lam, rows))
+                   for k, b in enumerate(base))
+    return center, max(math.dist(center, q) for q in boundary)
+
+
+def _welzl(points: Sequence[tuple], d: int, boundary: tuple = ()):
+    """Welzl's randomized incremental algorithm on float tuples, with a
+    deterministic shuffle: the smallest ball enclosing ``points`` that has
+    every ``boundary`` point on its boundary."""
+    order = list(points)
+    random.Random(0x5eb).shuffle(order)
+
+    def welzl(n, bnd):
+        if n == 0 or len(bnd) == d + 1:
+            return _circumball(bnd, d)
+        ball = welzl(n - 1, bnd)
+        pt = order[n - 1]
+        if _inside(pt, ball):
+            return ball
+        return welzl(n - 1, bnd + (pt,))
+
+    return welzl(len(order), tuple(boundary))
 
 
 def smallest_enclosing_ball(pts) -> tuple[np.ndarray, float]:
@@ -63,66 +129,95 @@ def smallest_enclosing_ball(pts) -> tuple[np.ndarray, float]:
     arr = np.asarray(pts, dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 1:
         raise DomainError("need a non-empty list of points")
-    d = arr.shape[1]
-    order = list(range(arr.shape[0]))
-    random.Random(0x5eb).shuffle(order)
-    points = [arr[i] for i in order]
-
-    def welzl(n, boundary):
-        if n == 0 or len(boundary) == d + 1:
-            return _circumball(boundary, d)
-        center, radius = welzl(n - 1, boundary)
-        pt = points[n - 1]
-        if radius >= 0 and np.linalg.norm(pt - center) \
-                <= radius * (1 + 1e-12) + 1e-14:
-            return center, radius
-        return welzl(n - 1, boundary + [pt])
-
-    center, radius = welzl(len(points), [])
-    return center, float(radius)
+    center, radius = _welzl(list(map(tuple, arr.tolist())), arr.shape[1])
+    return np.array(center), float(radius)
 
 
 def enclosing_radius(cloud: PointCloud, indices: Iterable[int]) -> float:
     """Smallest common-intersection radius for the balls at the 1-based
     point indices: the equal balls B_i(r) intersect iff r is at least the
     smallest-enclosing-ball radius of the points."""
-    arr = cloud.array()
-    rows = [arr[i - 1] for i in indices]
-    return smallest_enclosing_ball(rows)[1]
+    rows = [cloud.points[i - 1] for i in indices]
+    if not rows:
+        raise DomainError("need a non-empty list of points")
+    return _welzl(rows, cloud.d)[1]
+
+
+def _radius(r) -> float:
+    if np.ndim(r) != 0:
+        raise DomainError("equal radii only: r must be a scalar")
+    r = float(r)
+    if not r >= 0:
+        raise DomainError("radius must be a non-negative number")
+    return r
+
+
+def _max_dim(cloud: PointCloud, max_dim) -> int:
+    if max_dim is None:
+        return min(cloud.p - 1, MAX_NERVE_DIM)
+    if max_dim < 0:
+        raise DomainError("max_dim must be non-negative")
+    return max_dim
+
+
+def _births(cloud: PointCloud, r: float, max_dim: int) -> dict:
+    """Birth radius of every simplex (a sorted index tuple) of the nerve at
+    radius r, up to max_dim.  A face f grows only by the vertices v > max(f)
+    joined to every vertex of f in the nerve's 1-skeleton, so each
+    candidate arises once; it is kept when all its facets were kept and its
+    birth is within tolerance of r."""
+    pts = cloud.points
+    limit = r + FACE_TOLERANCE
+    p, d = cloud.p, cloud.d
+    births = {(i,): 0.0 for i in range(1, p + 1)}
+    balls = {(i,): (pts[i - 1], 0.0) for i in range(1, p + 1)}
+    # upward neighbours; every later vertex until the edges are known
+    up = {i: range(i + 1, p + 1) for i in range(1, p + 1)}
+    level = list(births)
+    for size in range(2, max_dim + 2):
+        grown = []
+        for f in level:
+            common = set(up[f[0]]).intersection(*(up[u] for u in f[1:]))
+            for v in sorted(common):
+                simplex = f + (v,)
+                facets = [simplex[:k] + simplex[k + 1:] for k in range(size)]
+                if not all(g in births for g in facets):
+                    continue
+                for w, g in zip(simplex, facets):
+                    if _inside(pts[w - 1], balls[g]):
+                        ball = balls[g]
+                        break
+                else:
+                    # v lies outside the ball of f, hence on this one's
+                    ball = _welzl([pts[u - 1] for u in f], d, (pts[v - 1],))
+                birth = max(ball[1], max(births[g] for g in facets))
+                if birth <= limit:
+                    births[simplex] = birth
+                    balls[simplex] = ball
+                    grown.append(simplex)
+        if size == 2:
+            up = {i: set() for i in range(1, p + 1)}
+            for u, v in grown:
+                up[u].add(v)
+        level = grown
+        if not level:
+            break
+    return births
+
+
+def _threshold(p: int, births: dict, r: float) -> SimplicialComplex:
+    return make_complex(p, [s for s, b in births.items()
+                            if b <= r + FACE_TOLERANCE])
 
 
 def nerve_complex(cloud: PointCloud, r, max_dim: int | None = None
                   ) -> SimplicialComplex:
     """Faces are the index sets J with a common ball intersection at radius
-    r, built level by level so only sets with all boundaries present are
-    tested."""
-    if np.ndim(r) != 0:
-        raise DomainError("equal radii only: r must be a scalar")
-    r = float(r)
-    if r < 0:
-        raise DomainError("radius must be non-negative")
-    p = cloud.p
-    if max_dim is None:
-        max_dim = min(p - 1, MAX_NERVE_DIM)
-    level = {frozenset((i,)) for i in range(1, p + 1)}
-    faces = set(level)
-    for size in range(2, max_dim + 2):
-        candidates = set()
-        members = sorted({i for f in level for i in f})
-        for f in level:
-            for v in members:
-                if v in f:
-                    continue
-                cand = f | {v}
-                if len(cand) == size and cand not in candidates:
-                    if all(cand - {w} in level for w in cand):
-                        candidates.add(cand)
-        level = {c for c in candidates
-                 if enclosing_radius(cloud, c) <= r + FACE_TOLERANCE}
-        if not level:
-            break
-        faces |= level
-    return make_complex(p, [sorted(f) for f in faces])
+    r and every facet a face: the simplices of birth radius at most r, up
+    to dimension max_dim (default min(p - 1, MAX_NERVE_DIM))."""
+    r = _radius(r)
+    return _threshold(cloud.p, _births(cloud, r, _max_dim(cloud, max_dim)),
+                      r)
 
 
 @dataclass(frozen=True)
@@ -135,24 +230,34 @@ class FiltrationStep:
 def filtration(cloud: PointCloud, radii: Sequence[float],
                max_dim: int | None = None) -> list[FiltrationStep]:
     """Nested nerve complexes over strictly increasing radii, with a
-    decomposability flag per step."""
-    radii = [float(r) for r in radii]
+    decomposability flag per step.  The birth radii are computed once, at
+    the largest radius, and each step thresholds them: step r equals
+    ``nerve_complex(cloud, r, max_dim)``."""
+    radii = [_radius(r) for r in radii]
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise DomainError("radii must be strictly increasing")
+    max_dim = _max_dim(cloud, max_dim)
+    if not radii:
+        return []
+    births = _births(cloud, radii[-1], max_dim)
     out = []
     for r in radii:
-        S = nerve_complex(cloud, r, max_dim=max_dim)
+        S = _threshold(cloud.p, births, r)
         out.append(FiltrationStep(r, S, is_decomposable(S)))
     return out
 
 
 def points_from_csv(text: str) -> PointCloud:
     rows = []
-    for line in text.strip().splitlines():
+    for n, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
-        rows.append([float(tok) for tok in line.split(",")])
+        try:
+            rows.append([float(tok) for tok in line.split(",")])
+        except ValueError:
+            raise DomainError(f"CSV line {n}: not a number: {line!r}") \
+                from None
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise DomainError("CSV rows must all have the same dimension")
     return PointCloud(tuple(tuple(r) for r in rows))

@@ -3,8 +3,9 @@
 Everything here deliberately takes a different route from the library code:
 multiset partitions come from labelled set partitions, chordality from an
 exhaustive induced-cycle search, cliques and non-faces from subset
-enumeration, and Gaussian moments from the Stein/Isserlis recursion in exact
-rational arithmetic.
+enumeration, smallest enclosing balls from every small boundary subset, and
+Gaussian moments from the Stein/Isserlis recursion in exact rational
+arithmetic.
 """
 from fractions import Fraction
 from functools import lru_cache
@@ -206,6 +207,35 @@ def brute_minimal_nonfaces(p, facet_sets):
     minimal = [n for n in nonfaces
                if not any(m < n for m in nonfaces)]
     return sorted(minimal, key=lambda f: (len(f), sorted(f)))
+
+
+# ---------------------------------------------------------------------------
+# smallest enclosing balls
+
+def brute_meb_radius(points):
+    """Radius of the smallest ball enclosing the points (rows of d floats),
+    by trying the circumball of every affinely independent subset of at most
+    d + 1 points and keeping the smallest one that contains them all."""
+    import numpy as np
+    pts = np.asarray(points, dtype=float)
+    n, d = pts.shape
+    best = np.inf
+    for size in range(1, min(n, d + 1) + 1):
+        for sub in combinations(range(n), size):
+            base = pts[sub[0]]
+            rows = pts[list(sub[1:])] - base
+            center = base
+            if size > 1:
+                sv = np.linalg.svd(rows, compute_uv=False)
+                if sv[-1] <= 1e-6 * sv[0]:
+                    continue            # (nearly) affinely dependent
+                gram = rows @ rows.T
+                center = base + np.linalg.solve(gram,
+                                                0.5 * np.diag(gram)) @ rows
+            radius = np.linalg.norm(pts[list(sub)] - center, axis=1).max()
+            if np.linalg.norm(pts - center, axis=1).max() <= radius + 1e-12:
+                best = min(best, float(radius))
+    return best
 
 
 # ---------------------------------------------------------------------------

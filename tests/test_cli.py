@@ -194,6 +194,24 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
     assert code == 1 and "unit ideal" in err
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["nerve", "--points", "missing.csv", "--radius", "0.5"], None),
+    (["nerve", "--points", "pts.csv", "--radius", "0.5"], "0,0\n1,x\n"),
+    (["nerve", "--points", "pts.csv", "--filtration", "0.4,x"], "0\n1\n"),
+    (["parse-poly", "--p", "2", "--poly-file", "missing.txt"], None),
+], ids=["missing-points", "csv-cell", "filtration-list", "missing-poly"])
+def test_bad_input_exits_one_with_one_error_line(argv, text, capsys,
+                                                 tmp_path):
+    # missing files, non-numeric CSV cells and bad number lists
+    if text is not None:
+        (tmp_path / "pts.csv").write_text(text)
+    argv = [str(tmp_path / a) if a.endswith((".csv", ".txt")) else a
+            for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["sr"])

@@ -1,6 +1,7 @@
 """Smallest enclosing balls and nerve complexes: geometric goldens, the
 collinear filtration, nesting and edge-before-face ordering."""
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from hmi import (PointCloud, smallest_enclosing_ball, nerve_complex,
                  filtration)
 from hmi.errors import DomainError
-from hmi.nerve import enclosing_radius, points_from_csv
+from hmi.nerve import FACE_TOLERANCE, enclosing_radius, points_from_csv
+from oracles import brute_meb_radius
 
 
 def test_seb_goldens():
@@ -41,6 +43,19 @@ def test_seb_contains_all_points_random():
         assert np.all(dists <= r * (1 + 1e-9) + 1e-12)
         # minimality: some point is (nearly) on the boundary
         assert dists.max() == pytest.approx(r, abs=1e-9)
+
+
+def test_seb_matches_brute_on_degenerate_clouds():
+    # points on a lower-dimensional lattice inside R^d: duplicates and
+    # affinely dependent boundary sets are the rule, not the exception
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        n, d = int(rng.integers(2, 9)), int(rng.integers(2, 4))
+        k = int(rng.integers(1, d))
+        coeff = rng.integers(-3, 4, size=(n, k)) * 0.1
+        pts = rng.normal(size=d) + coeff @ rng.normal(size=(k, d))
+        _, r = smallest_enclosing_ball(pts)
+        assert r == pytest.approx(brute_meb_radius(pts), rel=1e-9, abs=1e-12)
 
 
 def test_collinear_filtration_golden():
@@ -93,6 +108,41 @@ def test_acute_triangle_edges_before_face():
     assert set(full.facet_sets()) == {frozenset({1, 2, 3})}
 
 
+def _faces(S):
+    return {frozenset(sub) for f in S.facet_sets()
+            for size in range(1, len(f) + 1)
+            for sub in combinations(sorted(f), size)}
+
+
+def test_nerve_matches_brute_cech():
+    # the nerve at r is every index set whose smallest enclosing ball has
+    # radius at most r; clouds include lattice points, so duplicates and
+    # collinear triples occur
+    rng = np.random.default_rng(41)
+    checked = 0
+    for trial in range(60):
+        p, d = int(rng.integers(1, 8)), int(rng.integers(1, 4))
+        pts = rng.normal(size=(p, d))
+        if trial % 2:
+            pts = np.round(pts * 2) / 2
+            pts[-1] = pts[0]
+        radii = sorted(float(r) for r in rng.uniform(0.05, 2.0, 3))
+        meb = {frozenset(sub): brute_meb_radius(pts[[i - 1 for i in sub]])
+               for size in range(1, p + 1)
+               for sub in combinations(range(1, p + 1), size)}
+        if any(abs(v - r) < 1e-7 for v in meb.values() for r in radii):
+            continue
+        cloud = PointCloud(tuple(map(tuple, pts)))
+        steps = filtration(cloud, radii)
+        for r, step in zip(radii, steps):
+            want = {s for s, v in meb.items() if v <= r + FACE_TOLERANCE}
+            S = nerve_complex(cloud, r)
+            assert _faces(S) == want
+            assert step.complex == S
+        checked += 1
+    assert checked >= 50
+
+
 def test_max_dim_cap():
     rng = np.random.default_rng(3)
     cloud = PointCloud(tuple(map(tuple, rng.normal(size=(6, 2)) * 0.01)))
@@ -108,6 +158,19 @@ def test_nerve_validation():
         nerve_complex(cloud, -1.0)
     with pytest.raises(DomainError, match="strictly increasing"):
         filtration(cloud, [0.2, 0.1])
+    nan = float("nan")
+    with pytest.raises(DomainError):
+        nerve_complex(cloud, nan)
+    with pytest.raises(DomainError):
+        filtration(cloud, [nan, 1.0])
+    with pytest.raises(DomainError):
+        filtration(cloud, [0.1, nan])
+    with pytest.raises(DomainError):
+        filtration(cloud, [-1.0, 1.0])
+    with pytest.raises(DomainError):
+        nerve_complex(cloud, 1.0, max_dim=-1)
+    with pytest.raises(DomainError):
+        filtration(cloud, [0.5, 1.0], max_dim=-1)
     with pytest.raises(DomainError):
         PointCloud(((float("nan"),),))
     with pytest.raises(DomainError):
@@ -121,3 +184,5 @@ def test_points_from_csv():
         points_from_csv("1,2\n3\n")
     with pytest.raises(DomainError):
         points_from_csv("")
+    with pytest.raises(DomainError):
+        points_from_csv("0,0\n1,x\n")
