@@ -53,16 +53,23 @@ def _fmt_ideal(I):
 
 def _load_density(path):
     obj = _load_json(path)
+    if not isinstance(obj, dict):
+        raise DomainError(f"density JSON in {path} must be an object")
     family = obj.get("family")
     if family == "gaussian":
-        return diffcum.gaussian_density(obj["mean"], obj["precision"])
+        spec = logdensity.gaussian_spec_from_json(obj)
+        return diffcum.gaussian_density(spec.mean, spec.precision)
     if family == "mec":
         spec = logdensity.mec_spec_from_json(obj)
         return diffcum.mec_density(
             {s: float(a) for s, a in spec.coeffs.items()}, spec.p)
     if family == "product":
-        return diffcum.product_gaussian_density(obj["means"],
-                                                obj["variances"])
+        try:
+            return diffcum.product_gaussian_density(obj["means"],
+                                                    obj["variances"])
+        except KeyError:
+            raise DomainError("product JSON needs 'means' and "
+                              "'variances'") from None
     raise DomainError(f"unknown density family {family!r}")
 
 
@@ -71,6 +78,14 @@ def _floats(text):
         return [float(t) for t in text.split(",")]
     except ValueError:
         raise DomainError(f"not a comma-separated list of numbers: "
+                          f"{text!r}") from None
+
+
+def _ints(text):
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError:
+        raise DomainError(f"not a comma-separated list of integers: "
                           f"{text!r}") from None
 
 
@@ -114,7 +129,7 @@ def cmd_factorize(args):
 
 
 def cmd_marginalize(args):
-    strip = [int(v) for v in args.strip.split(",")]
+    strip = _ints(args.strip)
     if not args.complex and not args.ideal:
         raise DomainError("need --complex or --ideal")
     if args.complex:
@@ -351,8 +366,7 @@ def cmd_limit_probe(args):
 
 def cmd_ci_generators(args):
     def ints(text):
-        return frozenset(int(v) for v in text.split(",")) if text else \
-            frozenset()
+        return frozenset(_ints(text)) if text else frozenset()
     stmt = hierarchy.CIStatement(args.p, ints(args.i), ints(args.j),
                                  ints(args.given))
     gens = hierarchy.ci_to_generators(stmt)

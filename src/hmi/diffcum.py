@@ -11,6 +11,7 @@ eps^2/3.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from itertools import product
@@ -19,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .partitions import enumerate_partitions, collapse_number, plus_norm
+from .partitions import _cumulants, plus_norm
 
 DEFAULT_NODES = 16
 DEFAULT_STEP_SCALE = 1e-3
@@ -108,7 +109,7 @@ def _mixed_first_derivative(f: DensityOracle, xi, axes, h,
     pts, coeff = _mixed_derivative_points(xi, axes, h)
     vals = f.batch(pts)
     if transform is not None:
-        if np.any(vals <= 0):
+        if not np.all(vals > 0):
             raise DomainError("non-positive density sample encountered")
         vals = transform(vals)
     scale = float(np.prod([2.0 * step for step in h]))
@@ -124,7 +125,7 @@ def _derivative_ratio(f: DensityOracle, xi, alpha, step_scale,
         if transform is None:
             return 1.0
         fx = f(xi)
-        if fx <= 0:
+        if not fx > 0:
             raise DomainError("non-positive density sample encountered")
         return math.log(fx)
     h = [step_scale * max(1.0, abs(xi[i])) for i in axes]
@@ -137,45 +138,53 @@ def _derivative_ratio(f: DensityOracle, xi, alpha, step_scale,
         est = (4.0 * fine - coarse) / 3.0
     if transform is None:
         fx = f(xi)
-        if fx <= 0:
+        if not fx > 0:
             raise DomainError("non-positive density sample encountered")
         est /= fx
     return est
+
+
+def _point_and_index(f: DensityOracle, xi, k):
+    """xi as floats and k as a tuple, both of f's dimension."""
+    xi = tuple(float(c) for c in xi)
+    k = tuple(k)
+    if len(k) != len(xi) or f.p != len(xi):
+        raise DomainError("dimension mismatch")
+    return xi, k
 
 
 def differential_moment(f: DensityOracle, xi, k, *,
                         step_scale=DEFAULT_STEP_SCALE,
                         richardson=True) -> EstimateReport:
     """m^xi_k = D^alpha f / f with alpha the parity pattern of k."""
-    xi = tuple(float(c) for c in xi)
+    xi, k = _point_and_index(f, xi, k)
     alpha = parity_alpha(k)
     value = _derivative_ratio(f, xi, alpha, step_scale, richardson)
     return EstimateReport(value, "finite-difference", {
-        "k": tuple(k), "alpha": alpha, "xi": xi,
+        "k": k, "alpha": alpha, "xi": xi,
         "step_scale": step_scale, "richardson": richardson})
 
 
 def differential_cumulant(f: DensityOracle, xi, k, *, method="partition",
                           step_scale=DEFAULT_STEP_SCALE,
                           richardson=True) -> EstimateReport:
-    """kappa^xi_k, either by the partition sum over differential moments
-    (the definition) or as D^alpha log f (the square-free shortcut)."""
-    xi = tuple(float(c) for c in xi)
+    """kappa^xi_k, either from the differential moments by the
+    moment-cumulant transform (the definition) or as D^alpha log f (the
+    square-free shortcut)."""
+    xi, k = _point_and_index(f, xi, k)
     alpha = parity_alpha(k)
     if method == "partition":
-        total = 0.0
         cache = {}
-        for pi in enumerate_partitions(tuple(k)):
-            term = float(collapse_number(pi)) * (-1) ** (len(pi) - 1) \
-                * math.factorial(len(pi) - 1)
-            for nu in pi:
-                a = parity_alpha(nu)
-                if a not in cache:
-                    cache[a] = _derivative_ratio(f, xi, a, step_scale,
-                                                 richardson)
-                term *= cache[a]
-            total += term
-        value = total
+
+        def moment(nu):
+            # differential moments depend on nu only through its parity
+            a = parity_alpha(nu)
+            if a not in cache:
+                cache[a] = _derivative_ratio(f, xi, a, step_scale,
+                                             richardson)
+            return cache[a]
+
+        value = _cumulants(k, moment)[k]
         label = "partition-sum"
     elif method == "logderiv":
         value = _derivative_ratio(f, xi, alpha, step_scale, richardson,
@@ -184,7 +193,7 @@ def differential_cumulant(f: DensityOracle, xi, k, *, method="partition",
     else:
         raise DomainError(f"unknown method {method!r}")
     return EstimateReport(value, label, {
-        "k": tuple(k), "alpha": alpha, "xi": xi,
+        "k": k, "alpha": alpha, "xi": xi,
         "step_scale": step_scale, "richardson": richardson})
 
 
@@ -216,12 +225,12 @@ def _mc_grid(window: CubeWindow, samples: int, seed):
     return pts, offsets, weights
 
 
-def local_moment(f: DensityOracle, window: CubeWindow, k, *,
-                 nodes=DEFAULT_NODES, method="quadrature",
-                 mc_samples=200_000, seed=None) -> EstimateReport:
-    """m^A_k: conditional moment of X - xi over the window, by
-    tensor-product Gauss-Legendre quadrature (seeded Monte Carlo above
-    dimension 4)."""
+def _local_moments(f: DensityOracle, window: CubeWindow, k, nodes, method,
+                   mc_samples, seed):
+    """Evaluate f once on the window's tensor Gauss-Legendre grid (or
+    seeded Monte Carlo sample) and return the moment function
+    nu -> (w . (x^nu f)) / (w . f), x the offset from the centre, with the
+    report's label and metadata."""
     k = tuple(k)
     p = len(window.center)
     if len(k) != p or f.p != p:
@@ -231,9 +240,13 @@ def local_moment(f: DensityOracle, window: CubeWindow, k, *,
             raise DomainError(
                 f"tensor quadrature supports p <= {TENSOR_GRID_MAX_DIM}; "
                 "use method='mc'")
+        if not (isinstance(nodes, numbers.Integral) and nodes > 0):
+            raise DomainError("nodes must be a positive integer")
         pts, offsets, weights = _quadrature_grid(window, nodes)
         meta = {"nodes": nodes}
     elif method == "mc":
+        if not (isinstance(mc_samples, numbers.Integral) and mc_samples > 0):
+            raise DomainError("mc_samples must be a positive integer")
         pts, offsets, weights = _mc_grid(window, mc_samples, seed)
         meta = {"samples": mc_samples,
                 "seed": seed if seed is not None
@@ -241,45 +254,43 @@ def local_moment(f: DensityOracle, window: CubeWindow, k, *,
     else:
         raise DomainError(f"unknown method {method!r}")
     vals = f.batch(pts)
-    if np.any(vals <= 0):
+    if not np.all(vals > 0):
         raise DomainError("non-positive density sample encountered")
-    mono = np.ones(len(pts))
-    for i, ki in enumerate(k):
-        if ki:
-            mono *= offsets[:, i] ** ki
     denom = float(weights @ vals)
-    numer = float(weights @ (mono * vals))
+
+    def moment(nu):
+        mono = np.ones(len(pts))
+        for i, ki in enumerate(nu):
+            if ki:
+                mono *= offsets[:, i] ** ki
+        return float(weights @ (mono * vals)) / denom
+
     meta.update({"k": k, "eps": window.eps, "center": window.center,
                  "method": method})
     label = "tensor-quadrature" if method == "quadrature" else "monte-carlo"
-    return EstimateReport(numer / denom, label, meta)
+    return moment, label, meta
+
+
+def local_moment(f: DensityOracle, window: CubeWindow, k, *,
+                 nodes=DEFAULT_NODES, method="quadrature",
+                 mc_samples=200_000, seed=None) -> EstimateReport:
+    """m^A_k: conditional moment of X - xi over the window, by
+    tensor-product Gauss-Legendre quadrature (seeded Monte Carlo above
+    dimension 4)."""
+    moment, label, meta = _local_moments(f, window, k, nodes, method,
+                                         mc_samples, seed)
+    return EstimateReport(moment(meta["k"]), label, meta)
 
 
 def local_cumulant(f: DensityOracle, window: CubeWindow, k, *,
                    nodes=DEFAULT_NODES, method="quadrature",
                    mc_samples=200_000, seed=None) -> EstimateReport:
-    """kappa^A_k by the partition sum over local moments."""
-    k = tuple(k)
-    cache = {}
-
-    def moment(nu):
-        if nu not in cache:
-            cache[nu] = local_moment(f, window, nu, nodes=nodes,
-                                     method=method, mc_samples=mc_samples,
-                                     seed=seed).value
-        return cache[nu]
-
-    total = 0.0
-    for pi in enumerate_partitions(k):
-        term = float(collapse_number(pi)) * (-1) ** (len(pi) - 1) \
-            * math.factorial(len(pi) - 1)
-        for nu in pi:
-            term *= moment(nu)
-        total += term
-    label = "tensor-quadrature" if method == "quadrature" else "monte-carlo"
-    return EstimateReport(total, label, {
-        "k": k, "eps": window.eps, "center": window.center,
-        "nodes": nodes, "method": method})
+    """kappa^A_k from the local moments by the moment-cumulant transform,
+    all of them from one evaluation of f on the grid."""
+    moment, label, meta = _local_moments(f, window, k, nodes, method,
+                                         mc_samples, seed)
+    return EstimateReport(_cumulants(meta["k"], moment)[meta["k"]], label,
+                          meta)
 
 
 @dataclass(frozen=True)
@@ -323,11 +334,22 @@ def limit_matches_differential(f: DensityOracle, xi, k, eps_values, *,
 # ---------------------------------------------------------------------------
 # built-in density families
 
+def _vector_and_array(vector, array):
+    """Both as float arrays, the first one-dimensional."""
+    try:
+        vector = np.asarray(vector, dtype=float)
+        array = np.asarray(array, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError("density parameters must be numeric") from None
+    if vector.ndim != 1:
+        raise DomainError("density parameters must be numeric vectors")
+    return vector, array
+
+
 def gaussian_density(mean, precision) -> DensityOracle:
     """Normal density with the given mean and precision (inverse
     covariance) matrix."""
-    mu = np.asarray(mean, dtype=float)
-    lam = np.asarray(precision, dtype=float)
+    mu, lam = _vector_and_array(mean, precision)
     p = mu.shape[0]
     if lam.shape != (p, p) or not np.allclose(lam, lam.T):
         raise DomainError("precision must be a symmetric p x p matrix")
@@ -367,9 +389,8 @@ def mec_density(coeffs, p: int) -> DensityOracle:
 
 def product_gaussian_density(means, variances) -> DensityOracle:
     """Product of independent univariate normals."""
-    mu = np.asarray(means, dtype=float)
-    var = np.asarray(variances, dtype=float)
-    if mu.shape != var.shape or np.any(var <= 0):
+    mu, var = _vector_and_array(means, variances)
+    if mu.shape != var.shape or not np.all(var > 0):
         raise DomainError("means/variances must match, variances positive")
     precision = np.diag(1.0 / var)
     return gaussian_density(mu, precision)

@@ -20,6 +20,7 @@ Welzl's recursion runs over the face with that vertex on the boundary."""
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -137,9 +138,15 @@ def enclosing_radius(cloud: PointCloud, indices: Iterable[int]) -> float:
     """Smallest common-intersection radius for the balls at the 1-based
     point indices: the equal balls B_i(r) intersect iff r is at least the
     smallest-enclosing-ball radius of the points."""
-    rows = [cloud.points[i - 1] for i in indices]
-    if not rows:
+    try:
+        indices = [operator.index(i) for i in indices]
+    except TypeError:
+        raise DomainError("point indices must be integers") from None
+    if not indices:
         raise DomainError("need a non-empty list of points")
+    if not all(1 <= i <= cloud.p for i in indices):
+        raise DomainError(f"point indices must lie in 1..{cloud.p}")
+    rows = [cloud.points[i - 1] for i in indices]
     return _welzl(rows, cloud.d)[1]
 
 
@@ -155,6 +162,10 @@ def _radius(r) -> float:
 def _max_dim(cloud: PointCloud, max_dim) -> int:
     if max_dim is None:
         return min(cloud.p - 1, MAX_NERVE_DIM)
+    try:
+        max_dim = operator.index(max_dim)
+    except TypeError:
+        raise DomainError("max_dim must be an integer") from None
     if max_dim < 0:
         raise DomainError("max_dim must be non-negative")
     return max_dim

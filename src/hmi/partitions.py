@@ -1,5 +1,5 @@
-"""Multiset partitions of multi-indices and the cumulant combinatorics
-built on them.
+"""Multiset partitions of multi-indices, the cumulant combinatorics built
+on them, and the one moment-cumulant transform every cumulant goes through.
 
 A multi-index k in N^p stands for the multiset holding k_i copies of the
 symbol i (1-based).  A partition is represented as a tuple of multi-indices,
@@ -125,22 +125,56 @@ def chain_rule_terms(k: Sequence[int]) -> list[tuple[Fraction, int, list[MultiIn
             for pi in enumerate_partitions(k)]
 
 
-def cumulant_from_moments(k: Sequence[int], moments: Mapping[MultiIndex, object]):
-    """kappa_k from the moment table via the partition sum
-    sum_pi c(pi) (-1)^(|pi|-1) (|pi|-1)! prod_j m_{nu_j}.
+def _cumulants(k, moment) -> dict:
+    """Every joint cumulant kappa_nu, 0 != nu <= k, from the moments by the
+    classical recursion over sub-multi-indices (Smith 1995, "A recursive
+    formulation of the old problem of obtaining moments from cumulants and
+    vice versa", Am. Stat. 49): with i the first nonzero component of nu
+    and nu' = nu - e_i,
 
+        kappa_nu = m_nu - sum_{lambda <= nu', lambda != nu'}
+                   C(nu', lambda) kappa_{lambda + e_i} m_{nu' - lambda},
+
+    C the product of componentwise binomials.  ``moment(nu)`` is called
+    exactly once for each nonzero nu <= k, in ``product`` order, which puts
+    every sub-index first; each of them is a block of some partition of k.
     Exact when the moments are Fractions."""
-    total = Fraction(0)
-    for pi in enumerate_partitions(k):
-        term = collapse_number(pi) * (-1) ** (len(pi) - 1) \
-            * math.factorial(len(pi) - 1)
-        for nu in pi:
-            if nu not in moments:
-                raise DomainError(
-                    f"missing moment for index {format_multiindex(nu)}")
-            term = term * moments[nu]
-        total = total + term
-    return total
+    k = _validate(k)
+    if not any(k):
+        raise DomainError("empty multiset")
+    m, kappa = {}, {}
+    for nu in product(*(range(v + 1) for v in k)):
+        if not any(nu):
+            continue
+        m[nu] = moment(nu)
+        i = next(j for j, v in enumerate(nu) if v)
+        rest = nu[:i] + (nu[i] - 1,) + nu[i + 1:]
+        total = m[nu]
+        for lam in product(*(range(v + 1) for v in rest)):
+            if lam == rest:
+                continue
+            coeff = 1
+            for a, b in zip(rest, lam):
+                coeff *= math.comb(a, b)
+            up = lam[:i] + (lam[i] + 1,) + lam[i + 1:]
+            total = total - coeff * kappa[up] \
+                * m[tuple(a - b for a, b in zip(rest, lam))]
+        kappa[nu] = total
+    return kappa
+
+
+def cumulant_from_moments(k: Sequence[int], moments: Mapping[MultiIndex, object]):
+    """kappa_k from the moment table, which must hold m_nu for every nonzero
+    nu <= k.  Exact when the moments are Fractions (ints count as
+    Fractions); float moments give a float."""
+    def lookup(nu):
+        if nu not in moments:
+            raise DomainError(
+                f"missing moment for index {format_multiindex(nu)}")
+        return Fraction(0) + moments[nu]
+
+    k = _validate(k)
+    return _cumulants(k, lookup)[k]
 
 
 def moment_table_from_json(obj: Mapping[str, object]) -> dict[MultiIndex, object]:

@@ -10,6 +10,7 @@ arithmetic.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import factorial
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +65,20 @@ def multiset_partition_counts(k):
         blocks = tuple(sorted((_project(b, p) for b in part), reverse=True))
         counts[blocks] = counts.get(blocks, 0) + 1
     return counts
+
+
+def cumulant_by_set_partitions(k, moment):
+    """kappa_k as the sum over labelled set partitions pi of k's positions
+    of (-1)^(|pi|-1) (|pi|-1)! prod_B m(B), each block B projected back to
+    a multi-index; no collapse numbers and no recursion."""
+    p = len(k)
+    total = 0
+    for part in set_partitions(_positions(k)):
+        term = (-1) ** (len(part) - 1) * factorial(len(part) - 1)
+        for block in part:
+            term = term * moment(_project(block, p))
+        total = total + term
+    return total
 
 
 # ---------------------------------------------------------------------------

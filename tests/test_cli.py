@@ -199,14 +199,26 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
     (["nerve", "--points", "pts.csv", "--radius", "0.5"], "0,0\n1,x\n"),
     (["nerve", "--points", "pts.csv", "--filtration", "0.4,x"], "0\n1\n"),
     (["parse-poly", "--p", "2", "--poly-file", "missing.txt"], None),
-], ids=["missing-points", "csv-cell", "filtration-list", "missing-poly"])
+    (["marginalize", "--complex", "c.json", "--strip", "a"],
+     json.dumps(CHAIN)),
+    (["ci-generators", "--p", "3", "--i", "a", "--j", "2"], None),
+    (["ci-generators", "--p", "3", "--i", "1", "--j", "2", "--given", "x"],
+     None),
+    (["diff-moment", "--density", "g.json", "--xi", "0,0", "--k", "1,1"],
+     json.dumps({"family": "gaussian", "mean": [0.0, 0.0]})),
+    (["diff-moment", "--density", "g.json", "--xi", "0,0", "--k", "1,1"],
+     json.dumps({"family": "product", "means": [0.0, 0.0]})),
+], ids=["missing-points", "csv-cell", "filtration-list", "missing-poly",
+        "strip-list", "ci-list", "given-list", "gaussian-keys",
+        "product-keys"])
 def test_bad_input_exits_one_with_one_error_line(argv, text, capsys,
                                                  tmp_path):
-    # missing files, non-numeric CSV cells and bad number lists
+    # missing files, non-numeric CSV cells, bad number lists and density
+    # files without their parameters; text goes to the first file named
+    files = [a for a in argv if a.endswith((".csv", ".txt", ".json"))]
     if text is not None:
-        (tmp_path / "pts.csv").write_text(text)
-    argv = [str(tmp_path / a) if a.endswith((".csv", ".txt")) else a
-            for a in argv]
+        (tmp_path / files[0]).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
     code, out, err = run(capsys, argv)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")

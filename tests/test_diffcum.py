@@ -10,7 +10,8 @@ from hmi import (DensityOracle, CubeWindow, parity_alpha, r_factor,
                  product_gaussian_density)
 from hmi.errors import DomainError
 
-from oracles import gaussian_derivative_ratio, gaussian_log_derivative
+from oracles import (gaussian_derivative_ratio, gaussian_log_derivative,
+                     cumulant_by_set_partitions)
 
 
 RHO = 0.5
@@ -149,10 +150,42 @@ def test_local_cumulant_centered_window():
     assert kappa == pytest.approx(m11, rel=1e-3)
 
 
+@pytest.mark.parametrize("center, k", [
+    ((0.3, -0.2), (2, 1)), ((0.2, 0.1, -0.3), (1, 2, 1))])
+def test_local_cumulant_evaluates_density_once(center, k):
+    p = len(center)
+    base = gaussian_density((0.0,) * p, np.eye(p) + 0.3)
+    batches = []
+
+    def counted(pts):
+        batches.append(len(pts))
+        return base.batch(pts)
+
+    w = CubeWindow(center, 0.4)
+    got = local_cumulant(DensityOracle(p, counted), w, k, nodes=8).value
+    assert batches == [8 ** p]
+    want = cumulant_by_set_partitions(
+        k, lambda nu: local_moment(base, w, nu, nodes=8).value)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_dimension_and_method_validation():
     f = std_pair()
     with pytest.raises(DomainError):
         local_moment(f, CubeWindow((0.0,), 0.1), (1,))
+    for k, xi in [((1,), (0.0, 0.0)), ((1, 1, 1), (0.0, 0.0)),
+                  ((1,), (0.0,))]:
+        with pytest.raises(DomainError, match="dimension"):
+            differential_moment(f, xi, k)
+        with pytest.raises(DomainError, match="dimension"):
+            differential_cumulant(f, xi, k)
+    w = CubeWindow((0.0, 0.0), 0.1)
+    for kwargs in [{"nodes": 0}, {"nodes": 2.5},
+                   {"method": "mc", "mc_samples": 0}]:
+        with pytest.raises(DomainError, match="positive integer"):
+            local_moment(f, w, (1, 1), **kwargs)
+        with pytest.raises(DomainError, match="positive integer"):
+            local_cumulant(f, w, (1, 1), **kwargs)
     with pytest.raises(DomainError):
         local_moment(f, CubeWindow((0.0, 0.0), 0.1), (1, 1),
                      method="bogus")
@@ -174,6 +207,17 @@ def test_non_positive_density_rejected():
         local_moment(f, CubeWindow((0.0,), 0.5), (1,))
     with pytest.raises(DomainError, match="non-positive"):
         differential_cumulant(f, (0.0,), (1,), method="logderiv")
+    # NaN passes a `<= 0` test, so a NaN density must be caught as well
+    nan = DensityOracle(1, lambda pts: np.full(len(pts), np.nan))
+    with pytest.raises(DomainError, match="non-positive"):
+        local_moment(nan, CubeWindow((0.0,), 0.5), (1,))
+    with pytest.raises(DomainError, match="non-positive"):
+        local_cumulant(nan, CubeWindow((0.0,), 0.5), (2,))
+    for method in ("partition", "logderiv"):
+        with pytest.raises(DomainError, match="non-positive"):
+            differential_cumulant(nan, (0.0,), (1,), method=method)
+    with pytest.raises(DomainError, match="non-positive"):
+        differential_moment(nan, (0.0,), (1,))
 
 
 # ---------------------------------------------------------------------------

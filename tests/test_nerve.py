@@ -171,6 +171,11 @@ def test_nerve_validation():
         nerve_complex(cloud, 1.0, max_dim=-1)
     with pytest.raises(DomainError):
         filtration(cloud, [0.5, 1.0], max_dim=-1)
+    with pytest.raises(DomainError, match="integer"):
+        nerve_complex(cloud, 1.0, max_dim=1.5)
+    for indices in ([0, 1], [1, 3], [-1], [1.0], []):
+        with pytest.raises(DomainError):
+            enclosing_radius(cloud, indices)
     with pytest.raises(DomainError):
         PointCloud(((float("nan"),),))
     with pytest.raises(DomainError):

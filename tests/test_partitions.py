@@ -2,6 +2,7 @@
 transform, certified against labelled set partitions and the exact Isserlis
 recursion."""
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hmi.errors import DomainError
 from hmi.partitions import moment_table_from_json
 
 from oracles import (bell, multiset_partition_counts, gaussian_moment_table,
-                     isserlis_moment)
+                     isserlis_moment, cumulant_by_set_partitions)
 
 SMALL_INDICES = [
     (1,), (2,), (3,), (1, 1), (2, 1), (2, 2), (3, 1), (1, 0, 2),
@@ -103,6 +104,37 @@ def test_order_three_gaussian_cumulants_vanish_exactly():
     table = gaussian_moment_table(mean, cov, 3)
     for k in [(3, 0), (2, 1), (1, 2), (0, 3)]:
         assert cumulant_from_moments(k, table) == 0
+
+
+@st.composite
+def fraction_tables(draw):
+    """A nonzero multi-index (p <= 4, order <= 7) and a random Fraction
+    moment for every nonzero index below it."""
+    p = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.lists(st.integers(min_value=0, max_value=7), min_size=p,
+                      max_size=p).filter(lambda k: 0 < sum(k) <= 7))
+    table = {}
+    for nu in product(*(range(v + 1) for v in k)):
+        if any(nu):
+            table[nu] = draw(st.fractions(min_value=-5, max_value=5,
+                                          max_denominator=9))
+    return tuple(k), table
+
+
+@given(fraction_tables())
+def test_cumulant_matches_set_partition_oracle(case):
+    k, table = case
+    got = cumulant_from_moments(k, table)
+    assert isinstance(got, Fraction)
+    assert got == cumulant_by_set_partitions(k, table.__getitem__)
+
+
+def test_order_fourteen_gaussian_cumulant_vanishes():
+    # beyond the enumeration bound: the transform itself has no order limit
+    mean = (Fraction(1, 2), Fraction(-1, 3))
+    cov = ((Fraction(2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1)))
+    table = gaussian_moment_table(mean, cov, 14)
+    assert cumulant_from_moments((7, 7), table) == 0
 
 
 def test_isserlis_oracle_self_check():
