@@ -356,7 +356,7 @@ def gaussian_log_poly(spec: GaussianSpec) -> SparsePolynomial:
 def gaussian_ideal(spec: GaussianSpec, tolerance=0) -> SquareFreeIdeal:
     """Stanley-Reisner ideal read off the zero pattern of the precision
     matrix: one generator x_i x_j per (near-)zero off-diagonal entry."""
-    if tolerance < 0:
+    if not tolerance >= 0:
         raise DomainError("tolerance must be non-negative")
     gens = []
     for i in range(spec.p):

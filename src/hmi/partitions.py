@@ -4,15 +4,16 @@ on them, and the one moment-cumulant transform every cumulant goes through.
 A multi-index k in N^p stands for the multiset holding k_i copies of the
 symbol i (1-based).  A partition is represented as a tuple of multi-indices,
 one per block, with the blocks sorted in descending lexicographic order so
-that every partition of a multiset has exactly one representation.
+that every partition of a multiset has exactly one representation.  They are
+enumerated by Knuth's Algorithm M (TAOCP 4A, 7.2.1.5), which visits each
+partition once in O(1) amortized steps.
 """
 from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError
@@ -78,51 +79,118 @@ def enumerate_partitions(k: Sequence[int]) -> list[Partition]:
         raise DomainError(
             f"multi-index order {sum(k)} exceeds enumeration bound "
             f"{MAX_ENUMERATION_ORDER}")
-    return sorted(_partitions_rec(k, k))
-
-
-def _partitions_rec(k, max_block):
-    if not any(k):
-        yield ()
-        return
-    # choose the next block among nonzero sub-multi-indices of k, in
-    # descending lex order and never above the previous block: this lists
-    # every multiset of blocks exactly once, blocks non-increasing.
-    for block in product(*(range(v, -1, -1) for v in k)):
-        if block > max_block or not any(block):
-            continue
-        rest = tuple(a - b for a, b in zip(k, block))
-        for tail in _partitions_rec(rest, block):
-            yield (block,) + tail
-
-
-def _vector_factorial(v) -> int:
-    out = 1
-    for x in v:
-        out *= math.factorial(x)
+    # Algorithm M visits the partitions in decreasing lexicographic order
+    out = list(_multiset_partitions(k))
+    out.reverse()
     return out
+
+
+def _multiset_partitions(k):
+    """Knuth's Algorithm M (TAOCP 4A, 7.2.1.5, "multipartitions").
+
+    Part l of the current partition is the stack frame f[l]..f[l+1]-1:
+    entry j says that component c[j] has u[j] copies left to place in parts
+    l, l+1, ... and v[j] of them in part l.  Each part is the largest the
+    parts before it allow, so the parts come out in descending lex order.
+    Block tuples are interned: equal blocks of different partitions are one
+    object, and a part is rebuilt only once its frame has changed."""
+    p, n = len(k), sum(k)
+    m = sum(1 for x in k if x)
+    c, u, v = [0] * (n * m + 1), [0] * (n * m + 1), [0] * (n * m + 1)
+    f = [0] * (n + 2)
+    # M1: the whole multiset in one part
+    c[:m] = [i for i, x in enumerate(k) if x]
+    u[:m] = v[:m] = [x for x in k if x]
+    a, b, level, f[1] = 0, m, 0, m
+    blocks = [()] * (n + 1)
+    fresh = 0  # lowest part whose block changed since the last visit
+    interned = {}
+    while True:
+        # M2: subtract v from u; M3: push the remainder as a new part
+        while True:
+            top, shrunk = b, False
+            for j in range(a, b):
+                rest = u[j] - v[j]
+                if not rest:
+                    shrunk = True
+                    continue
+                c[top], u[top] = c[j], rest
+                if shrunk:
+                    v[top] = rest
+                else:
+                    v[top] = rest if rest < v[j] else v[j]
+                    shrunk = rest < v[j]
+                top += 1
+            if top == b:
+                break
+            a, b, level = b, top, level + 1
+            f[level + 1] = b
+        # M4: visit
+        for l in range(fresh, level + 1):
+            row = [0] * p
+            for j in range(f[l], f[l + 1]):
+                row[c[j]] = v[j]
+            row = tuple(row)
+            blocks[l] = interned.setdefault(row, row)
+        yield tuple(blocks[:level + 1])
+        # M5: decrease v, M6: backtracking to an earlier part when this
+        # one cannot be decreased
+        while True:
+            j = b - 1
+            while not v[j]:
+                j -= 1
+            if j != a or v[j] != 1:
+                break
+            if not level:
+                return
+            level -= 1
+            b, a = a, f[level]
+        v[j] -= 1
+        for i in range(j + 1, b):
+            v[i] = u[i]
+        fresh = level
+
+
+def _factorials(n: int) -> list[int]:
+    return list(accumulate(range(1, n + 1), operator.mul, initial=1))
+
+
+def _collapse(blocks, fact, top) -> Fraction:
+    """c(pi) = top / (prod_j nu_{M_j}! * nu_pi!) for blocks sorted
+    descending, top = nu_M! and fact[n] = n! up to the largest entry of M.
+    Equal blocks are adjacent, so nu_pi! is built up run by run."""
+    den, run, prev = 1, 0, None
+    for b in blocks:
+        for x in b:
+            den *= fact[x]
+        run = run + 1 if b == prev else 1
+        den *= run
+        prev = b
+    return Fraction(top, den)
 
 
 def collapse_number(pi: Iterable[Sequence[int]]) -> Fraction:
     """c(pi) = nu_M! / (prod_j nu_{M_j}! * nu_pi!) with componentwise
     factorials; always a positive integer-valued rational."""
-    blocks = tuple(tuple(b) for b in pi)
+    blocks = tuple(_validate(b) for b in pi)
     if not blocks or any(not any(b) for b in blocks):
         raise DomainError("partition must consist of nonzero blocks")
-    total = tuple(sum(c) for c in zip(*blocks))
-    den = 1
-    for b in blocks:
-        den *= _vector_factorial(b)
-    for mult in Counter(blocks).values():
-        den *= math.factorial(mult)
-    return Fraction(_vector_factorial(total), den)
+    if len({len(b) for b in blocks}) != 1:
+        raise DomainError("partition blocks differ in length")
+    total = [sum(col) for col in zip(*blocks)]
+    fact = _factorials(max(total))
+    top = math.prod(fact[x] for x in total)
+    return _collapse(sorted(blocks, reverse=True), fact, top)
 
 
 def chain_rule_terms(k: Sequence[int]) -> list[tuple[Fraction, int, list[MultiIndex]]]:
     """Symbolic expansion of D^k g(h(x)): one (coefficient, outer derivative
     order, inner derivative orders) triple per partition of k."""
-    return [(collapse_number(pi), len(pi), list(pi))
-            for pi in enumerate_partitions(k)]
+    pis = enumerate_partitions(k)
+    k = _validate(k)
+    fact = _factorials(max(k))
+    top = math.prod(fact[x] for x in k)
+    return [(_collapse(pi, fact, top), len(pi), list(pi)) for pi in pis]
 
 
 def _cumulants(k, moment) -> dict:
@@ -180,6 +248,8 @@ def cumulant_from_moments(k: Sequence[int], moments: Mapping[MultiIndex, object]
 def moment_table_from_json(obj: Mapping[str, object]) -> dict[MultiIndex, object]:
     """Moment tables are JSON objects mapping index strings to rationals
     ("3/2"), decimal strings or numbers."""
+    if not isinstance(obj, dict):
+        raise DomainError("moment table must be a JSON object")
     table = {}
     for key, raw in obj.items():
         k = parse_multiindex(key)

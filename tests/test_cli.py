@@ -208,13 +208,18 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
      json.dumps({"family": "gaussian", "mean": [0.0, 0.0]})),
     (["diff-moment", "--density", "g.json", "--xi", "0,0", "--k", "1,1"],
      json.dumps({"family": "product", "means": [0.0, 0.0]})),
+    (["cumulant-from-moments", "--k", "1", "--moments", "m.json"],
+     json.dumps([["1", 1]])),
+    (["collapse", "--partition", "1,0|1"], None),
 ], ids=["missing-points", "csv-cell", "filtration-list", "missing-poly",
         "strip-list", "ci-list", "given-list", "gaussian-keys",
-        "product-keys"])
+        "product-keys", "moments-list", "collapse-lengths"])
 def test_bad_input_exits_one_with_one_error_line(argv, text, capsys,
                                                  tmp_path):
-    # missing files, non-numeric CSV cells, bad number lists and density
-    # files without their parameters; text goes to the first file named
+    # missing files, non-numeric CSV cells, bad number lists, density
+    # files without their parameters, a moment table that is not an object
+    # and partition blocks of unequal length; text goes to the first file
+    # named
     files = [a for a in argv if a.endswith((".csv", ".txt", ".json"))]
     if text is not None:
         (tmp_path / files[0]).write_text(text)

@@ -188,8 +188,9 @@ def test_gaussian_ideal_tolerance():
     assert gaussian_ideal(spec).generators == ()
     assert format_generators(gaussian_ideal(spec, tolerance=1e-9)) \
         == "x1*x2"
-    with pytest.raises(DomainError):
-        gaussian_ideal(spec, tolerance=-1)
+    for tolerance in (-1, float("nan")):
+        with pytest.raises(DomainError):
+            gaussian_ideal(spec, tolerance=tolerance)
 
 
 def test_gaussian_spec_validation():

@@ -7,6 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from sympy.utilities.iterables import multiset_partitions
 
 from hmi import (enumerate_partitions, collapse_number, chain_rule_terms,
                  cumulant_from_moments, manhattan_norm, plus_norm,
@@ -44,6 +45,24 @@ def test_collapse_numbers_are_preimage_counts(k):
 def test_square_free_counts_are_bell_numbers(n):
     k = (1,) * n
     assert len(enumerate_partitions(k)) == bell(n)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=8), min_size=1,
+                max_size=4).filter(lambda k: 0 < sum(k) <= 8))
+def test_enumeration_matches_sympy_multiset_partitions(k):
+    p = len(k)
+    symbols = [i for i, v in enumerate(k) for _ in range(v)]
+    expected = sorted(
+        tuple(sorted((tuple(block.count(i) for i in range(p))
+                      for block in part), reverse=True))
+        for part in multiset_partitions(symbols))
+    got = enumerate_partitions(k)
+    assert got == expected
+    assert all(a < b for a, b in zip(got, got[1:]))
+    if sum(k) <= 6:
+        coefficients = {tuple(inner): c
+                        for c, _, inner in chain_rule_terms(k)}
+        assert coefficients == multiset_partition_counts(k)
 
 
 def test_square_free_partitions_have_unit_collapse():
@@ -157,6 +176,12 @@ def test_empty_and_oversized_indices_rejected():
         collapse_number(((0, 0),))
 
 
+def test_collapse_rejects_blocks_of_different_lengths():
+    # zip would silently drop the second component and answer 2
+    with pytest.raises(DomainError, match="differ in length"):
+        collapse_number(((1, 0), (1,)))
+
+
 def test_numpy_integer_entries_accepted():
     assert enumerate_partitions((np.int64(1),) * 3) == \
         enumerate_partitions((1, 1, 1))
@@ -198,3 +223,5 @@ def test_moment_table_from_json_types():
     assert isinstance(table[(2, 0)], float)
     with pytest.raises(DomainError):
         moment_table_from_json({"1,0": None})
+    with pytest.raises(DomainError):
+        moment_table_from_json([["1,0", 1]])
