@@ -1,52 +1,104 @@
-"""Small-graph machinery shared by the simplicial/ideal/hierarchy modules:
-maximal cliques, maximum cardinality search, chordality and chordless-cycle
-witnesses.  Vertices carry integer labels; adjacency is kept as bit masks
-over positions, so everything here assumes at most 64 vertices."""
+"""Mask-native graph core shared by the simplicial/ideal/hierarchy modules.
+
+The one label codec: ``Labelled``, the base of complexes, ideals and graphs,
+normalises their labels with ``normalize_labels`` (default 1..p), turns
+label sets into bit masks over positions with ``encode_all`` and back with
+``vertices_of``; bad labels raise ``DomainError``.  The one maximum
+cardinality search, ``_mcs``, yields the visit order, ranks and
+earlier-neighbour masks from which zero fill-in chordality and the maximal
+cliques of a chordal graph are read (Tarjan-Yannakakis 1984).  A graph is
+one adjacency mask per position, so at most 64 vertices are supported."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, NamedTuple
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class Graph:
-    p: int
-    edges: tuple[tuple[int, int], ...]      # label pairs, u < v
-    labels: tuple[int, ...] = field(default=())
+def normalize_labels(p: int, labels=None) -> tuple:
+    """The labels as a tuple: 1..p when none are given, else exactly p
+    distinct, hashable and mutually comparable labels."""
+    try:
+        labels = tuple(labels) if labels is not None else ()
+        labels = labels or tuple(range(1, p + 1))
+        valid = len(set(labels)) == len(labels) == p
+        sorted(labels)
+    except TypeError:
+        valid = False
+    if not valid:
+        raise DomainError(f"need {p} distinct, hashable and comparable "
+                          f"labels")
+    return labels
+
+
+def encode_all(p: int, labels, vertex_sets: Iterable
+               ) -> tuple[tuple, list[int]]:
+    """The normalised labels and the mask of each given set of labels."""
+    labels = normalize_labels(p, labels)
+    position = {lbl: i for i, lbl in enumerate(labels)}
+    return labels, [encode(position, vs) for vs in vertex_sets]
+
+
+def encode(position: dict, vertices: Iterable) -> int:
+    """Mask of an iterable of labels, given the label -> position map."""
+    mask = 0
+    try:
+        for v in vertices:
+            mask |= 1 << position[v]
+    except KeyError as missing:
+        raise DomainError(f"label {missing.args[0]!r} out of range") \
+            from None
+    except TypeError:
+        raise DomainError(f"not a list of labels: {vertices!r}") from None
+    return mask
+
+
+class Labelled:
+    """Base of the frozen dataclasses with fields ``p`` and ``labels``: it
+    normalises the labels and encodes/decodes vertex sets."""
 
     def __post_init__(self):
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(range(1, self.p + 1)))
-        if len(self.labels) != self.p:
-            raise DomainError("label count does not match vertex count")
+        object.__setattr__(self, "labels",
+                           normalize_labels(self.p, self.labels))
+
+    @cached_property
+    def _position(self) -> dict:
+        return {lbl: i for i, lbl in enumerate(self.labels)}
+
+    def mask_of(self, vertices: Iterable) -> int:
+        return encode(self._position, vertices)
+
+    def vertices_of(self, mask: int) -> frozenset:
+        labels = self.labels
+        return frozenset(labels[i] for i in _bits(mask))
 
 
-def make_graph(p: int, edges: Iterable[Iterable[int]], labels=None) -> Graph:
-    labels = tuple(labels) if labels else tuple(range(1, p + 1))
-    known = set(labels)
-    canon = set()
-    for e in edges:
-        u, v = sorted(e)
-        if u == v or u not in known or v not in known:
-            raise DomainError(f"bad edge {(u, v)}")
-        canon.add((u, v))
-    return Graph(p, tuple(sorted(canon)), labels)
+@dataclass(frozen=True)
+class Graph(Labelled):
+    p: int
+    adj: tuple[int, ...]                    # neighbour mask per position
+    labels: tuple = ()
+
+    @property
+    def edges(self) -> tuple[tuple, ...]:
+        """Sorted label pairs u < v."""
+        lab = self.labels
+        return tuple(sorted((min(lab[i], lab[j]), max(lab[i], lab[j]))
+                            for i, nbrs in enumerate(self.adj)
+                            for j in _bits(nbrs >> (i + 1) << (i + 1))))
 
 
-def _index(graph: Graph) -> dict[int, int]:
-    return {lbl: i for i, lbl in enumerate(graph.labels)}
-
-
-def adjacency_masks(graph: Graph) -> list[int]:
-    pos = _index(graph)
-    adj = [0] * graph.p
-    for u, v in graph.edges:
-        i, j = pos[u], pos[v]
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    return adj
+def make_graph(p: int, edges: Iterable[Iterable], labels=None) -> Graph:
+    labels, masks = encode_all(p, labels, edges)
+    adj = [0] * p
+    for mask in masks:
+        if mask.bit_count() != 2:
+            raise DomainError("an edge must join two distinct vertices")
+        for i in _bits(mask):
+            adj[i] |= mask & ~(1 << i)
+    return Graph(p, tuple(adj), labels)
 
 
 def max_clique_masks(adj: list[int], p: int) -> list[int]:
@@ -83,56 +135,49 @@ def max_clique_masks(adj: list[int], p: int) -> list[int]:
     return sorted(out)
 
 
-def mcs_order(graph: Graph) -> list[int]:
-    """Maximum cardinality search visit order (labels); ties broken by the
-    lowest label so the order is deterministic."""
-    adj = adjacency_masks(graph)
+class _Search(NamedTuple):
+    order: list[int]        # positions in visit order
+    rank: list[int]         # rank[v]: index of position v in order
+    earlier: list[int]      # earlier[v]: v's neighbours visited before v
+
+
+def _mcs(graph: Graph) -> _Search:
+    """Maximum cardinality search: visit next the unvisited vertex with the
+    most visited neighbours, the lowest label on ties."""
+    adj = graph.adj
     weight = [0] * graph.p
-    visited = [False] * graph.p
-    by_label = sorted(range(graph.p), key=lambda i: graph.labels[i])
+    rank = [0] * graph.p
+    earlier = [0] * graph.p
+    unvisited = sorted(range(graph.p), key=graph.labels.__getitem__)
     order = []
-    for _ in range(graph.p):
-        best = None
-        for i in by_label:
-            if visited[i] and best is not None:
-                continue
-            if not visited[i] and (best is None or weight[i] > weight[best]):
-                best = i
-        visited[best] = True
-        order.append(graph.labels[best])
-        nb = adj[best]
-        while nb:
-            j = (nb & -nb).bit_length() - 1
-            nb &= nb - 1
-            if not visited[j]:
-                weight[j] += 1
-        by_label = [i for i in by_label if not visited[i]]
-    return order
+    visited = 0
+    for r in range(graph.p):
+        v = max(unvisited, key=weight.__getitem__)   # first max: lowest label
+        unvisited.remove(v)
+        order.append(v)
+        rank[v] = r
+        earlier[v] = adj[v] & visited
+        visited |= 1 << v
+        for w in _bits(adj[v] & ~visited):
+            weight[w] += 1
+    return _Search(order, rank, earlier)
+
+
+def _zero_fill_in(graph: Graph, search: _Search) -> bool:
+    """Tarjan-Yannakakis: the graph is chordal iff, for every vertex, its
+    earlier neighbours other than the latest one, its parent, are all
+    neighbours of that parent."""
+    for v in search.order:
+        earlier = search.earlier[v]
+        if earlier:
+            parent = max(_bits(earlier), key=search.rank.__getitem__)
+            if earlier & ~(1 << parent) & ~graph.adj[parent]:
+                return False
+    return True
 
 
 def is_chordal(graph: Graph) -> bool:
-    """Zero fill-in check on the MCS order (Tarjan-Yannakakis)."""
-    adj = adjacency_masks(graph)
-    pos_of = _index(graph)
-    order = [pos_of[lbl] for lbl in mcs_order(graph)]
-    rank = [0] * graph.p
-    for r, i in enumerate(order):
-        rank[i] = r
-    for i in range(graph.p):
-        earlier = 0
-        nb = adj[i]
-        while nb:
-            j = (nb & -nb).bit_length() - 1
-            nb &= nb - 1
-            if rank[j] < rank[i]:
-                earlier |= 1 << j
-        if earlier == 0:
-            continue
-        parent = max((rank[j], j) for j in _bits(earlier))[1]
-        rest = earlier & ~(1 << parent)
-        if rest & ~adj[parent]:
-            return False
-    return True
+    return _zero_fill_in(graph, _mcs(graph))
 
 
 def _bits(mask: int):
@@ -142,13 +187,13 @@ def _bits(mask: int):
         yield v
 
 
-def find_chordless_cycle(graph: Graph) -> list[int] | None:
+def find_chordless_cycle(graph: Graph) -> list | None:
     """A chordless cycle of length >= 4 (as a label list), or None.
 
     For every vertex v and non-adjacent pair x, y of its neighbours, a
     shortest x-y path avoiding N[v] \\ {x, y} closes a chordless cycle
     through v (shortest paths are induced)."""
-    adj = adjacency_masks(graph)
+    adj = graph.adj
     for v in range(graph.p):
         nbrs = list(_bits(adj[v]))
         for a in range(len(nbrs)):

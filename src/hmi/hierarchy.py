@@ -7,10 +7,10 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError, NotDecomposableError
-from .graphs import (Graph, adjacency_masks, find_chordless_cycle,
-                     is_chordal, mcs_order)
+from .graphs import (Labelled, _Search, _bits, _mcs, _zero_fill_in,
+                     find_chordless_cycle)
 from .ideal import SquareFreeIdeal, complex_of
-from .simplicial import (SimplicialComplex, _antichain, is_face,
+from .simplicial import (SimplicialComplex, _antichain, _sort_key, is_face,
                          minimal_transversals, one_skeleton)
 
 
@@ -41,7 +41,7 @@ class CIStatement:
 
 
 def _nonflag_witness(S: SimplicialComplex,
-                     skeleton: Graph) -> frozenset[int] | None:
+                     search: _Search) -> frozenset[int] | None:
     """The (len, sorted)-first minimal non-face that is a clique of the
     chordal 1-skeleton, if any.  S equals the flag complex of its skeleton
     iff there is none.
@@ -51,14 +51,7 @@ def _nonflag_witness(S: SimplicialComplex,
     lies in one of them, C, which is then not a face; the minimal
     non-faces inside C are the minimal transversals of {C & ~f : f facet}.
     Only those cliques are searched."""
-    adj = adjacency_masks(skeleton)
-    pos = {lbl: i for i, lbl in enumerate(skeleton.labels)}
-    visited = 0
-    candidates = []
-    for lbl in mcs_order(skeleton):
-        bit = 1 << pos[lbl]
-        candidates.append(bit | adj[pos[lbl]] & visited)
-        visited |= bit
+    candidates = [1 << v | earlier for v, earlier in enumerate(search.earlier)]
     found = []
     for clique in _antichain(candidates):
         if clique.bit_count() < 3 or any(clique & f == clique
@@ -71,10 +64,14 @@ def _nonflag_witness(S: SimplicialComplex,
                key=lambda f: (len(f), sorted(f)))
 
 
-def _witness(S: SimplicialComplex, skeleton: Graph):
-    if not is_chordal(skeleton):
-        return find_chordless_cycle(skeleton)
-    return _nonflag_witness(S, skeleton)
+def _witness(S: SimplicialComplex):
+    """The decomposability witness of S and the one MCS pass over its
+    1-skeleton that found it."""
+    skeleton = one_skeleton(S)
+    search = _mcs(skeleton)
+    if not _zero_fill_in(skeleton, search):
+        return find_chordless_cycle(skeleton), search
+    return _nonflag_witness(S, search), search
 
 
 def decomposability_witness(S: SimplicialComplex):
@@ -85,7 +82,7 @@ def decomposability_witness(S: SimplicialComplex):
     a clique of the 1-skeleton.  It is searched for only inside the
     maximal cliques of the chordal skeleton that are not faces, so the
     minimal non-faces of S are never all computed."""
-    return _witness(S, one_skeleton(S))
+    return _witness(S)[0]
 
 
 def is_decomposable(S: SimplicialComplex) -> bool:
@@ -96,38 +93,41 @@ def is_decomposable(S: SimplicialComplex) -> bool:
 
 def factorize(S: SimplicialComplex) -> Factorization:
     """Perfect ordering of the maximal cliques with separators, derived from
-    a maximum cardinality search with lowest-index tie-break."""
-    skeleton = one_skeleton(S)
-    witness = _witness(S, skeleton)
+    a maximum cardinality search with lowest-label tie-break: the cliques
+    go by the rank of their last-visited vertex."""
+    witness, search = _witness(S)
     if witness is not None:
         kind = "chordless cycle" if isinstance(witness, list) \
             else "non-flag face"
         raise NotDecomposableError(
             f"complex is not decomposable ({kind}: {sorted(witness)})",
             witness=witness)
-    rank = {lbl: i for i, lbl in enumerate(mcs_order(skeleton))}
-    cliques = sorted(S.facet_sets(),
-                     key=lambda c: (max(rank[v] for v in c), sorted(c)))
+    rank = search.rank
+    cliques = sorted(S.facets, key=lambda c: (
+        max((rank[v] for v in _bits(c)), default=-1),
+        sorted(S.vertices_of(c))))
     separators = []
-    covered: set[int] = set()
+    covered = 0
     for j, c in enumerate(cliques):
         if j:
-            sep = frozenset(c & covered)
-            if not any(sep <= earlier for earlier in cliques[:j]):
+            sep = c & covered
+            if not any(sep & ~earlier == 0 for earlier in cliques[:j]):
                 raise AssertionError(
                     "running intersection property violated")
             separators.append(sep)
         covered |= c
-    return Factorization(tuple(cliques), tuple(separators))
+    return Factorization(tuple(map(S.vertices_of, cliques)),
+                         tuple(map(S.vertices_of, separators)))
 
 
-def _compact(mask: int, positions: list[int]) -> int:
-    """Renumber the bits of mask at the kept old positions to 0, 1, ..."""
-    new = 0
-    for new_i, old_i in enumerate(positions):
-        if mask >> old_i & 1:
-            new |= 1 << new_i
-    return new
+def _strip(X: Labelled, J: int, masks: Iterable[int]
+           ) -> tuple[tuple, list[int]]:
+    """The labels of X outside the mask J, and the masks renumbered onto
+    those labels' positions."""
+    keep = [i for i in range(X.p) if not J >> i & 1]
+    return (tuple(X.labels[i] for i in keep),
+            [sum(1 << new for new, old in enumerate(keep) if m >> old & 1)
+             for m in masks])
 
 
 def marginalize(S: SimplicialComplex, J: Iterable[int]) -> SimplicialComplex:
@@ -142,25 +142,19 @@ def marginalize(S: SimplicialComplex, J: Iterable[int]) -> SimplicialComplex:
     if len(containing) != 1:
         raise DomainError(
             f"{sorted(J)} is not a facet of a unique maximal clique")
-    keep_labels = tuple(lbl for lbl in S.labels if lbl not in J)
-    positions = [i for i, lbl in enumerate(S.labels) if lbl not in J]
-    new_facets = [_compact(f, positions) for f in S.facets]
-    return SimplicialComplex(len(keep_labels), _antichain(new_facets),
-                             keep_labels)
+    labels, facets = _strip(S, S.mask_of(J), S.facets)
+    return SimplicialComplex(len(labels), _antichain(facets), labels)
 
 
 def ideal_marginalize(I: SquareFreeIdeal, J: Iterable[int]) -> SquareFreeIdeal:
     """Drop the generators meeting J and pass to the ring without those
     variables; valid under the same precondition as ``marginalize``."""
     J = frozenset(J)
-    S = complex_of(I)
-    marginalize(S, J)        # enforces the unique-maximal-clique condition
-    keep_labels = tuple(lbl for lbl in I.labels if lbl not in J)
-    positions = [i for i, lbl in enumerate(I.labels) if lbl not in J]
-    mask = S.mask_of(J)
-    new_gens = [_compact(g, positions) for g in I.generators if not g & mask]
-    return SquareFreeIdeal(len(keep_labels), tuple(sorted(
-        new_gens, key=lambda m: (m.bit_count(), m))), keep_labels)
+    marginalize(complex_of(I), J)   # enforces the unique-maximal-clique rule
+    mask = I.mask_of(J)
+    labels, gens = _strip(I, mask, [g for g in I.generators if not g & mask])
+    return SquareFreeIdeal(len(labels), tuple(sorted(gens, key=_sort_key)),
+                           labels)
 
 
 def ci_to_generators(stmt: CIStatement) -> list[tuple[int, ...]]:

@@ -3,30 +3,23 @@ directions, membership, the 2-linear-resolution criterion and Ferrer ideal
 recognition/decomposition."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError
-from .graphs import make_graph, is_chordal
+from .graphs import Graph, Labelled, _bits, encode_all, is_chordal
 from .simplicial import (SimplicialComplex, minimal_nonface_masks,
                          minimal_transversals, _antichain, _minimize)
 
 
 @dataclass(frozen=True)
-class SquareFreeIdeal:
+class SquareFreeIdeal(Labelled):
     p: int
     generators: tuple[int, ...]             # support masks, an antichain
-    labels: tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(range(1, self.p + 1)))
-        if len(self.labels) != self.p:
-            raise DomainError("label count does not match variable count")
+    labels: tuple = ()
 
     def generator_sets(self) -> list[frozenset[int]]:
-        return [frozenset(self.labels[i] for i in range(self.p)
-                          if m >> i & 1) for m in self.generators]
+        return [self.vertices_of(m) for m in self.generators]
 
 
 @dataclass(frozen=True)
@@ -40,18 +33,9 @@ class FerrerShape:
 
 def make_ideal(p: int, generators: Iterable[Iterable[int]],
                labels=None) -> SquareFreeIdeal:
-    labels = tuple(labels) if labels is not None else tuple(range(1, p + 1))
-    pos = {lbl: i for i, lbl in enumerate(labels)}
-    masks = []
-    for g in generators:
-        mask = 0
-        for v in g:
-            if v not in pos:
-                raise DomainError(f"variable {v} out of range")
-            mask |= 1 << pos[v]
-        if mask == 0:
-            raise DomainError("generator with empty support")
-        masks.append(mask)
+    labels, masks = encode_all(p, labels, generators)
+    if 0 in masks:
+        raise DomainError("generator with empty support")
     return SquareFreeIdeal(p, _minimize(masks), labels)
 
 
@@ -79,31 +63,13 @@ def contains(I: SquareFreeIdeal, m) -> bool:
     (the support of a square-free monomial) or an exponent vector of length
     p; in the latter case the support is the set of nonzero positions."""
     if isinstance(m, (set, frozenset)):
-        support = m
+        mask = I.mask_of(m)
     else:
         m = tuple(m)
         if len(m) != I.p:
             raise DomainError(f"exponent vector must have length {I.p}")
-        support = {I.labels[i] for i, e in enumerate(m) if e}
-    pos = {lbl: i for i, lbl in enumerate(I.labels)}
-    mask = 0
-    for v in support:
-        if v not in pos:
-            raise DomainError(f"variable {v} out of range")
-        mask |= 1 << pos[v]
+        mask = sum(1 << i for i, e in enumerate(m) if e)
     return any(g & mask == g for g in I.generators)
-
-
-def _skeleton_graph(I: SquareFreeIdeal):
-    gens = {frozenset(g) for g in I.generator_sets()}
-    edges = []
-    labels = sorted(I.labels)
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            pair = frozenset((labels[i], labels[j]))
-            if pair not in gens:
-                edges.append(tuple(sorted(pair)))
-    return make_graph(I.p, edges, I.labels)
 
 
 def has_2linear_resolution(I: SquareFreeIdeal) -> bool:
@@ -111,7 +77,12 @@ def has_2linear_resolution(I: SquareFreeIdeal) -> bool:
     non-generator pairs (the 1-skeleton of complex_of(I)) is chordal."""
     if any(g.bit_count() != 2 for g in I.generators):
         return False
-    return is_chordal(_skeleton_graph(I))
+    full = (1 << I.p) - 1
+    adj = [full & ~(1 << v) for v in range(I.p)]
+    for g in I.generators:
+        for v in _bits(g):
+            adj[v] &= ~g
+    return is_chordal(Graph(I.p, tuple(adj), I.labels))
 
 
 def recognize_ferrer(I: SquareFreeIdeal) -> FerrerShape | None:
@@ -218,7 +189,7 @@ def ideal_to_json(I: SquareFreeIdeal) -> dict:
 def ideal_from_json(obj: dict) -> SquareFreeIdeal:
     try:
         p = int(obj["p"])
-        gens = obj["generators"]
+        gens = list(obj["generators"])
     except (KeyError, TypeError, ValueError):
         raise DomainError("ideal JSON needs integer 'p' and 'generators'") \
             from None

@@ -7,6 +7,8 @@ of positive order kills the normalization anyway.
 """
 from __future__ import annotations
 
+import math
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -326,6 +328,11 @@ class GaussianSpec:
         prec = tuple(tuple(row) for row in self.precision)
         if len(prec) != p or any(len(row) != p for row in prec):
             raise DomainError("precision matrix must be p x p")
+        entries = (*self.mean, *sum(prec, ()))
+        if not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                   and abs(x) < math.inf for x in entries):
+            raise DomainError("mean and precision entries must be finite "
+                              "real numbers")
         for i in range(p):
             for j in range(p):
                 if prec[i][j] != prec[j][i]:

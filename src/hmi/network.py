@@ -6,8 +6,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import DomainError
+from .graphs import _bits
 from .ideal import SquareFreeIdeal, complex_of, make_ideal
-from .simplicial import SimplicialComplex, alexander_dual
+from .simplicial import SimplicialComplex, _minimize, alexander_dual
 
 MAX_EDGES = 20
 
@@ -65,13 +66,11 @@ def make_network(nodes: Iterable[int], edges, input: int,
                    input, output)
 
 
-def _minimize_sets(sets):
-    sets = sorted(set(sets), key=lambda s: (len(s), sorted(s)))
-    keep = []
-    for s in sets:
-        if not any(k <= s for k in keep):
-            keep.append(s)
-    return keep
+def _minimal_edge_sets(masks) -> list[frozenset[int]]:
+    """The minimal edge-id masks as edge-id sets, in (size, lexicographic)
+    order; bit i of a mask is edge i + 1."""
+    sets = [frozenset(i + 1 for i in _bits(m)) for m in _minimize(masks)]
+    return sorted(sets, key=lambda s: (len(s), sorted(s)))
 
 
 def minimal_paths(G: Network) -> list[frozenset[int]]:
@@ -85,15 +84,15 @@ def minimal_paths(G: Network) -> list[frozenset[int]]:
 
     def walk(node, used_nodes, used_edges):
         if node == G.output:
-            found.append(frozenset(used_edges))
+            found.append(used_edges)
             return
         for eid, other in incident[node]:
             if other in used_nodes:
                 continue
-            walk(other, used_nodes | {other}, used_edges | {eid})
+            walk(other, used_nodes | {other}, used_edges | 1 << eid - 1)
 
-    walk(G.input, {G.input}, frozenset())
-    paths = _minimize_sets(found)
+    walk(G.input, {G.input}, 0)
+    paths = _minimal_edge_sets(found)
     if not paths:
         raise DomainError("input and output are disconnected")
     return paths
@@ -108,10 +107,9 @@ def minimal_cuts(G: Network) -> list[frozenset[int]]:
     for bits in range(1 << len(free)):
         side = {G.input} | {free[i] for i in range(len(free))
                             if bits >> i & 1}
-        crossing = frozenset(eid for eid, u, v in G.edges
-                             if (u in side) != (v in side))
-        cuts.append(crossing)
-    return _minimize_sets(cuts)
+        cuts.append(sum(1 << eid - 1 for eid, u, v in G.edges
+                        if (u in side) != (v in side)))
+    return _minimal_edge_sets(cuts)
 
 
 def cut_ideal(G: Network) -> SquareFreeIdeal:

@@ -2,8 +2,11 @@
 
 A complex is stored by its facets (the antichain of maximal faces) as bit
 masks over vertex positions; the complex itself is the downward closure of
-the facets.  Vertices carry integer labels, by default 1..p, so that
-marginal complexes can live on a sub-ring of variables without relabelling.
+the facets.  Vertices carry labels, by default 1..p, so that marginal
+complexes can live on a sub-ring of variables without relabelling.  Labels
+go to and from masks through the one codec of ``graphs`` (``Labelled``);
+the 1-skeleton is a ``graphs.Graph`` of adjacency masks, on which
+decomposability runs one maximum cardinality search.
 
 Both the void complex (no faces at all, ``facets == ()``) and the empty
 complex (only the empty face) are representable; ``minimal_nonfaces`` of the
@@ -11,42 +14,23 @@ void complex is ``[frozenset()]``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError
-from .graphs import Graph, make_graph, max_clique_masks, adjacency_masks
+from .graphs import Graph, Labelled, _bits, encode_all, max_clique_masks
 
 MAX_VERTICES = 64
 
 
 @dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(Labelled):
     p: int
     facets: tuple[int, ...]                 # bit masks, sorted
-    labels: tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(range(1, self.p + 1)))
-        if len(self.labels) != self.p:
-            raise DomainError("label count does not match vertex count")
-
-    def vertices_of(self, mask: int) -> frozenset[int]:
-        return frozenset(self.labels[i] for i in range(self.p)
-                         if mask >> i & 1)
+    labels: tuple = ()
 
     def facet_sets(self) -> list[frozenset[int]]:
         return [self.vertices_of(m) for m in self.facets]
-
-    def mask_of(self, vertices: Iterable[int]) -> int:
-        pos = {lbl: i for i, lbl in enumerate(self.labels)}
-        mask = 0
-        for v in vertices:
-            if v not in pos:
-                raise DomainError(f"vertex {v} out of range")
-            mask |= 1 << pos[v]
-        return mask
 
     def full_mask(self) -> int:
         return (1 << self.p) - 1
@@ -112,9 +96,7 @@ def make_complex(p: int, faces: Iterable[Iterable[int]],
         raise DomainError("vertex count must be at least 1")
     if p > MAX_VERTICES:
         raise DomainError(f"at most {MAX_VERTICES} vertices supported")
-    labels = tuple(labels) if labels is not None else tuple(range(1, p + 1))
-    shell = SimplicialComplex(p, (), labels)
-    masks = [shell.mask_of(f) for f in faces]
+    labels, masks = encode_all(p, labels, faces)
     return SimplicialComplex(p, _antichain(masks), labels)
 
 
@@ -150,19 +132,16 @@ def alexander_dual(S: SimplicialComplex) -> SimplicialComplex:
 
 
 def one_skeleton(S: SimplicialComplex) -> Graph:
-    edges = set()
-    for f in S.facet_sets():
-        verts = sorted(f)
-        for i in range(len(verts)):
-            for j in range(i + 1, len(verts)):
-                edges.add((verts[i], verts[j]))
-    return make_graph(S.p, edges, S.labels)
+    adj = [0] * S.p
+    for f in S.facets:
+        for v in _bits(f):
+            adj[v] |= f & ~(1 << v)
+    return Graph(S.p, tuple(adj), S.labels)
 
 
 def flag_complex(graph: Graph) -> SimplicialComplex:
     """Clique complex of a graph."""
-    adj = adjacency_masks(graph)
-    cliques = max_clique_masks(adj, graph.p)
+    cliques = max_clique_masks(graph.adj, graph.p)
     return SimplicialComplex(graph.p, _antichain(cliques), graph.labels)
 
 
@@ -176,7 +155,7 @@ def complex_to_json(S: SimplicialComplex) -> dict:
 def complex_from_json(obj: dict) -> SimplicialComplex:
     try:
         p = int(obj["p"])
-        facets = obj["facets"]
+        facets = list(obj["facets"])
     except (KeyError, TypeError, ValueError):
         raise DomainError("complex JSON needs integer 'p' and 'facets'") \
             from None

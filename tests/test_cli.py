@@ -211,15 +211,30 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
     (["cumulant-from-moments", "--k", "1", "--moments", "m.json"],
      json.dumps([["1", 1]])),
     (["collapse", "--partition", "1,0|1"], None),
+    (["sr", "--complex", "c.json"],
+     json.dumps({"p": 3, "facets": [[1, 2]], "labels": [1, 1, 2]})),
+    (["complex-of", "--ideal", "i.json"],
+     json.dumps({"p": 2, "generators": [[3]], "labels": [3, 3]})),
+    (["sr", "--complex", "c.json"], json.dumps({"p": 2, "facets": [1, 2]})),
+    (["complex-of", "--ideal", "i.json"],
+     json.dumps({"p": 2, "generators": [1, 2]})),
+    (["gaussian-ideal", "--gaussian", "g.json"],
+     json.dumps({"mean": [0, "a"], "precision": [[1, 0], [0, 1]]})),
+    (["gaussian-ideal", "--gaussian", "g.json"],
+     json.dumps({"mean": [0, 0], "precision": [[1, "x"], ["x", 1]]})),
 ], ids=["missing-points", "csv-cell", "filtration-list", "missing-poly",
         "strip-list", "ci-list", "given-list", "gaussian-keys",
-        "product-keys", "moments-list", "collapse-lengths"])
+        "product-keys", "moments-list", "collapse-lengths",
+        "complex-duplicate-labels", "ideal-duplicate-labels",
+        "facet-not-list", "generator-not-list", "gaussian-mean-string",
+        "gaussian-precision-string"])
 def test_bad_input_exits_one_with_one_error_line(argv, text, capsys,
                                                  tmp_path):
     # missing files, non-numeric CSV cells, bad number lists, density
-    # files without their parameters, a moment table that is not an object
-    # and partition blocks of unequal length; text goes to the first file
-    # named
+    # files without their parameters, a moment table that is not an object,
+    # partition blocks of unequal length, duplicate labels, faces that are
+    # not lists and non-numeric Gaussian entries; text goes to the first
+    # file named
     files = [a for a in argv if a.endswith((".csv", ".txt", ".json"))]
     if text is not None:
         (tmp_path / files[0]).write_text(text)

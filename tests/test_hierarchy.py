@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from hmi import (CIStatement, NotDecomposableError, make_complex, make_ideal,
                  is_decomposable, factorize, marginalize, ideal_marginalize,
                  ci_to_generators, stanley_reisner)
+from hmi import graphs, hierarchy
 from hmi.errors import DomainError
 from hmi.hierarchy import decomposability_witness, format_factorization
 from hmi.ideal import format_generators
@@ -29,6 +30,43 @@ def test_chain_factorization_golden():
     assert [set(c) for c in fact.cliques] == [{1, 2, 3}, {2, 3, 4},
                                               {3, 4, 5}]
     assert [set(s) for s in fact.separators] == [{2, 3}, {3, 4}]
+
+
+def test_labelled_factorization_golden():
+    # MCS starts at label 1 and breaks the 3/5/7 tie by the lowest label;
+    # a lowest-position tie-break would start at label 9 instead
+    labels = (9, 3, 7, 1, 5)
+    S = make_complex(5, [[9, 3, 7], [3, 7, 1], [1, 5]], labels=labels)
+    fact = factorize(S)
+    assert format_factorization(fact) == "f{137} f{379} f{15} / f{37} f{1}"
+    assert fact.cliques == (frozenset({1, 3, 7}), frozenset({9, 3, 7}),
+                            frozenset({1, 5}))
+    cycle = make_complex(5, [[9, 3, 7], [7, 1], [1, 5], [5, 9]],
+                         labels=labels)
+    assert decomposability_witness(cycle) == [7, 1, 5, 9]
+
+
+def test_one_mcs_pass_per_call(monkeypatch):
+    calls = []
+    real = graphs._mcs
+
+    def counting(graph):
+        calls.append(graph)
+        return real(graph)
+
+    for module in (graphs, hierarchy):
+        monkeypatch.setattr(module, "_mcs", counting)
+    for facets in (CHAIN, [[1, 2], [2, 3], [1, 3]],
+                   [[1, 2], [2, 3], [3, 4], [1, 4]]):
+        S = make_complex(5, facets)
+        for call in (is_decomposable, decomposability_witness,
+                     factorize):
+            calls.clear()
+            try:
+                call(S)
+            except NotDecomposableError:
+                pass
+            assert len(calls) == 1
 
 
 def test_four_cycle_not_decomposable():
@@ -52,6 +90,8 @@ def test_hollow_triangle_not_decomposable():
 def test_filled_triangle_decomposable():
     assert is_decomposable(make_complex(3, [[1, 2, 3]]))
     assert is_decomposable(make_complex(3, [[1], [2], [3]]))
+    # only the empty face: one empty clique, no separators
+    assert format_factorization(factorize(make_complex(3, [[]]))) == "f{}"
 
 
 def test_separator_multiset_is_order_invariant():
@@ -180,26 +220,37 @@ def test_factorization_cliques_cover_vertices():
 
 @st.composite
 def small_complexes(draw):
+    """Facets over positions 1..p, plus distinct labels 1..40 for them in
+    any order."""
     p = draw(st.integers(min_value=1, max_value=7))
     facets = draw(st.lists(st.sets(st.integers(min_value=1, max_value=p),
                                    min_size=1, max_size=4),
                            min_size=1, max_size=9))
-    return p, facets
+    labels = draw(st.lists(st.integers(min_value=1, max_value=40),
+                           min_size=p, max_size=p, unique=True))
+    return p, facets, labels
 
 
 @given(small_complexes())
 def test_witness_is_first_clique_shaped_minimal_nonface(case):
-    p, facets = case
-    S = make_complex(p, facets)
-    edges = {frozenset(e) for f in S.facet_sets()
+    p, facets, labels = case
+    S = make_complex(p, [[labels[v - 1] for v in f] for f in facets],
+                     labels=labels)
+    # the oracles work on positions 1..p; witnesses are compared in labels
+    position_facets = [frozenset(S.labels.index(v) + 1 for v in f)
+                       for f in S.facet_sets()]
+    edges = {frozenset(e) for f in position_facets
              for e in combinations(sorted(f), 2)}
-    clique_nonfaces = [
-        nf for nf in brute_minimal_nonfaces(p, S.facet_sets())
-        if len(nf) >= 2
-        and all(frozenset(e) in edges for e in combinations(nf, 2))]
+    clique_nonfaces = sorted(
+        (frozenset(labels[v - 1] for v in nf)
+         for nf in brute_minimal_nonfaces(p, position_facets)
+         if len(nf) >= 2
+         and all(frozenset(e) in edges for e in combinations(nf, 2))),
+        key=lambda f: (len(f), sorted(f)))
     witness = decomposability_witness(S)
     if not brute_chordal(p, edges):
         assert isinstance(witness, list) and len(witness) >= 4
+        assert set(witness) <= set(labels)
     elif clique_nonfaces:
         assert witness == clique_nonfaces[0]
     else:

@@ -71,6 +71,18 @@ def test_membership():
         contains(I, {7})
 
 
+def test_make_ideal_rejects_bad_labels_and_generators():
+    with pytest.raises(DomainError):
+        make_ideal(2, [[3]], labels=[3, 3])
+    with pytest.raises(DomainError):
+        make_ideal(2, [1, 2])               # generators must be label lists
+    I = make_ideal(3, [[9, 4]], labels=(9, 2, 4))
+    assert contains(I, {4, 9}) and contains(I, (1, 0, 1))
+    assert not contains(I, {2, 9})
+    with pytest.raises(DomainError):
+        contains(I, {1})
+
+
 def test_make_ideal_minimalizes():
     I = make_ideal(3, [[1], [1, 2], [2, 3]])
     assert gens(I) == [[1], [2, 3]]

@@ -198,6 +198,13 @@ def test_gaussian_spec_validation():
         GaussianSpec((0, 0), ((1, 2), (3, 1)))
     with pytest.raises(DomainError):
         GaussianSpec((0, 0), ((1, 0),))
+    for mean, prec in [((0, "a"), ((1, 0), (0, 1))),
+                       ((0, True), ((1, 0), (0, 1))),
+                       ((0, float("nan")), ((1, 0), (0, 1))),
+                       ((0, 0), ((1, "x"), ("x", 1))),
+                       ((0, 0), ((float("inf"), 0), (0, 1)))]:
+        with pytest.raises(DomainError, match="real numbers"):
+            GaussianSpec(mean, prec)
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,21 @@ def test_json_round_trip():
         complex_from_json({"facets": [[1]]})
 
 
+def test_labels_must_be_distinct_hashable_lists():
+    # a duplicated label would leave one of its positions unreachable
+    for labels in ([1, 1, 2], [[1], [2], [3]], [1, "a", 2]):
+        with pytest.raises(DomainError):
+            make_complex(3, [[1, 2]], labels=labels)
+        with pytest.raises(DomainError):
+            SimplicialComplex(3, (3,), labels)
+        with pytest.raises(DomainError):
+            make_graph(3, [(1, 2)], labels=labels)
+    with pytest.raises(DomainError):
+        make_complex(2, [1, 2])             # faces must be label lists
+    with pytest.raises(DomainError):
+        make_graph(3, [(1, 2, 3)])          # an edge has two ends
+
+
 def test_make_complex_validation():
     with pytest.raises(DomainError):
         make_complex(0, [])
