@@ -171,10 +171,12 @@ def ci_to_generators(stmt: CIStatement) -> list[tuple[int, ...]]:
 
 
 def format_factorization(fact: Factorization) -> str:
-    """Printable form, e.g. ``f{123} f{234} f{345} / f{23} f{34}``."""
+    """Printable form, e.g. ``f{123} f{234} f{345} / f{23} f{34}``; the
+    digits run together only for integer labels up to 9, any other clique
+    is comma-separated, e.g. ``f{a,b}``."""
     def fmt(c):
         verts = sorted(c)
-        if verts and verts[-1] <= 9:
+        if verts and all(isinstance(v, int) and v <= 9 for v in verts):
             return "f{" + "".join(str(v) for v in verts) + "}"
         return "f{" + ",".join(str(v) for v in verts) + "}"
     num = " ".join(fmt(c) for c in fact.cliques)

@@ -9,7 +9,8 @@ from typing import Iterable
 from .errors import DomainError
 from .graphs import Graph, Labelled, _bits, encode_all, is_chordal
 from .simplicial import (SimplicialComplex, minimal_nonface_masks,
-                         minimal_transversals, _antichain, _minimize)
+                         minimal_transversals, _minimize, _sort_key,
+                         _vertex_count)
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,8 @@ def complex_of(I: SquareFreeIdeal) -> SimplicialComplex:
     if not I.generators:
         return SimplicialComplex(I.p, (full,), I.labels)
     facets = [full & ~t for t in minimal_transversals(I.generators, I.p)]
-    return SimplicialComplex(I.p, _antichain(facets), I.labels)
+    return SimplicialComplex(I.p, tuple(sorted(facets, key=_sort_key)),
+                             I.labels)
 
 
 def contains(I: SquareFreeIdeal, m) -> bool:
@@ -188,7 +190,7 @@ def ideal_to_json(I: SquareFreeIdeal) -> dict:
 
 def ideal_from_json(obj: dict) -> SquareFreeIdeal:
     try:
-        p = int(obj["p"])
+        p = _vertex_count(obj)
         gens = list(obj["generators"])
     except (KeyError, TypeError, ValueError):
         raise DomainError("ideal JSON needs integer 'p' and 'generators'") \

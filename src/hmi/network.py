@@ -75,7 +75,8 @@ def _minimal_edge_sets(masks) -> list[frozenset[int]]:
 
 def minimal_paths(G: Network) -> list[frozenset[int]]:
     """Edge sets of simple input-output paths, minimalized; canonical
-    (size, lexicographic) order."""
+    (size, lexicographic) order.  A ``Network`` is connected, so there is
+    at least one."""
     incident: dict[int, list[tuple[int, int]]] = {n: [] for n in G.nodes}
     for eid, u, v in G.edges:
         incident[u].append((eid, v))
@@ -92,32 +93,35 @@ def minimal_paths(G: Network) -> list[frozenset[int]]:
             walk(other, used_nodes | {other}, used_edges | 1 << eid - 1)
 
     walk(G.input, {G.input}, 0)
-    paths = _minimal_edge_sets(found)
-    if not paths:
-        raise DomainError("input and output are disconnected")
-    return paths
+    return _minimal_edge_sets(found)
 
 
 def minimal_cuts(G: Network) -> list[frozenset[int]]:
     """Inclusion-minimal edge sets whose removal disconnects the terminals:
-    crossing sets of input/output vertex bipartitions, minimalized."""
-    minimal_paths(G)      # raises if terminals are already disconnected
-    free = [n for n in G.nodes if n not in (G.input, G.output)]
-    cuts = []
-    for bits in range(1 << len(free)):
-        side = {G.input} | {free[i] for i in range(len(free))
-                            if bits >> i & 1}
-        cuts.append(sum(1 << eid - 1 for eid, u, v in G.edges
-                        if (u in side) != (v in side)))
+    crossing sets of input/output vertex bipartitions, minimalized.  A
+    side's crossing set is the XOR of its nodes' incidence masks: an edge
+    with both ends inside cancels, and so does a loop."""
+    incidence = dict.fromkeys(G.nodes, 0)
+    for eid, u, v in G.edges:
+        incidence[u] ^= 1 << eid - 1
+        incidence[v] ^= 1 << eid - 1
+    cuts = [incidence[G.input]]
+    for n in incidence:
+        if n not in (G.input, G.output):
+            cuts += [c ^ incidence[n] for c in cuts]
     return _minimal_edge_sets(cuts)
 
 
+def _edge_ideal(G: Network, sets) -> SquareFreeIdeal:
+    return make_ideal(G.p, [sorted(s) for s in sets])
+
+
 def cut_ideal(G: Network) -> SquareFreeIdeal:
-    return make_ideal(G.p, [sorted(c) for c in minimal_cuts(G)])
+    return _edge_ideal(G, minimal_cuts(G))
 
 
 def path_ideal(G: Network) -> SquareFreeIdeal:
-    return make_ideal(G.p, [sorted(c) for c in minimal_paths(G)])
+    return _edge_ideal(G, minimal_paths(G))
 
 
 @dataclass(frozen=True)
@@ -137,12 +141,13 @@ class DualityReport:
 def verify_cut_path_duality(G: Network) -> DualityReport:
     """Checks the cut/path Alexander duality on a concrete network."""
     all_edges = frozenset(range(1, G.p + 1))
-    cut_complex = complex_of(cut_ideal(G))
-    path_complex = complex_of(path_ideal(G))
+    cuts, paths = minimal_cuts(G), minimal_paths(G)
+    cut_complex = complex_of(_edge_ideal(G, cuts))
+    path_complex = complex_of(_edge_ideal(G, paths))
     cut_facets = set(cut_complex.facet_sets())
     path_facets = set(path_complex.facet_sets())
-    path_complements = {all_edges - s for s in minimal_paths(G)}
-    cut_complements = {all_edges - s for s in minimal_cuts(G)}
+    path_complements = {all_edges - s for s in paths}
+    cut_complements = {all_edges - s for s in cuts}
     dual = alexander_dual(cut_complex)
     return DualityReport(
         cut_facets_are_path_complements=cut_facets == path_complements,

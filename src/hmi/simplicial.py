@@ -6,7 +6,10 @@ the facets.  Vertices carry labels, by default 1..p, so that marginal
 complexes can live on a sub-ring of variables without relabelling.  Labels
 go to and from masks through the one codec of ``graphs`` (``Labelled``);
 the 1-skeleton is a ``graphs.Graph`` of adjacency masks, on which
-decomposability runs one maximum cardinality search.
+decomposability runs one maximum cardinality search.  Minimal non-faces,
+Alexander duals, the Stanley-Reisner map in both directions and the
+cut/path duality of networks all reduce to ``minimal_transversals``, one
+depth-first MMCS search (Murakami and Uno 2014) on bit masks.
 
 Both the void complex (no faces at all, ``facets == ()``) and the empty
 complex (only the empty face) are representable; ``minimal_nonfaces`` of the
@@ -14,6 +17,7 @@ void complex is ``[frozenset()]``.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -61,32 +65,63 @@ def _minimize(masks: Iterable[int]) -> tuple[int, ...]:
 
 
 def minimal_transversals(edge_masks: Iterable[int], p: int) -> tuple[int, ...]:
-    """Inclusion-minimal hitting sets of a family of nonempty masks
-    (Berge's sequential algorithm).  The empty family has transversal {0}.
+    """Inclusion-minimal hitting sets of a family of masks over positions
+    0..p-1, by Murakami and Uno's MMCS (Discrete Appl. Math. 170, 2014).
+    The empty family has transversal {0}; an empty edge allows none.
 
-    An edge that every transversal already hits changes nothing and is
-    skipped.  Otherwise each transversal t missing the edge grows to
-    t | bit for every bit of the edge, and only the grown sets are tested
-    for minimality: t | bit is dropped iff some kept h that contains bit
-    has h & ~bit inside t.  No other comparison is needed, because two
-    grown sets never contain one another (their t's form an antichain and
-    miss the edge) and a kept set never contains a grown one."""
-    trans = [0]
-    for e in edge_masks:
-        missed = [t for t in trans if not t & e]
-        if not missed:
-            continue
-        hit = [t for t in trans if t & e]
-        grown = []
-        probe = e
-        while probe:
-            bit = probe & -probe
-            probe &= probe - 1
-            rests = [h & ~bit for h in hit if h & bit]
-            grown.extend(t | bit for t in missed
-                         if not any(r & ~t == 0 for r in rests))
-        trans = hit + grown
-    return tuple(sorted(trans, key=_sort_key))
+    A depth-first search grows one chosen set and keeps, as masks over edge
+    ids, the edges it leaves uncovered and each chosen vertex's critical
+    edges (those no other chosen vertex hits).  The set is minimal exactly
+    when no critical mask is empty, so a child that empties one is pruned.
+    Each node branches on an uncovered edge with the fewest candidate
+    vertices; the scan stops early at an edge with one candidate (it is
+    forced) or none (a dead end).  The i-th branch may still add the edge's
+    first i - 1 vertices, so every transversal is found exactly once.  Only
+    one root-to-leaf path is held, at most p deep."""
+    edges = sorted(set(edge_masks), key=int.bit_count)
+    if not edges:
+        return (0,)
+    if not edges[0]:
+        return ()
+    occ = [0] * p                       # ids of the edges through a vertex
+    for i, e in enumerate(edges):
+        for v in _bits(e):
+            occ[v] |= 1 << i
+    out: list[int] = []
+
+    def search(chosen, cand, uncov, crit):
+        fewest, branch, rest = p + 1, 0, uncov
+        while rest:                     # smaller edges have lower ids
+            low = rest & -rest
+            rest ^= low
+            c = edges[low.bit_length() - 1] & cand
+            n = c.bit_count()
+            if n < fewest:
+                fewest, branch = n, c
+                if n <= 1:
+                    break
+        cand &= ~branch
+        while branch:
+            bit = branch & -branch
+            branch ^= bit
+            hit = occ[bit.bit_length() - 1]
+            kept = []
+            for c in crit:
+                c &= ~hit
+                if not c:
+                    break               # a chosen vertex became redundant
+                kept.append(c)
+            else:
+                left = uncov & ~hit
+                if left:
+                    kept.append(uncov & hit)
+                    search(chosen | bit, cand, left, kept)
+                else:
+                    out.append(chosen | bit)
+            cand |= bit
+
+    search(0, (1 << p) - 1, (1 << len(edges)) - 1, [])
+    return tuple(sorted(out, key=_sort_key))
 
 
 def make_complex(p: int, faces: Iterable[Iterable[int]],
@@ -128,7 +163,8 @@ def alexander_dual(S: SimplicialComplex) -> SimplicialComplex:
     complements of the minimal non-faces.  An involution."""
     full = S.full_mask()
     facets = [full & ~m for m in minimal_nonface_masks(S)]
-    return SimplicialComplex(S.p, _antichain(facets), S.labels)
+    return SimplicialComplex(S.p, tuple(sorted(facets, key=_sort_key)),
+                             S.labels)
 
 
 def one_skeleton(S: SimplicialComplex) -> Graph:
@@ -152,9 +188,18 @@ def complex_to_json(S: SimplicialComplex) -> dict:
     return obj
 
 
+def _vertex_count(obj: dict) -> int:
+    """JSON ``p`` as an int; floats, strings and booleans raise
+    ``TypeError`` instead of being rounded or converted."""
+    p = obj["p"]
+    if isinstance(p, bool):
+        raise TypeError("p is a boolean")
+    return operator.index(p)
+
+
 def complex_from_json(obj: dict) -> SimplicialComplex:
     try:
-        p = int(obj["p"])
+        p = _vertex_count(obj)
         facets = list(obj["facets"])
     except (KeyError, TypeError, ValueError):
         raise DomainError("complex JSON needs integer 'p' and 'facets'") \

@@ -188,6 +188,36 @@ def brute_force_cliques(ideal):
 
 
 # ---------------------------------------------------------------------------
+# two-terminal networks by brute force
+
+def brute_paths_and_cuts(edges, source, target):
+    """Minimal path and cut edge-id sets of a network with edges
+    (id, u, v), by subset enumeration and a reachability closure.  Joining
+    the terminals is monotone in the edge set, so a set is minimal exactly
+    when no single edge can be dropped (paths) or given back (cuts).  Both
+    lists come in (size, lexicographic) order."""
+    ids = frozenset(e[0] for e in edges)
+
+    def joined(kept):
+        reach, grew = {source}, True
+        while grew:
+            grew = False
+            for eid, u, v in edges:
+                if eid in kept and (u in reach) != (v in reach):
+                    reach |= {u, v}
+                    grew = True
+        return target in reach
+
+    subsets = [frozenset(c) for size in range(len(ids) + 1)
+               for c in combinations(sorted(ids), size)]
+    paths = [s for s in subsets
+             if joined(s) and not any(joined(s - {e}) for e in s)]
+    cuts = [s for s in subsets if not joined(ids - s)
+            and all(joined(ids - s | {e}) for e in s)]
+    return paths, cuts
+
+
+# ---------------------------------------------------------------------------
 # hitting sets and simplicial complexes by brute force
 
 def brute_minimal_transversals(p, edge_masks):

@@ -73,6 +73,17 @@ def test_dual_decompose_factorize_marginalize(files, capsys):
     assert code == 1 and "error:" in err
 
 
+def test_factorize_string_labels(files, capsys):
+    # labels that are not integers print comma-separated; vertex c lies in
+    # no face of the first complex, so it gets no factor there
+    for facets, text in (([["a", "b"]], "f{a,b}"),
+                         ([["a", "b"], ["c"]], "f{a,b} f{c}")):
+        labelled = files("abc.json", {"p": 3, "facets": facets,
+                                      "labels": ["a", "b", "c"]})
+        code, out, err = run(capsys, ["factorize", "--complex", labelled])
+        assert (code, out.strip(), err) == (0, text, "")
+
+
 def test_linear_resolution_and_ferrer(files, capsys):
     ideal = files("i.json", {"p": 5, "generators": [[1, 4], [1, 5], [2, 5]]})
     code, out, _ = run(capsys, ["linear-resolution", "--ideal", ideal])
@@ -222,19 +233,31 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
      json.dumps({"mean": [0, "a"], "precision": [[1, 0], [0, 1]]})),
     (["gaussian-ideal", "--gaussian", "g.json"],
      json.dumps({"mean": [0, 0], "precision": [[1, "x"], ["x", 1]]})),
+    (["sr", "--complex", "c.json"],
+     json.dumps({"p": 2.7, "facets": [[1, 2]]})),
+    (["sr", "--complex", "c.json"],
+     json.dumps({"p": "3", "facets": [[1, 2]]})),
+    (["sr", "--complex", "c.json"], json.dumps({"p": True, "facets": [[1]]})),
+    (["complex-of", "--ideal", "i.json"],
+     json.dumps({"p": 2.7, "generators": [[1, 2]]})),
+    (["complex-of", "--ideal", "i.json"],
+     json.dumps({"p": "3", "generators": [[1, 2]]})),
+    (["complex-of", "--ideal", "i.json"],
+     json.dumps({"p": True, "generators": [[1]]})),
 ], ids=["missing-points", "csv-cell", "filtration-list", "missing-poly",
         "strip-list", "ci-list", "given-list", "gaussian-keys",
         "product-keys", "moments-list", "collapse-lengths",
         "complex-duplicate-labels", "ideal-duplicate-labels",
         "facet-not-list", "generator-not-list", "gaussian-mean-string",
-        "gaussian-precision-string"])
+        "gaussian-precision-string", "complex-p-float", "complex-p-string",
+        "complex-p-bool", "ideal-p-float", "ideal-p-string", "ideal-p-bool"])
 def test_bad_input_exits_one_with_one_error_line(argv, text, capsys,
                                                  tmp_path):
     # missing files, non-numeric CSV cells, bad number lists, density
     # files without their parameters, a moment table that is not an object,
     # partition blocks of unequal length, duplicate labels, faces that are
-    # not lists and non-numeric Gaussian entries; text goes to the first
-    # file named
+    # not lists, non-numeric Gaussian entries and a vertex count that is not
+    # a JSON integer; text goes to the first file named
     files = [a for a in argv if a.endswith((".csv", ".txt", ".json"))]
     if text is not None:
         (tmp_path / files[0]).write_text(text)

@@ -1,5 +1,7 @@
 """Two-terminal networks: minimal paths and cuts, the cut/path ideals and
 their Alexander duality, on bridges, series and parallel compositions."""
+import random
+
 import pytest
 
 from hmi import (make_network, minimal_paths, minimal_cuts, cut_ideal,
@@ -7,6 +9,8 @@ from hmi import (make_network, minimal_paths, minimal_cuts, cut_ideal,
 from hmi.errors import DomainError
 from hmi.ideal import format_generators
 from hmi.network import network_from_json
+
+from oracles import brute_paths_and_cuts
 
 
 def bridge():
@@ -59,7 +63,6 @@ def test_parallel_network():
 
 
 def test_duality_on_random_networks():
-    import random
     rng = random.Random(12)
     built = 0
     while built < 20:
@@ -74,6 +77,21 @@ def test_duality_on_random_networks():
             continue
         assert verify_cut_path_duality(G).all_pass
         built += 1
+
+
+def test_paths_and_cuts_match_subset_search():
+    # loops and parallel edges included; the oracle sorts the same way
+    rng = random.Random(13)
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        pairs = [(v, rng.randint(1, v - 1)) for v in range(2, n + 1)]
+        pairs += [tuple(rng.choices(range(1, n + 1), k=2))
+                  for _ in range(rng.randint(0, 9 - len(pairs)))]
+        edges = [(i + 1, u, v) for i, (u, v) in enumerate(pairs)]
+        source, target = rng.sample(range(1, n + 1), 2)
+        G = make_network(range(1, n + 1), edges, source, target)
+        assert (minimal_paths(G), minimal_cuts(G)) == \
+            brute_paths_and_cuts(edges, source, target)
 
 
 def test_network_validation():

@@ -10,8 +10,10 @@ from hmi import (SimplicialComplex, make_complex, is_face, minimal_nonfaces,
                  alexander_dual, one_skeleton, flag_complex)
 from hmi.errors import DomainError
 from hmi.graphs import make_graph
+from hmi.ideal import complex_of, stanley_reisner
 from hmi.simplicial import (complex_to_json, complex_from_json,
-                            minimal_nonface_masks, minimal_transversals)
+                            minimal_nonface_masks, minimal_transversals,
+                            _antichain, _sort_key)
 
 from oracles import brute_minimal_nonfaces, brute_minimal_transversals
 
@@ -202,3 +204,36 @@ def test_minimal_transversals_match_subset_search(case):
     p, edges = case
     assert list(minimal_transversals(edges, p)) == \
         brute_minimal_transversals(p, edges)
+
+
+def test_minimal_transversals_larger_families():
+    # beyond the hypothesis test's 8 edges: up to 40 edges on p <= 14,
+    # with duplicated and nested edges mixed in
+    rng = random.Random(8)
+    for p in (9, 10, 11, 12, 13, 14):
+        full = (1 << p) - 1
+        for _ in range(2):
+            edges = [sum(1 << v for v in rng.sample(range(p),
+                                                    rng.randint(1, p // 2)))
+                     for _ in range(rng.randint(10, 30))]
+            edges += [rng.choice(edges) | rng.randint(0, full)
+                      for _ in range(rng.randint(0, 10))]
+            rng.shuffle(edges)
+            assert list(minimal_transversals(edges, p)) == \
+                brute_minimal_transversals(p, edges)
+    assert minimal_transversals(edges + [0], 14) == ()
+
+
+def test_complemented_transversals_stay_sorted_antichains():
+    # complex_of and alexander_dual sort the complements of minimal
+    # transversals instead of re-minimising them
+    rng = random.Random(9)
+    for _ in range(40):
+        p = rng.randint(3, 14)
+        S = make_complex(p, [rng.sample(range(1, p + 1), rng.randint(1, p - 1))
+                             for _ in range(rng.randint(1, 12))])
+        for facets in (complex_of(stanley_reisner(S)).facets,
+                       alexander_dual(S).facets):
+            assert list(facets) == sorted(facets, key=_sort_key)
+            assert facets == _antichain(facets)
+        assert complex_of(stanley_reisner(S)) == S
