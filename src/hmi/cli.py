@@ -61,8 +61,7 @@ def _load_density(path):
         return diffcum.gaussian_density(spec.mean, spec.precision)
     if family == "mec":
         spec = logdensity.mec_spec_from_json(obj)
-        return diffcum.mec_density(
-            {s: float(a) for s, a in spec.coeffs.items()}, spec.p)
+        return diffcum.mec_density(spec.coeffs, spec.p)
     if family == "product":
         try:
             return diffcum.product_gaussian_density(obj["means"],
@@ -242,9 +241,8 @@ def cmd_partitions(args):
 
 
 def cmd_collapse(args):
-    pi = _parse_partition(args.partition)
-    _emit(args, str(parts.collapse_number(pi)),
-          {"collapse": str(parts.collapse_number(pi))})
+    text = str(parts.collapse_number(_parse_partition(args.partition)))
+    _emit(args, text, {"collapse": text})
 
 
 def cmd_cumulant_from_moments(args):
@@ -340,10 +338,9 @@ def cmd_diff_moment(args):
 
 def cmd_diff_cumulant(args):
     f = _load_density(args.density)
-    method = {"partition": "partition", "logderiv": "logderiv"}[args.method]
     rep = diffcum.differential_cumulant(f, _floats(args.xi),
                                         parts.parse_multiindex(args.k),
-                                        method=method)
+                                        method=args.method)
     _report_out(args, rep)
 
 

@@ -7,6 +7,11 @@ Windows: ``CubeWindow(center, eps)`` is the cube of HALF-width eps, i.e.
 (per-axis 1/(k_i+1) for even, 1/(k_i+2) for odd orders) hold exactly for
 this window; e.g. the second moment of a flat density over the window is
 eps^2/3.
+
+Every estimate is a ratio of density samples, so every sample must be
+positive: each batch goes through one gate, ``_sample``, and a zero,
+negative or nan value anywhere on a stencil or grid raises ``DomainError``
+(exit 1 at the command line).
 """
 from __future__ import annotations
 
@@ -14,6 +19,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 from typing import Callable, Sequence
 
@@ -87,69 +93,58 @@ def same_moment_class(u: Sequence[int], k: Sequence[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# finite differences
+# density samples and finite differences
 
-def _mixed_derivative_points(xi, axes, h):
-    signs = list(product((1.0, -1.0), repeat=len(axes)))
-    pts = np.tile(xi, (len(signs), 1))
-    coeff = np.empty(len(signs))
-    for row, sg in enumerate(signs):
-        c = 1.0
-        for ax, s, step in zip(axes, sg, h):
-            pts[row, ax] += s * step
-            c *= s
-        coeff[row] = c
-    return pts, coeff
-
-
-def _mixed_first_derivative(f: DensityOracle, xi, axes, h,
-                            transform=None) -> float:
-    """Central tensor difference for the mixed first derivative along the
-    given axes, applied to f or to transform(f)."""
-    pts, coeff = _mixed_derivative_points(xi, axes, h)
+def _sample(f: DensityOracle, pts) -> np.ndarray:
+    """f on the rows of pts.  Every estimator here is a ratio of density
+    samples, so each one must be positive; ``min`` also catches a nan."""
     vals = f.batch(pts)
-    if transform is not None:
-        if not np.all(vals > 0):
-            raise DomainError("non-positive density sample encountered")
-        vals = transform(vals)
-    scale = float(np.prod([2.0 * step for step in h]))
-    return float(coeff @ vals) / scale
+    if not vals.min() > 0:
+        raise DomainError("non-positive density sample encountered")
+    return vals
 
 
-def _derivative_ratio(f: DensityOracle, xi, alpha, step_scale,
-                      richardson, transform=None) -> float:
-    """D^alpha f / f (or D^alpha log f with transform=log) by central
-    differences, Richardson-extrapolated once."""
-    axes = [i for i, a in enumerate(alpha) if a]
-    if not axes:
-        if transform is None:
-            return 1.0
-        fx = f(xi)
-        if not fx > 0:
-            raise DomainError("non-positive density sample encountered")
-        return math.log(fx)
-    h = [step_scale * max(1.0, abs(xi[i])) for i in axes]
-    coarse = _mixed_first_derivative(f, xi, axes, h, transform)
-    if not richardson:
-        est = coarse
-    else:
-        fine = _mixed_first_derivative(f, xi, axes,
-                                       [s / 2 for s in h], transform)
-        est = (4.0 * fine - coarse) / 3.0
-    if transform is None:
-        fx = f(xi)
-        if not fx > 0:
-            raise DomainError("non-positive density sample encountered")
-        est /= fx
-    return est
+def _central_differences(f: DensityOracle, xi, step_scale, richardson,
+                         log=False):
+    """The map alpha -> D^alpha f / f (or D^alpha log f with ``log``) at xi
+    for binary alpha: the central tensor difference over the axes alpha
+    marks, Richardson-extrapolated once.  Each alpha is estimated once and
+    f(xi) is sampled at most once, however many alpha are asked for."""
+    @cache
+    def at_xi():
+        return float(_sample(f, np.atleast_2d(xi))[0])
+
+    def difference(axes, h):
+        signs = np.array(list(product((1.0, -1.0), repeat=len(axes))))
+        pts = np.tile(xi, (len(signs), 1))
+        pts[:, axes] += signs * h
+        vals = _sample(f, pts)
+        if log:
+            vals = np.log(vals)
+        return float(signs.prod(axis=1) @ vals) / float(np.prod(2.0 * h))
+
+    @cache
+    def derivative(alpha):
+        axes = [i for i, a in enumerate(alpha) if a]
+        if not axes:
+            return math.log(at_xi()) if log else 1.0
+        h = np.array([step_scale * max(1.0, abs(xi[i])) for i in axes])
+        est = difference(axes, h)
+        if richardson:
+            est = (4.0 * difference(axes, h / 2) - est) / 3.0
+        return est if log else est / at_xi()
+
+    return derivative
 
 
 def _point_and_index(f: DensityOracle, xi, k):
-    """xi as floats and k as a tuple, both of f's dimension."""
+    """xi as finite floats and k as a tuple, both of f's dimension."""
     xi = tuple(float(c) for c in xi)
     k = tuple(k)
     if len(k) != len(xi) or f.p != len(xi):
         raise DomainError("dimension mismatch")
+    if not all(map(math.isfinite, xi)):
+        raise DomainError("the point xi must be finite")
     return xi, k
 
 
@@ -159,7 +154,7 @@ def differential_moment(f: DensityOracle, xi, k, *,
     """m^xi_k = D^alpha f / f with alpha the parity pattern of k."""
     xi, k = _point_and_index(f, xi, k)
     alpha = parity_alpha(k)
-    value = _derivative_ratio(f, xi, alpha, step_scale, richardson)
+    value = _central_differences(f, xi, step_scale, richardson)(alpha)
     return EstimateReport(value, "finite-difference", {
         "k": k, "alpha": alpha, "xi": xi,
         "step_scale": step_scale, "richardson": richardson})
@@ -174,21 +169,13 @@ def differential_cumulant(f: DensityOracle, xi, k, *, method="partition",
     xi, k = _point_and_index(f, xi, k)
     alpha = parity_alpha(k)
     if method == "partition":
-        cache = {}
-
-        def moment(nu):
-            # differential moments depend on nu only through its parity
-            a = parity_alpha(nu)
-            if a not in cache:
-                cache[a] = _derivative_ratio(f, xi, a, step_scale,
-                                             richardson)
-            return cache[a]
-
-        value = _cumulants(k, moment)[k]
+        ratio = _central_differences(f, xi, step_scale, richardson)
+        # differential moments depend on nu only through its parity
+        value = _cumulants(k, lambda nu: ratio(parity_alpha(nu)))[k]
         label = "partition-sum"
     elif method == "logderiv":
-        value = _derivative_ratio(f, xi, alpha, step_scale, richardson,
-                                  transform=np.log)
+        value = _central_differences(f, xi, step_scale, richardson,
+                                     log=True)(alpha)
         label = "log-derivative"
     else:
         raise DomainError(f"unknown method {method!r}")
@@ -214,10 +201,8 @@ def _quadrature_grid(window: CubeWindow, nodes: int):
     return pts, offsets, weights
 
 
-def _mc_grid(window: CubeWindow, samples: int, seed):
+def _mc_grid(window: CubeWindow, samples: int, seed: int):
     p = len(window.center)
-    if seed is None:
-        seed = int(os.environ.get("HMI_SEED", "0"))
     rng = np.random.default_rng(seed)
     offsets = rng.uniform(-window.eps, window.eps, size=(samples, p))
     pts = np.asarray(window.center) + offsets
@@ -231,10 +216,8 @@ def _local_moments(f: DensityOracle, window: CubeWindow, k, nodes, method,
     seeded Monte Carlo sample) and return the moment function
     nu -> (w . (x^nu f)) / (w . f), x the offset from the centre, with the
     report's label and metadata."""
-    k = tuple(k)
-    p = len(window.center)
-    if len(k) != p or f.p != p:
-        raise DomainError("dimension mismatch")
+    center, k = _point_and_index(f, window.center, k)
+    p = len(center)
     if method == "quadrature":
         if p > TENSOR_GRID_MAX_DIM:
             raise DomainError(
@@ -247,15 +230,17 @@ def _local_moments(f: DensityOracle, window: CubeWindow, k, nodes, method,
     elif method == "mc":
         if not (isinstance(mc_samples, numbers.Integral) and mc_samples > 0):
             raise DomainError("mc_samples must be a positive integer")
+        if seed is None:
+            text = os.environ.get("HMI_SEED", "0")
+            if not text.isdecimal():
+                raise DomainError("HMI_SEED must be a non-negative integer, "
+                                  f"not {text!r}")
+            seed = int(text)
         pts, offsets, weights = _mc_grid(window, mc_samples, seed)
-        meta = {"samples": mc_samples,
-                "seed": seed if seed is not None
-                else int(os.environ.get("HMI_SEED", "0"))}
+        meta = {"samples": mc_samples, "seed": seed}
     else:
         raise DomainError(f"unknown method {method!r}")
-    vals = f.batch(pts)
-    if not np.all(vals > 0):
-        raise DomainError("non-positive density sample encountered")
+    vals = _sample(f, pts)
     denom = float(weights @ vals)
 
     def moment(nu):
@@ -265,7 +250,7 @@ def _local_moments(f: DensityOracle, window: CubeWindow, k, nodes, method,
                 mono *= offsets[:, i] ** ki
         return float(weights @ (mono * vals)) / denom
 
-    meta.update({"k": k, "eps": window.eps, "center": window.center,
+    meta.update({"k": k, "eps": window.eps, "center": center,
                  "method": method})
     label = "tensor-quadrature" if method == "quadrature" else "monte-carlo"
     return moment, label, meta
@@ -369,7 +354,10 @@ def gaussian_density(mean, precision) -> DensityOracle:
 def mec_density(coeffs, p: int) -> DensityOracle:
     """Unnormalized exp of a multilinear log-density sum a_s x^s; every
     estimator here is a ratio, so the missing constant is irrelevant."""
-    table = {tuple(s): float(a) for s, a in coeffs.items()}
+    try:
+        table = {tuple(s): float(a) for s, a in coeffs.items()}
+    except OverflowError:
+        raise DomainError("MEC coefficient out of float range") from None
     for s in table:
         if len(s) != p or any(v not in (0, 1) for v in s):
             raise DomainError(f"non-binary index {s} in MEC coefficients")

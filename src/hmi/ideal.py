@@ -9,8 +9,8 @@ from typing import Iterable
 from .errors import DomainError
 from .graphs import Graph, Labelled, _bits, encode_all, is_chordal
 from .simplicial import (SimplicialComplex, minimal_nonface_masks,
-                         minimal_transversals, _minimize, _sort_key,
-                         _vertex_count)
+                         minimal_transversals, _antichain, _json_int,
+                         _sort_key)
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ def make_ideal(p: int, generators: Iterable[Iterable[int]],
     labels, masks = encode_all(p, labels, generators)
     if 0 in masks:
         raise DomainError("generator with empty support")
-    return SquareFreeIdeal(p, _minimize(masks), labels)
+    return SquareFreeIdeal(p, _antichain(masks, minimal=True), labels)
 
 
 def stanley_reisner(S: SimplicialComplex) -> SquareFreeIdeal:
@@ -190,7 +190,7 @@ def ideal_to_json(I: SquareFreeIdeal) -> dict:
 
 def ideal_from_json(obj: dict) -> SquareFreeIdeal:
     try:
-        p = _vertex_count(obj)
+        p = _json_int(obj["p"])
         gens = list(obj["generators"])
     except (KeyError, TypeError, ValueError):
         raise DomainError("ideal JSON needs integer 'p' and 'generators'") \

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, PolynomialSyntaxError
 from .ideal import SquareFreeIdeal, make_ideal
-from .simplicial import SimplicialComplex, make_complex, is_face
+from .simplicial import SimplicialComplex, _json_int, is_face, make_complex
 
 
 class SparsePolynomial:
@@ -133,11 +133,6 @@ class SparsePolynomial:
                     val = val * x
             total = total + val
         return total
-
-    def support_faces(self) -> set[frozenset[int]]:
-        """Variable supports of the terms (1-based index sets)."""
-        return {frozenset(i + 1 for i, e in enumerate(exp) if e)
-                for exp in self.terms}
 
     def __str__(self):
         if not self.terms:
@@ -414,9 +409,11 @@ def gaussian_spec_from_json(obj: Mapping) -> GaussianSpec:
 
 def mec_spec_from_json(obj: Mapping) -> MECSpec:
     try:
-        p = int(obj["p"])
+        p = _json_int(obj["p"])
         coeffs = {tuple(int(ch) for ch in key): Fraction(str(val))
                   for key, val in obj["coeffs"].items()}
-    except (KeyError, TypeError, ValueError):
-        raise DomainError("MEC JSON needs 'p' and 'coeffs'") from None
+    except (AttributeError, KeyError, TypeError, ValueError,
+            ZeroDivisionError):
+        raise DomainError("MEC JSON needs integer 'p' and 'coeffs' of "
+                          "rationals") from None
     return MECSpec(p, coeffs)

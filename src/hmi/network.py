@@ -8,7 +8,7 @@ from typing import Iterable, Mapping
 from .errors import DomainError
 from .graphs import _bits
 from .ideal import SquareFreeIdeal, complex_of, make_ideal
-from .simplicial import SimplicialComplex, _minimize, alexander_dual
+from .simplicial import _antichain, _json_int, alexander_dual
 
 MAX_EDGES = 20
 
@@ -69,7 +69,8 @@ def make_network(nodes: Iterable[int], edges, input: int,
 def _minimal_edge_sets(masks) -> list[frozenset[int]]:
     """The minimal edge-id masks as edge-id sets, in (size, lexicographic)
     order; bit i of a mask is edge i + 1."""
-    sets = [frozenset(i + 1 for i in _bits(m)) for m in _minimize(masks)]
+    sets = [frozenset(i + 1 for i in _bits(m))
+            for m in _antichain(masks, minimal=True)]
     return sorted(sets, key=lambda s: (len(s), sorted(s)))
 
 
@@ -159,12 +160,12 @@ def verify_cut_path_duality(G: Network) -> DualityReport:
 
 def network_from_json(obj: Mapping) -> Network:
     try:
-        nodes = [int(n) for n in obj["nodes"]]
-        edges = [(int(e["id"]), int(e["u"]), int(e["v"]))
+        nodes = [_json_int(n) for n in obj["nodes"]]
+        edges = [(_json_int(e["id"]), _json_int(e["u"]), _json_int(e["v"]))
                  for e in obj["edges"]]
-        return make_network(nodes, edges, int(obj["input"]),
-                            int(obj["output"]))
+        terminals = _json_int(obj["input"]), _json_int(obj["output"])
     except (KeyError, TypeError, ValueError):
         raise DomainError(
             "network JSON needs 'nodes', 'edges' [{id,u,v}], 'input', "
             "'output'") from None
+    return make_network(nodes, edges, *terminals)

@@ -247,18 +247,22 @@ def cumulant_from_moments(k: Sequence[int], moments: Mapping[MultiIndex, object]
 
 def moment_table_from_json(obj: Mapping[str, object]) -> dict[MultiIndex, object]:
     """Moment tables are JSON objects mapping index strings to rationals
-    ("3/2"), decimal strings or numbers."""
+    ("3/2"), decimal strings or numbers.  Strings and integers are read
+    exactly and finite floats kept as floats; booleans, non-finite floats
+    and strings that are not rationals raise ``DomainError``."""
     if not isinstance(obj, dict):
         raise DomainError("moment table must be a JSON object")
     table = {}
     for key, raw in obj.items():
         k = parse_multiindex(key)
-        if isinstance(raw, str):
-            table[k] = Fraction(raw)
-        elif isinstance(raw, int):
-            table[k] = Fraction(raw)
-        elif isinstance(raw, float):
-            table[k] = raw
-        else:
-            raise DomainError(f"bad moment value {raw!r} for index {key}")
+        try:
+            if isinstance(raw, float) and math.isfinite(raw):
+                table[k] = raw
+            elif isinstance(raw, (int, str)) and not isinstance(raw, bool):
+                table[k] = Fraction(raw)
+            else:
+                raise ValueError
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(f"bad moment value {raw!r} for index "
+                              f"{key}") from None
     return table

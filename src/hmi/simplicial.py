@@ -44,22 +44,16 @@ def _sort_key(mask: int):
     return (mask.bit_count(), mask)
 
 
-def _antichain(masks: Iterable[int]) -> tuple[int, ...]:
-    """Keep the maximal masks only."""
-    masks = sorted(set(masks), key=lambda m: m.bit_count(), reverse=True)
+def _antichain(masks: Iterable[int], minimal=False) -> tuple[int, ...]:
+    """The maximal masks, or the minimal ones with ``minimal``, in
+    ``_sort_key`` order.  Masks are visited largest first (smallest first
+    with ``minimal``) and kept unless they lie inside (contain) a kept
+    one."""
+    masks = sorted(set(masks), key=int.bit_count, reverse=not minimal)
     keep: list[int] = []
     for m in masks:
-        if not any(m & k == m for k in keep):
-            keep.append(m)
-    return tuple(sorted(keep, key=_sort_key))
-
-
-def _minimize(masks: Iterable[int]) -> tuple[int, ...]:
-    """Keep the minimal masks only."""
-    masks = sorted(set(masks), key=lambda m: m.bit_count())
-    keep: list[int] = []
-    for m in masks:
-        if not any(m & k == k for k in keep):
+        if not (any(m & k == k for k in keep) if minimal
+                else any(m & k == m for k in keep)):
             keep.append(m)
     return tuple(sorted(keep, key=_sort_key))
 
@@ -188,18 +182,17 @@ def complex_to_json(S: SimplicialComplex) -> dict:
     return obj
 
 
-def _vertex_count(obj: dict) -> int:
-    """JSON ``p`` as an int; floats, strings and booleans raise
+def _json_int(value) -> int:
+    """A JSON integer as an int; floats, strings and booleans raise
     ``TypeError`` instead of being rounded or converted."""
-    p = obj["p"]
-    if isinstance(p, bool):
-        raise TypeError("p is a boolean")
-    return operator.index(p)
+    if isinstance(value, bool):
+        raise TypeError("boolean where an integer is expected")
+    return operator.index(value)
 
 
 def complex_from_json(obj: dict) -> SimplicialComplex:
     try:
-        p = _vertex_count(obj)
+        p = _json_int(obj["p"])
         facets = list(obj["facets"])
     except (KeyError, TypeError, ValueError):
         raise DomainError("complex JSON needs integer 'p' and 'facets'") \

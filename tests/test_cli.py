@@ -1,8 +1,10 @@
 """Command line surface: every subcommand, both output formats, exit codes
 and deterministic reruns."""
+import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +189,35 @@ def test_numeric_commands(files, capsys):
     assert out.strip().endswith("NOT-CONVERGED")
 
 
+def _clijobs():
+    """perfbench/clijobs.py (the benchmark's CLI pool instances) with its
+    own ``oracles`` module, which shares its name with the tests' one."""
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    tests_oracles = sys.modules.pop("oracles", None)
+    sys.path.insert(0, perfbench)
+    try:
+        return importlib.import_module("clijobs")
+    finally:
+        sys.path.remove(perfbench)
+        sys.modules.pop("oracles", None)
+        if tests_oracles is not None:
+            sys.modules["oracles"] = tests_oracles
+
+
+@pytest.mark.parametrize("cmd", ["local-moment", "diff-moment",
+                                 "diff-cumulant", "limit-probe"])
+def test_numeric_commands_reproduce_every_golden(cmd, capsys, tmp_path):
+    # every pool instance in both formats, byte for byte; the benchmark's
+    # own check runs only two instances per seed
+    clijobs = _clijobs()
+    goldens = json.loads(clijobs.GOLDENS.read_text())
+    for i in range(clijobs.POOL):
+        argv = clijobs.write_instance(cmd, i, tmp_path)
+        for fmt in clijobs.FORMATS:
+            got = run(capsys, argv + ["--format", fmt])
+            assert got == (0, goldens[f"{cmd}|{fmt}|{i}"], ""), (fmt, i)
+
+
 def test_ci_generators_command(capsys):
     code, out, _ = run(capsys, ["ci-generators", "--p", "3", "--i", "1",
                                 "--j", "2", "--given", "3"])
@@ -244,20 +275,50 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
      json.dumps({"p": "3", "generators": [[1, 2]]})),
     (["complex-of", "--ideal", "i.json"],
      json.dumps({"p": True, "generators": [[1]]})),
+    (["network-cuts", "--network", "n.json"],
+     json.dumps(dict(BRIDGE, edges=[dict(e, id=e["id"] + 0.9)
+                                    for e in BRIDGE["edges"]]))),
+    (["network-cuts", "--network", "n.json"],
+     json.dumps(dict(BRIDGE, input=True))),
+    (["mec", "--spec", "s.json"],
+     json.dumps({"p": 2.7, "coeffs": {"11": "1/2", "10": "-1"}})),
+    (["diff-moment", "--density", "d.json", "--xi", "0", "--k", "1"],
+     json.dumps({"family": "mec", "p": True, "coeffs": {"1": "1/2"}})),
+    (["mec", "--spec", "s.json"],
+     json.dumps({"p": 2, "coeffs": {"11": "abc"}})),
+    (["mec", "--spec", "s.json"],
+     json.dumps({"p": 2, "coeffs": {"11": "1/0"}})),
+    (["mec", "--spec", "s.json"], json.dumps({"p": 2, "coeffs": [11]})),
+    (["diff-moment", "--density", "d.json", "--xi", "0", "--k", "1"],
+     json.dumps({"family": "mec", "p": 1, "coeffs": {"1": "1e400"}})),
+    (["cumulant-from-moments", "--k", "1", "--moments", "m.json"],
+     json.dumps({"1": "abc"})),
+    (["cumulant-from-moments", "--k", "1", "--moments", "m.json"],
+     json.dumps({"1": "1/0"})),
+    (["cumulant-from-moments", "--k", "2", "--moments", "m.json"],
+     json.dumps({"1": True, "2": 1})),
+    (["cumulant-from-moments", "--k", "2", "--moments", "m.json"],
+     json.dumps({"1": float("nan"), "2": 1})),
 ], ids=["missing-points", "csv-cell", "filtration-list", "missing-poly",
         "strip-list", "ci-list", "given-list", "gaussian-keys",
         "product-keys", "moments-list", "collapse-lengths",
         "complex-duplicate-labels", "ideal-duplicate-labels",
         "facet-not-list", "generator-not-list", "gaussian-mean-string",
         "gaussian-precision-string", "complex-p-float", "complex-p-string",
-        "complex-p-bool", "ideal-p-float", "ideal-p-string", "ideal-p-bool"])
+        "complex-p-bool", "ideal-p-float", "ideal-p-string", "ideal-p-bool",
+        "network-id-float", "network-input-bool", "mec-p-float",
+        "mec-density-p-bool", "mec-coeff-string", "mec-coeff-zero-division",
+        "mec-coeffs-list", "mec-density-overflow", "moment-string",
+        "moment-zero-division", "moment-bool", "moment-nan"])
 def test_bad_input_exits_one_with_one_error_line(argv, text, capsys,
                                                  tmp_path):
     # missing files, non-numeric CSV cells, bad number lists, density
     # files without their parameters, a moment table that is not an object,
     # partition blocks of unequal length, duplicate labels, faces that are
-    # not lists, non-numeric Gaussian entries and a vertex count that is not
-    # a JSON integer; text goes to the first file named
+    # not lists, non-numeric Gaussian entries, a vertex count, node or edge
+    # id that is not a JSON integer, rationals that are not rationals (or
+    # are booleans, nan or out of float range where a float is needed);
+    # text goes to the first file named
     files = [a for a in argv if a.endswith((".csv", ".txt", ".json"))]
     if text is not None:
         (tmp_path / files[0]).write_text(text)

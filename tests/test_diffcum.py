@@ -138,6 +138,12 @@ def test_local_moment_env_seed(monkeypatch):
     monkeypatch.setenv("HMI_SEED", "8")
     c = local_moment(f, w, (1, 1), method="mc", mc_samples=5000).value
     assert a != c
+    assert local_moment(f, w, (1, 1), method="mc",
+                        mc_samples=50).metadata["seed"] == 8
+    for bad in ("abc", "-1", ""):
+        monkeypatch.setenv("HMI_SEED", bad)
+        with pytest.raises(DomainError, match="HMI_SEED"):
+            local_moment(f, w, (1, 1), method="mc", mc_samples=50)
 
 
 def test_local_cumulant_centered_window():
@@ -166,6 +172,28 @@ def test_local_cumulant_evaluates_density_once(center, k):
     assert batches == [8 ** p]
     want = cumulant_by_set_partitions(
         k, lambda nu: local_moment(base, w, nu, nodes=8).value)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("xi, k, classes", [
+    ((0.3, -0.2, 0.1), (1, 1, 1), 7), ((0.3, -0.2), (2, 1), 3)])
+def test_partition_cumulant_samples_density_at_xi_once(xi, k, classes):
+    # each odd parity class of the nu <= k is estimated once, by a coarse
+    # and a fine stencil, and all share one sample of f(xi): for (1,1,1)
+    # that is 7 * 2 + 1 = 15 batches
+    p = len(xi)
+    base = gaussian_density((0.0,) * p, np.eye(p) + 0.3)
+    batches = []
+
+    def counted(pts):
+        batches.append(np.array(pts))
+        return base.batch(pts)
+
+    got = differential_cumulant(DensityOracle(p, counted), xi, k).value
+    assert len(batches) == 2 * classes + 1
+    assert sum(len(b) == 1 and tuple(b[0]) == xi for b in batches) == 1
+    want = cumulant_by_set_partitions(
+        k, lambda nu: differential_moment(base, xi, nu).value)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -201,6 +229,19 @@ def test_nan_half_width_rejected():
         CubeWindow((0.0, 0.0), float("nan"))
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_non_finite_point_rejected(bad):
+    # inf - inf on the stencil would warn before the sample gate fired
+    f, xi = std_pair(), (0.0, bad)
+    with pytest.raises(DomainError, match="finite"):
+        differential_moment(f, xi, (1, 1))
+    for method in ("partition", "logderiv"):
+        with pytest.raises(DomainError, match="finite"):
+            differential_cumulant(f, xi, (1, 1), method=method)
+    with pytest.raises(DomainError, match="finite"):
+        local_cumulant(f, CubeWindow(xi, 0.1), (1, 1))
+
+
 def test_non_positive_density_rejected():
     f = DensityOracle(1, lambda pts: pts[:, 0])    # negative left of 0
     with pytest.raises(DomainError, match="non-positive"):
@@ -218,6 +259,18 @@ def test_non_positive_density_rejected():
             differential_cumulant(nan, (0.0,), (1,), method=method)
     with pytest.raises(DomainError, match="non-positive"):
         differential_moment(nan, (0.0,), (1,))
+    # positive at xi, but negative (or nan) at one point of the stencil
+    # xi -+ h, h = 1e-3: the finite differences must not read it
+    stencil_negative = (f, (0.0005,))
+    stencil_nan = (DensityOracle(1, lambda pts: np.where(
+        pts[:, 0] > -1e-4, 1.0 + pts[:, 0], np.nan)), (0.0,))
+    for g, xi in (stencil_negative, stencil_nan):
+        assert g.batch(np.array([xi]))[0] > 0
+        with pytest.raises(DomainError, match="non-positive"):
+            differential_moment(g, xi, (1,))
+        for method in ("partition", "logderiv"):
+            with pytest.raises(DomainError, match="non-positive"):
+                differential_cumulant(g, xi, (1,), method=method)
 
 
 # ---------------------------------------------------------------------------

@@ -112,3 +112,8 @@ def test_json_parsing():
     assert G.p == 1
     with pytest.raises(DomainError):
         network_from_json({"nodes": [1, 2]})
+    # the network's own complaint, not the generic JSON-shape message
+    with pytest.raises(DomainError, match="terminals must be nodes"):
+        network_from_json({
+            "nodes": [1, 2], "edges": [{"id": 1, "u": 1, "v": 2}],
+            "input": 1, "output": 5})

@@ -237,3 +237,17 @@ def test_complemented_transversals_stay_sorted_antichains():
             assert list(facets) == sorted(facets, key=_sort_key)
             assert facets == _antichain(facets)
         assert complex_of(stanley_reisner(S)) == S
+
+
+def test_antichain_keeps_maximal_or_minimal_masks():
+    # one routine serves facets (maximal) and generators, paths and cuts
+    # (minimal); both against the definition, duplicates included
+    rng = random.Random(5)
+    for _ in range(200):
+        masks = [rng.getrandbits(7) & rng.getrandbits(7)
+                 for _ in range(rng.randint(0, 15))]
+        for minimal in (False, True):
+            want = sorted({m for m in masks if not any(
+                k != m and (k & m == (k if minimal else m))
+                for k in masks)}, key=_sort_key)
+            assert list(_antichain(masks, minimal=minimal)) == want
