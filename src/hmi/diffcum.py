@@ -104,34 +104,52 @@ def _sample(f: DensityOracle, pts) -> np.ndarray:
     return vals
 
 
+@cache
+def _sign_table(n):
+    """The 2^n sign rows of the central tensor difference over n axes, in
+    ``product`` order, and each row's product; read-only, shared by every
+    estimate."""
+    signs = np.array(list(product((1.0, -1.0), repeat=n)))
+    weights = signs.prod(axis=1)
+    signs.flags.writeable = weights.flags.writeable = False
+    return signs, weights
+
+
 def _central_differences(f: DensityOracle, xi, step_scale, richardson,
                          log=False):
     """The map alpha -> D^alpha f / f (or D^alpha log f with ``log``) at xi
     for binary alpha: the central tensor difference over the axes alpha
     marks, Richardson-extrapolated once.  Each alpha is estimated once and
-    f(xi) is sampled at most once, however many alpha are asked for."""
+    f(xi) is sampled at most once, however many alpha are asked for.
+
+    Every stencil (one per alpha and step) is its own batch.  A density may
+    round differently by batch length (the Gaussian's ``einsum`` does), so
+    merging stencils would change the estimates in the last digits."""
+    x = np.asarray(xi, dtype=float)
+
     @cache
     def at_xi():
-        return float(_sample(f, np.atleast_2d(xi))[0])
+        return float(_sample(f, x[None, :])[0])
 
     def difference(axes, h):
-        signs = np.array(list(product((1.0, -1.0), repeat=len(axes))))
-        pts = np.tile(xi, (len(signs), 1))
+        signs, weights = _sign_table(len(axes))
+        pts = np.repeat(x[None, :], len(signs), axis=0)
         pts[:, axes] += signs * h
         vals = _sample(f, pts)
         if log:
             vals = np.log(vals)
-        return float(signs.prod(axis=1) @ vals) / float(np.prod(2.0 * h))
+        return float(weights @ vals) / math.prod(2.0 * v for v in h)
 
     @cache
     def derivative(alpha):
         axes = [i for i, a in enumerate(alpha) if a]
         if not axes:
             return math.log(at_xi()) if log else 1.0
-        h = np.array([step_scale * max(1.0, abs(xi[i])) for i in axes])
+        h = tuple(step_scale * max(1.0, abs(xi[i])) for i in axes)
         est = difference(axes, h)
         if richardson:
-            est = (4.0 * difference(axes, h / 2) - est) / 3.0
+            est = (4.0 * difference(axes, tuple(v / 2 for v in h))
+                   - est) / 3.0
         return est if log else est / at_xi()
 
     return derivative
@@ -171,7 +189,7 @@ def differential_cumulant(f: DensityOracle, xi, k, *, method="partition",
     if method == "partition":
         ratio = _central_differences(f, xi, step_scale, richardson)
         # differential moments depend on nu only through its parity
-        value = _cumulants(k, lambda nu: ratio(parity_alpha(nu)))[k]
+        value = _cumulants(k, lambda nu: ratio(parity_alpha(nu)))
         label = "partition-sum"
     elif method == "logderiv":
         value = _central_differences(f, xi, step_scale, richardson,
@@ -187,9 +205,18 @@ def differential_cumulant(f: DensityOracle, xi, k, *, method="partition",
 # ---------------------------------------------------------------------------
 # local moments and cumulants
 
+@cache
+def _gauss_legendre(nodes):
+    """The Gauss-Legendre nodes and weights on [-1, 1]; read-only, shared
+    by every estimate with this node count."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
 def _quadrature_grid(window: CubeWindow, nodes: int):
     p = len(window.center)
-    t, w = np.polynomial.legendre.leggauss(nodes)
+    t, w = _gauss_legendre(nodes)
     offs = window.eps * t
     grids = np.meshgrid(*[offs] * p, indexing="ij")
     offsets = np.stack([g.ravel() for g in grids], axis=1)
@@ -274,8 +301,7 @@ def local_cumulant(f: DensityOracle, window: CubeWindow, k, *,
     all of them from one evaluation of f on the grid."""
     moment, label, meta = _local_moments(f, window, k, nodes, method,
                                          mc_samples, seed)
-    return EstimateReport(_cumulants(meta["k"], moment)[meta["k"]], label,
-                          meta)
+    return EstimateReport(_cumulants(meta["k"], moment), label, meta)
 
 
 @dataclass(frozen=True)
@@ -320,12 +346,20 @@ def limit_matches_differential(f: DensityOracle, xi, k, eps_values, *,
 # built-in density families
 
 def _vector_and_array(vector, array):
-    """Both as float arrays, the first one-dimensional."""
+    """Both as float arrays, the first one-dimensional.  Every entry must be
+    a finite real number: booleans, strings and nan or infinite entries
+    raise ``DomainError``, as in ``logdensity.GaussianSpec``."""
     try:
+        entries = [*np.asarray(vector, dtype=object).flat,
+                   *np.asarray(array, dtype=object).flat]
+        if not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                   and abs(x) < math.inf for x in entries):
+            raise ValueError
         vector = np.asarray(vector, dtype=float)
         array = np.asarray(array, dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError("density parameters must be numeric") from None
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("density parameters must be finite real "
+                          "numbers") from None
     if vector.ndim != 1:
         raise DomainError("density parameters must be numeric vectors")
     return vector, array

@@ -7,6 +7,10 @@ one per block, with the blocks sorted in descending lexicographic order so
 that every partition of a multiset has exactly one representation.  They are
 enumerated by Knuth's Algorithm M (TAOCP 4A, 7.2.1.5), which visits each
 partition once in O(1) amortized steps.
+
+The transform is Smith's recursion over the sub-multi-indices of k, kept in
+flat lists indexed by mixed-radix rank.  An exact moment table runs it in
+integers over a common denominator, with one Fraction at the end.
 """
 from __future__ import annotations
 
@@ -155,18 +159,24 @@ def _factorials(n: int) -> list[int]:
     return list(accumulate(range(1, n + 1), operator.mul, initial=1))
 
 
-def _collapse(blocks, fact, top) -> Fraction:
+def _collapse(blocks, fact, top, block_den, fraction) -> Fraction:
     """c(pi) = top / (prod_j nu_{M_j}! * nu_pi!) for blocks sorted
     descending, top = nu_M! and fact[n] = n! up to the largest entry of M.
-    Equal blocks are adjacent, so nu_pi! is built up run by run."""
+    Equal blocks are adjacent, so nu_pi! is built up run by run.
+    ``block_den`` (block -> its factorial product) and ``fraction``
+    (denominator -> c) are memo tables the caller keeps for one call."""
     den, run, prev = 1, 0, None
     for b in blocks:
-        for x in b:
-            den *= fact[x]
+        d = block_den.get(b)
+        if d is None:
+            d = block_den[b] = math.prod(fact[x] for x in b)
         run = run + 1 if b == prev else 1
-        den *= run
+        den *= d * run
         prev = b
-    return Fraction(top, den)
+    c = fraction.get(den)
+    if c is None:
+        c = fraction[den] = Fraction(top, den)
+    return c
 
 
 def collapse_number(pi: Iterable[Sequence[int]]) -> Fraction:
@@ -180,7 +190,7 @@ def collapse_number(pi: Iterable[Sequence[int]]) -> Fraction:
     total = [sum(col) for col in zip(*blocks)]
     fact = _factorials(max(total))
     top = math.prod(fact[x] for x in total)
-    return _collapse(sorted(blocks, reverse=True), fact, top)
+    return _collapse(sorted(blocks, reverse=True), fact, top, {}, {})
 
 
 def chain_rule_terms(k: Sequence[int]) -> list[tuple[Fraction, int, list[MultiIndex]]]:
@@ -190,15 +200,17 @@ def chain_rule_terms(k: Sequence[int]) -> list[tuple[Fraction, int, list[MultiIn
     k = _validate(k)
     fact = _factorials(max(k))
     top = math.prod(fact[x] for x in k)
-    return [(_collapse(pi, fact, top), len(pi), list(pi)) for pi in pis]
+    block_den, fraction = {}, {}
+    return [(_collapse(pi, fact, top, block_den, fraction), len(pi), list(pi))
+            for pi in pis]
 
 
-def _cumulants(k, moment) -> dict:
-    """Every joint cumulant kappa_nu, 0 != nu <= k, from the moments by the
-    classical recursion over sub-multi-indices (Smith 1995, "A recursive
-    formulation of the old problem of obtaining moments from cumulants and
-    vice versa", Am. Stat. 49): with i the first nonzero component of nu
-    and nu' = nu - e_i,
+def _cumulants(k, moment):
+    """The joint cumulant kappa_k from the moments by the classical
+    recursion over sub-multi-indices (Smith 1995, "A recursive formulation
+    of the old problem of obtaining moments from cumulants and vice versa",
+    Am. Stat. 49): with i the first nonzero component of nu and
+    nu' = nu - e_i,
 
         kappa_nu = m_nu - sum_{lambda <= nu', lambda != nu'}
                    C(nu', lambda) kappa_{lambda + e_i} m_{nu' - lambda},
@@ -206,43 +218,64 @@ def _cumulants(k, moment) -> dict:
     C the product of componentwise binomials.  ``moment(nu)`` is called
     exactly once for each nonzero nu <= k, in ``product`` order, which puts
     every sub-index first; each of them is a block of some partition of k.
-    Exact when the moments are Fractions."""
+    Moments and cumulants live in two flat lists indexed by the rank of
+    nu, so nu' - lambda and lambda + e_i are rank arithmetic.  Exact when
+    the moments are ints or Fractions."""
     k = _validate(k)
     if not any(k):
         raise DomainError("empty multiset")
-    m, kappa = {}, {}
-    for nu in product(*(range(v + 1) for v in k)):
-        if not any(nu):
-            continue
-        m[nu] = moment(nu)
+    strides = [1] * len(k)
+    for j in range(len(k) - 1, 0, -1):
+        strides[j - 1] = strides[j] * (k[j] + 1)
+    # pairs[j][a]: (rank offset, C(a, b)) of every b <= a on axis j
+    pairs = [[[(b * s, math.comb(a, b)) for b in range(a + 1)]
+              for a in range(v + 1)] for v, s in zip(k, strides)]
+    m, kappa = [0], [0]
+    lattice = product(*(range(v + 1) for v in k))
+    next(lattice)
+    for r, nu in enumerate(lattice, 1):
+        total = moment(nu)
+        m.append(total)
         i = next(j for j, v in enumerate(nu) if v)
-        rest = nu[:i] + (nu[i] - 1,) + nu[i + 1:]
-        total = m[nu]
-        for lam in product(*(range(v + 1) for v in rest)):
-            if lam == rest:
-                continue
-            coeff = 1
-            for a, b in zip(rest, lam):
-                coeff *= math.comb(a, b)
-            up = lam[:i] + (lam[i] + 1,) + lam[i + 1:]
-            total = total - coeff * kappa[up] \
-                * m[tuple(a - b for a, b in zip(rest, lam))]
-        kappa[nu] = total
-    return kappa
+        up, rest = strides[i], r - strides[i]
+        # (rank(lambda), C(nu', lambda)) for lambda <= nu' in product order
+        terms = [(0, 1)]
+        for j, v in enumerate(nu):
+            a = v - 1 if j == i else v
+            if a:
+                terms = [(o + o2, c * c2) for o, c in terms
+                         for o2, c2 in pairs[j][a]]
+        terms.pop()  # lambda = nu'
+        for o, coeff in terms:
+            total = total - coeff * kappa[o + up] * m[rest - o]
+        kappa.append(total)
+    return kappa[-1]
 
 
 def cumulant_from_moments(k: Sequence[int], moments: Mapping[MultiIndex, object]):
     """kappa_k from the moment table, which must hold m_nu for every nonzero
     nu <= k.  Exact when the moments are Fractions (ints count as
-    Fractions); float moments give a float."""
-    def lookup(nu):
-        if nu not in moments:
-            raise DomainError(
-                f"missing moment for index {format_multiindex(nu)}")
-        return Fraction(0) + moments[nu]
+    Fractions); float moments give a float.
 
+    Exact tables run in integers: with D the lcm of the moments'
+    denominators, the recursion is homogeneous of degree |nu|, so the
+    integers m_nu * D^|nu| give kappa_k * D^|k| and one Fraction at the
+    end."""
     k = _validate(k)
-    return _cumulants(k, lookup)[k]
+    needed = {}
+    for nu in product(*(range(v + 1) for v in k)):
+        if any(nu):
+            if nu not in moments:
+                raise DomainError(
+                    f"missing moment for index {format_multiindex(nu)}")
+            needed[nu] = moments[nu]
+    if not all(isinstance(v, (int, Fraction)) for v in needed.values()):
+        return _cumulants(k, lambda nu: Fraction(0) + needed[nu])
+    d = math.lcm(*(v.denominator for v in needed.values()))
+    power = [d ** n for n in range(sum(k) + 1)]
+    scaled = {nu: v.numerator * (d // v.denominator) * power[sum(nu) - 1]
+              for nu, v in needed.items()}
+    return Fraction(_cumulants(k, scaled.__getitem__), power[-1])
 
 
 def moment_table_from_json(obj: Mapping[str, object]) -> dict[MultiIndex, object]:

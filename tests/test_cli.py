@@ -299,6 +299,10 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
      json.dumps({"1": True, "2": 1})),
     (["cumulant-from-moments", "--k", "2", "--moments", "m.json"],
      json.dumps({"1": float("nan"), "2": 1})),
+    (["diff-moment", "--density", "d.json", "--xi", "0", "--k", "1"],
+     json.dumps({"family": "product", "means": [0], "variances": [True]})),
+    (["diff-moment", "--density", "d.json", "--xi", "0", "--k", "1"],
+     json.dumps({"family": "product", "means": ["0"], "variances": [1]})),
 ], ids=["missing-points", "csv-cell", "filtration-list", "missing-poly",
         "strip-list", "ci-list", "given-list", "gaussian-keys",
         "product-keys", "moments-list", "collapse-lengths",
@@ -309,7 +313,8 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
         "network-id-float", "network-input-bool", "mec-p-float",
         "mec-density-p-bool", "mec-coeff-string", "mec-coeff-zero-division",
         "mec-coeffs-list", "mec-density-overflow", "moment-string",
-        "moment-zero-division", "moment-bool", "moment-nan"])
+        "moment-zero-division", "moment-bool", "moment-nan",
+        "product-variance-bool", "product-mean-string"])
 def test_bad_input_exits_one_with_one_error_line(argv, text, capsys,
                                                  tmp_path):
     # missing files, non-numeric CSV cells, bad number lists, density
@@ -317,7 +322,8 @@ def test_bad_input_exits_one_with_one_error_line(argv, text, capsys,
     # partition blocks of unequal length, duplicate labels, faces that are
     # not lists, non-numeric Gaussian entries, a vertex count, node or edge
     # id that is not a JSON integer, rationals that are not rationals (or
-    # are booleans, nan or out of float range where a float is needed);
+    # are booleans, nan or out of float range where a float is needed),
+    # density parameters that are booleans or strings;
     # text goes to the first file named
     files = [a for a in argv if a.endswith((".csv", ".txt", ".json"))]
     if text is not None:

@@ -1,5 +1,7 @@
 """Numeric differential and local moments/cumulants against closed-form
 Gaussian oracles, scaling-factor goldens, and the convergence probe."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -312,6 +314,24 @@ def test_gaussian_density_normalization():
     assert mass == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(DomainError):
         gaussian_density((0.0, 0.0), ((1.0, 2.0), (2.0, 1.0)))
+
+
+@pytest.mark.parametrize("means, variances", [
+    ([0.0], [True]), (["0"], [1.0]), ([np.nan], [1.0]), ([0.0], [np.inf]),
+    ([0.0], [np.bool_(True)]), ([10 ** 400], [1.0])],
+    ids=["bool", "string", "nan", "inf", "numpy-bool", "huge-int"])
+def test_density_parameters_must_be_finite_reals(means, variances):
+    # np.asarray(..., dtype=float) reads True as 1 and "0" as 0.0
+    with pytest.raises(DomainError, match="finite real numbers"):
+        product_gaussian_density(means, variances)
+    with pytest.raises(DomainError, match="finite real numbers"):
+        gaussian_density(means, [[v] for v in variances])
+
+
+def test_density_parameters_accept_fractions_and_arrays():
+    f = product_gaussian_density([Fraction(1, 2)], np.array([2]))
+    g = gaussian_density(np.array([0.5]), [[Fraction(1, 2)]])
+    assert f(0.0) == g(0.0)
 
 
 def test_mec_density_matches_exp_of_polynomial():

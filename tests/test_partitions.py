@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from sympy.utilities.iterables import multiset_partitions
 
 from hmi import (enumerate_partitions, collapse_number, chain_rule_terms,
@@ -126,17 +126,19 @@ def test_order_three_gaussian_cumulants_vanish_exactly():
 
 
 @st.composite
-def fraction_tables(draw):
-    """A nonzero multi-index (p <= 4, order <= 7) and a random Fraction
-    moment for every nonzero index below it."""
+def fraction_tables(draw, max_order=7,
+                    values=st.fractions(min_value=-5, max_value=5,
+                                        max_denominator=9)):
+    """A nonzero multi-index (p <= 4, order <= max_order) and a random
+    exact moment for every nonzero index below it."""
     p = draw(st.integers(min_value=1, max_value=4))
-    k = draw(st.lists(st.integers(min_value=0, max_value=7), min_size=p,
-                      max_size=p).filter(lambda k: 0 < sum(k) <= 7))
+    k = draw(st.lists(st.integers(min_value=0, max_value=max_order),
+                      min_size=p, max_size=p)
+             .filter(lambda k: 0 < sum(k) <= max_order))
     table = {}
     for nu in product(*(range(v + 1) for v in k)):
         if any(nu):
-            table[nu] = draw(st.fractions(min_value=-5, max_value=5,
-                                          max_denominator=9))
+            table[nu] = draw(values)
     return tuple(k), table
 
 
@@ -146,6 +148,44 @@ def test_cumulant_matches_set_partition_oracle(case):
     got = cumulant_from_moments(k, table)
     assert isinstance(got, Fraction)
     assert got == cumulant_by_set_partitions(k, table.__getitem__)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fraction_tables(max_order=6, values=st.one_of(
+    st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=10 ** 9))))
+def test_integer_path_with_large_denominators(case):
+    # exact tables run in integers over the lcm of the denominators, here
+    # up to 10^9 each, with ints mixed in
+    k, table = case
+    got = cumulant_from_moments(k, table)
+    assert isinstance(got, Fraction)
+    assert got == cumulant_by_set_partitions(k, table.__getitem__)
+
+
+def test_one_float_moment_gives_a_float():
+    k = (1, 2)
+    table = {nu: Fraction(3 * sum(nu) + 1, 7)
+             for nu in product(range(2), range(3)) if any(nu)}
+    exact = cumulant_from_moments(k, {**table, (1, 0): Fraction(1, 4)})
+    got = cumulant_from_moments(k, {**table, (1, 0): 0.25})
+    assert isinstance(exact, Fraction) and isinstance(got, float)
+    assert got == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_order_ten_gaussian_cumulant_is_exactly_zero():
+    # the square-free moments of a 10-variate Gaussian by the Isserlis
+    # recursion (gaussian_moment_table would build every index of order
+    # <= 10, not only the 1,023 square-free ones)
+    p = 10
+    mean = [Fraction(i - 4, 3) for i in range(p)]
+    cov = [[Fraction(5, 2) if i == j else Fraction(1, i + j + 2)
+            for j in range(p)] for i in range(p)]
+    table = {nu: isserlis_moment(mean, cov,
+                                 [i for i, v in enumerate(nu) if v])
+             for nu in product((0, 1), repeat=p) if any(nu)}
+    got = cumulant_from_moments((1,) * p, table)
+    assert isinstance(got, Fraction) and got == 0
 
 
 def test_order_fourteen_gaussian_cumulant_vanishes():
@@ -165,6 +205,11 @@ def test_isserlis_oracle_self_check():
 def test_missing_moment_raises():
     with pytest.raises(DomainError, match="missing moment"):
         cumulant_from_moments((1, 1), {(1, 1): Fraction(1)})
+    # (0,2) and (1,0) are missing; (0,2) comes first in product order
+    for value in (Fraction(1, 3), 0.5):
+        table = {(0, 1): value, (1, 1): value, (1, 2): value}
+        with pytest.raises(DomainError, match=r"for index 0,2$"):
+            cumulant_from_moments((1, 2), table)
 
 
 def test_empty_and_oversized_indices_rejected():
