@@ -2,6 +2,10 @@
 parity maps, scaling factors, finite-difference and tensor-quadrature
 estimators, and the convergence probe for the limiting-cumulant theorem.
 
+Densities: spec in, oracle out.  Each built-in family builds its exact
+``logdensity`` spec, which holds every parameter rule, and compiles it into
+a ``DensityOracle``, adding only positive definiteness and float range.
+
 Windows: ``CubeWindow(center, eps)`` is the cube of HALF-width eps, i.e.
 [xi_i - eps, xi_i + eps] per axis.  The leading-order constants r(eps, k)
 (per-axis 1/(k_i+1) for even, 1/(k_i+2) for odd orders) hold exactly for
@@ -26,7 +30,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .partitions import _cumulants, plus_norm
+from .logdensity import GaussianSpec, MECSpec, _finite_real
+from .partitions import _cumulants, _validate, plus_norm
 
 DEFAULT_NODES = 16
 DEFAULT_STEP_SCALE = 1e-3
@@ -56,9 +61,9 @@ class CubeWindow:
 
     def __post_init__(self):
         object.__setattr__(self, "center",
-                           tuple(float(c) for c in self.center))
-        if not self.eps > 0:
-            raise DomainError("window half-width must be positive")
+                           _floats(self.center, "the window centre"))
+        object.__setattr__(self, "eps", *_floats(
+            (self.eps,), "the window half-width", positive=True))
 
 
 @dataclass(frozen=True)
@@ -76,8 +81,7 @@ def parity_alpha(k: Sequence[int]) -> tuple[int, ...]:
 def r_factor(eps: float, k: Sequence[int]) -> float:
     """Leading-order window scale: eps^{|k|_1^+} times 1/(k_i+1) per even
     and 1/(k_i+2) per odd component."""
-    if eps <= 0:
-        raise DomainError("eps must be positive")
+    (eps,) = _floats((eps,), "eps", positive=True)
     out = eps ** plus_norm(k)
     for v in k:
         out /= (v + 1) if v % 2 == 0 else (v + 2)
@@ -90,6 +94,18 @@ def same_moment_class(u: Sequence[int], k: Sequence[int]) -> bool:
     if len(u) != len(k):
         raise DomainError("multi-indices must have the same dimension")
     return all(a % 2 == b % 2 for a, b in zip(u, k))
+
+
+def _floats(values, what, positive=False):
+    """A tuple of finite floats (positive with ``positive``) or DomainError."""
+    try:
+        values = tuple(values)
+        if all(_finite_real(v) and (v > 0 or not positive) for v in values):
+            return tuple(map(float, values))
+    except (TypeError, OverflowError):
+        pass
+    raise DomainError(f"{what}: expected {'positive ' * positive}finite "
+                      "real numbers")
 
 
 # ---------------------------------------------------------------------------
@@ -155,14 +171,15 @@ def _central_differences(f: DensityOracle, xi, step_scale, richardson,
     return derivative
 
 
-def _point_and_index(f: DensityOracle, xi, k):
-    """xi as finite floats and k as a tuple, both of f's dimension."""
-    xi = tuple(float(c) for c in xi)
-    k = tuple(k)
+def _point_and_index(f: DensityOracle, xi, k, step_scale=None):
+    """xi as finite floats and k as a multi-index, both of f's dimension;
+    a finite-difference step scale, if given, must be positive."""
+    xi = _floats(xi, "the point xi")
+    k = _validate(k)
     if len(k) != len(xi) or f.p != len(xi):
         raise DomainError("dimension mismatch")
-    if not all(map(math.isfinite, xi)):
-        raise DomainError("the point xi must be finite")
+    if step_scale is not None:
+        _floats((step_scale,), "step_scale", positive=True)
     return xi, k
 
 
@@ -170,7 +187,7 @@ def differential_moment(f: DensityOracle, xi, k, *,
                         step_scale=DEFAULT_STEP_SCALE,
                         richardson=True) -> EstimateReport:
     """m^xi_k = D^alpha f / f with alpha the parity pattern of k."""
-    xi, k = _point_and_index(f, xi, k)
+    xi, k = _point_and_index(f, xi, k, step_scale)
     alpha = parity_alpha(k)
     value = _central_differences(f, xi, step_scale, richardson)(alpha)
     return EstimateReport(value, "finite-difference", {
@@ -184,7 +201,7 @@ def differential_cumulant(f: DensityOracle, xi, k, *, method="partition",
     """kappa^xi_k, either from the differential moments by the
     moment-cumulant transform (the definition) or as D^alpha log f (the
     square-free shortcut)."""
-    xi, k = _point_and_index(f, xi, k)
+    xi, k = _point_and_index(f, xi, k, step_scale)
     alpha = parity_alpha(k)
     if method == "partition":
         ratio = _central_differences(f, xi, step_scale, richardson)
@@ -224,17 +241,7 @@ def _quadrature_grid(window: CubeWindow, nodes: int):
     wgrids = np.meshgrid(*[w] * p, indexing="ij")
     for g in wgrids:
         weights *= g.ravel()
-    pts = np.asarray(window.center) + offsets
-    return pts, offsets, weights
-
-
-def _mc_grid(window: CubeWindow, samples: int, seed: int):
-    p = len(window.center)
-    rng = np.random.default_rng(seed)
-    offsets = rng.uniform(-window.eps, window.eps, size=(samples, p))
-    pts = np.asarray(window.center) + offsets
-    weights = np.ones(samples)
-    return pts, offsets, weights
+    return offsets, weights
 
 
 def _local_moments(f: DensityOracle, window: CubeWindow, k, nodes, method,
@@ -244,15 +251,14 @@ def _local_moments(f: DensityOracle, window: CubeWindow, k, nodes, method,
     nu -> (w . (x^nu f)) / (w . f), x the offset from the centre, with the
     report's label and metadata."""
     center, k = _point_and_index(f, window.center, k)
-    p = len(center)
     if method == "quadrature":
-        if p > TENSOR_GRID_MAX_DIM:
+        if len(center) > TENSOR_GRID_MAX_DIM:
             raise DomainError(
                 f"tensor quadrature supports p <= {TENSOR_GRID_MAX_DIM}; "
                 "use method='mc'")
         if not (isinstance(nodes, numbers.Integral) and nodes > 0):
             raise DomainError("nodes must be a positive integer")
-        pts, offsets, weights = _quadrature_grid(window, nodes)
+        offsets, weights = _quadrature_grid(window, nodes)
         meta = {"nodes": nodes}
     elif method == "mc":
         if not (isinstance(mc_samples, numbers.Integral) and mc_samples > 0):
@@ -263,15 +269,17 @@ def _local_moments(f: DensityOracle, window: CubeWindow, k, nodes, method,
                 raise DomainError("HMI_SEED must be a non-negative integer, "
                                   f"not {text!r}")
             seed = int(text)
-        pts, offsets, weights = _mc_grid(window, mc_samples, seed)
+        offsets = np.random.default_rng(seed).uniform(
+            -window.eps, window.eps, size=(mc_samples, len(center)))
+        weights = np.ones(mc_samples)
         meta = {"samples": mc_samples, "seed": seed}
     else:
         raise DomainError(f"unknown method {method!r}")
-    vals = _sample(f, pts)
+    vals = _sample(f, np.asarray(center) + offsets)
     denom = float(weights @ vals)
 
     def moment(nu):
-        mono = np.ones(len(pts))
+        mono = np.ones(len(offsets))
         for i, ki in enumerate(nu):
             if ki:
                 mono *= offsets[:, i] ** ki
@@ -322,9 +330,8 @@ def limit_matches_differential(f: DensityOracle, xi, k, eps_values, *,
     report whether it converges to the differential cumulant.  Convergence
     means monotone error decay over at least three levels with the final
     scaled value within rel_tol of the target."""
-    xi = tuple(float(c) for c in xi)
-    k = tuple(k)
-    eps_values = tuple(float(e) for e in eps_values)
+    xi, k = _point_and_index(f, xi, k)
+    eps_values = _floats(eps_values, "eps values", positive=True)
     if len(eps_values) < 3 or any(b >= a for a, b in
                                   zip(eps_values, eps_values[1:])):
         raise DomainError("need at least three strictly decreasing eps")
@@ -343,76 +350,53 @@ def limit_matches_differential(f: DensityOracle, xi, k, eps_values, *,
 
 
 # ---------------------------------------------------------------------------
-# built-in density families
-
-def _vector_and_array(vector, array):
-    """Both as float arrays, the first one-dimensional.  Every entry must be
-    a finite real number: booleans, strings and nan or infinite entries
-    raise ``DomainError``, as in ``logdensity.GaussianSpec``."""
-    try:
-        entries = [*np.asarray(vector, dtype=object).flat,
-                   *np.asarray(array, dtype=object).flat]
-        if not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
-                   and abs(x) < math.inf for x in entries):
-            raise ValueError
-        vector = np.asarray(vector, dtype=float)
-        array = np.asarray(array, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError("density parameters must be finite real "
-                          "numbers") from None
-    if vector.ndim != 1:
-        raise DomainError("density parameters must be numeric vectors")
-    return vector, array
-
+# built-in density families, compiled from their exact specs
 
 def gaussian_density(mean, precision) -> DensityOracle:
     """Normal density with the given mean and precision (inverse
-    covariance) matrix."""
-    mu, lam = _vector_and_array(mean, precision)
-    p = mu.shape[0]
-    if lam.shape != (p, p) or not np.allclose(lam, lam.T):
-        raise DomainError("precision must be a symmetric p x p matrix")
+    covariance) matrix, compiled from its ``GaussianSpec``."""
+    spec = GaussianSpec(mean, precision)
+    mu = np.array(_floats(spec.mean, "the mean"))
+    lam = np.array([_floats(row, "the precision") for row in spec.precision])
     sign, logdet = np.linalg.slogdet(lam)
     if sign <= 0:
         raise DomainError("precision must be positive definite")
-    lognorm = 0.5 * (logdet - p * math.log(2 * math.pi))
+    lognorm = 0.5 * (logdet - spec.p * math.log(2 * math.pi))
 
     def fn(pts):
         diff = pts - mu
         quad = np.einsum("ni,ij,nj->n", diff, lam, diff)
         return np.exp(lognorm - 0.5 * quad)
 
-    return DensityOracle(p, fn)
+    return DensityOracle(spec.p, fn)
 
 
 def mec_density(coeffs, p: int) -> DensityOracle:
     """Unnormalized exp of a multilinear log-density sum a_s x^s; every
     estimator here is a ratio, so the missing constant is irrelevant."""
+    spec = MECSpec(p, coeffs)
     try:
-        table = {tuple(s): float(a) for s, a in coeffs.items()}
+        terms = [(float(a), [i for i, si in enumerate(s) if si])
+                 for s, a in spec.coeffs.items()]
     except OverflowError:
         raise DomainError("MEC coefficient out of float range") from None
-    for s in table:
-        if len(s) != p or any(v not in (0, 1) for v in s):
-            raise DomainError(f"non-binary index {s} in MEC coefficients")
 
     def fn(pts):
         g = np.zeros(pts.shape[0])
-        for s, a in table.items():
-            term = np.full(pts.shape[0], a)
-            for i, si in enumerate(s):
-                if si:
-                    term = term * pts[:, i]
+        for a, axes in terms:
+            term = a
+            for i in axes:
+                term = term * pts[:, i]
             g += term
         return np.exp(g)
 
-    return DensityOracle(p, fn)
+    return DensityOracle(spec.p, fn)
 
 
 def product_gaussian_density(means, variances) -> DensityOracle:
-    """Product of independent univariate normals."""
-    mu, var = _vector_and_array(means, variances)
-    if mu.shape != var.shape or not np.all(var > 0):
-        raise DomainError("means/variances must match, variances positive")
-    precision = np.diag(1.0 / var)
-    return gaussian_density(mu, precision)
+    """Product of independent univariate normals: the Gaussian with
+    diagonal precision 1 / variance."""
+    var = _floats(variances, "variances", positive=True)
+    if not hasattr(means, "__len__") or len(means) != len(var):
+        raise DomainError("means and variances must have the same length")
+    return gaussian_density(means, np.diag(1.0 / np.array(var)))

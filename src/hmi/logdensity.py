@@ -312,27 +312,34 @@ def total_degree_cumulant_check(g: SparsePolynomial, d: int) -> bool:
     return g.total_degree() <= d - 1
 
 
+def _finite_real(x) -> bool:
+    """Real, not boolean, and finite."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and abs(x) < math.inf)
+
+
 @dataclass(frozen=True)
 class GaussianSpec:
-    """Mean vector and precision (influence) matrix."""
+    """Mean vector and precision (influence) matrix.  The precision must
+    be exactly symmetric; a computed inverse may need ``(A + A.T) / 2``."""
     mean: tuple
     precision: tuple
 
     def __post_init__(self):
-        p = len(self.mean)
-        prec = tuple(tuple(row) for row in self.precision)
-        if len(prec) != p or any(len(row) != p for row in prec):
-            raise DomainError("precision matrix must be p x p")
-        entries = (*self.mean, *sum(prec, ()))
-        if not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
-                   and abs(x) < math.inf for x in entries):
-            raise DomainError("mean and precision entries must be finite "
-                              "real numbers")
-        for i in range(p):
-            for j in range(p):
-                if prec[i][j] != prec[j][i]:
-                    raise DomainError("precision matrix must be symmetric")
-        object.__setattr__(self, "mean", tuple(self.mean))
+        try:
+            mean = tuple(self.mean)
+            prec = tuple(tuple(row) for row in self.precision)
+        except TypeError:
+            mean = prec = ()
+        p = len(mean)
+        if not p or len(prec) != p or any(len(row) != p for row in prec):
+            raise DomainError("mean must be a vector of length p >= 1 and "
+                              "precision a p x p matrix")
+        if not all(map(_finite_real, (*mean, *sum(prec, ())))):
+            raise DomainError("Gaussian entries must be finite real numbers")
+        if any(prec[i][j] != prec[j][i] for i in range(p) for j in range(i)):
+            raise DomainError("precision matrix must be symmetric")
+        object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "precision", prec)
 
     @property
@@ -376,12 +383,20 @@ class MECSpec:
     coeffs: Mapping[tuple, object]
 
     def __post_init__(self):
+        try:
+            p, items = _json_int(self.p), self.coeffs.items()
+        except (AttributeError, TypeError):
+            raise DomainError("MEC spec needs an integer p and a mapping of "
+                              "coefficients") from None
         clean = {}
-        for s, a in self.coeffs.items():
-            s = tuple(s)
-            if len(s) != self.p or any(v not in (0, 1) for v in s):
+        for s, a in items:
+            if not (isinstance(s, Iterable) and len(s := tuple(s)) == p
+                    and all(v in (0, 1) for v in s)):
                 raise DomainError(f"non-binary index {s} in MEC spec")
+            if not _finite_real(a):
+                raise DomainError(f"MEC coefficient {a!r}: not a finite real")
             clean[s] = Fraction(a)
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "coeffs", clean)
 
 
@@ -400,8 +415,7 @@ def mec_support_complex(spec: MECSpec) -> SimplicialComplex:
 
 def gaussian_spec_from_json(obj: Mapping) -> GaussianSpec:
     try:
-        return GaussianSpec(tuple(obj["mean"]),
-                            tuple(tuple(r) for r in obj["precision"]))
+        return GaussianSpec(obj["mean"], obj["precision"])
     except (KeyError, TypeError):
         raise DomainError("gaussian JSON needs 'mean' and 'precision'") \
             from None
@@ -409,7 +423,7 @@ def gaussian_spec_from_json(obj: Mapping) -> GaussianSpec:
 
 def mec_spec_from_json(obj: Mapping) -> MECSpec:
     try:
-        p = _json_int(obj["p"])
+        p = obj["p"]
         coeffs = {tuple(int(ch) for ch in key): Fraction(str(val))
                   for key, val in obj["coeffs"].items()}
     except (AttributeError, KeyError, TypeError, ValueError,

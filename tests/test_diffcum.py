@@ -1,15 +1,23 @@
 """Numeric differential and local moments/cumulants against closed-form
-Gaussian oracles, scaling-factor goldens, and the convergence probe."""
+Gaussian oracles, scaling-factor goldens, and the convergence probe; the
+density builders against the exact specs they compile."""
+import math
+import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hmi import (DensityOracle, CubeWindow, parity_alpha, r_factor,
                  same_moment_class, differential_moment,
                  differential_cumulant, local_moment, local_cumulant,
                  limit_matches_differential, gaussian_density, mec_density,
-                 product_gaussian_density)
+                 product_gaussian_density, GaussianSpec, MECSpec,
+                 gaussian_log_poly, mec_polynomial, mec_support_complex,
+                 make_complex, stanley_reisner, differentiate,
+                 is_hierarchical)
 from hmi.errors import DomainError
 
 from oracles import (gaussian_derivative_ratio, gaussian_log_derivative,
@@ -244,6 +252,45 @@ def test_non_finite_point_rejected(bad):
         local_cumulant(f, CubeWindow(xi, 0.1), (1, 1))
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda f: differential_moment(f, (0.0, 0.0), (-1, 1)), "multi-index"),
+    (lambda f: differential_moment(f, (0.0, 0.0), (1.5, 1)), "multi-index"),
+    (lambda f: differential_cumulant(f, (0.0, 0.0), (-1, 1),
+                                     method="logderiv"), "multi-index"),
+    (lambda f: differential_cumulant(f, (0.0, 0.0), (1.5, 1)),
+     "multi-index"),
+    (lambda f: local_moment(f, CubeWindow((0.0, 0.0), 0.1), (-1, 1)),
+     "multi-index"),
+    (lambda f: differential_moment(f, ("a", 0.0), (1, 1)), "point xi"),
+    (lambda f: differential_cumulant(f, (None, 0.0), (1, 1)), "point xi"),
+    (lambda f: differential_moment(f, 0.0, (1, 1)), "point xi"),
+    (lambda f: differential_moment(f, (True, 0.0), (1, 1)), "point xi"),
+    (lambda f: CubeWindow(("0", 0.0), 0.1), "centre"),
+    (lambda f: CubeWindow((0.0, 0.0), "0.1"), "half-width"),
+    (lambda f: CubeWindow((0.0, 0.0), float("inf")), "half-width"),
+    (lambda f: limit_matches_differential(f, (0.0, 0.0), (1, 1),
+                                          [0.4, "x", 0.1]), "eps values"),
+    (lambda f: limit_matches_differential(f, (0.0, 0.0), (1, 1), 0.4),
+     "eps values"),
+    (lambda f: differential_moment(f, (0.0, 0.0), (1, 1), step_scale=0),
+     "step_scale"),
+    (lambda f: differential_cumulant(f, (0.0, 0.0), (1, 1),
+                                     step_scale=float("nan")), "step_scale"),
+    (lambda f: differential_cumulant(f, (0.0, 0.0), (1, 1),
+                                     method="logderiv", step_scale=-1e-3),
+     "step_scale"),
+], ids=["moment-k-negative", "moment-k-float", "logderiv-k-negative",
+        "partition-k-float", "local-k-negative", "xi-string", "xi-none",
+        "xi-scalar", "xi-bool", "centre-string", "eps-string", "eps-inf",
+        "eps-values-string", "eps-values-scalar", "step-zero", "step-nan",
+        "step-negative"])
+def test_bad_estimator_arguments_rejected(call, match):
+    # each used to be read silently (k = (-1, 1) as (1, 1), an infinite
+    # half-width) or to end in a TypeError, ValueError or ZeroDivisionError
+    with pytest.raises(DomainError, match=match):
+        call(std_pair())
+
+
 def test_non_positive_density_rejected():
     f = DensityOracle(1, lambda pts: pts[:, 0])    # negative left of 0
     with pytest.raises(DomainError, match="non-positive"):
@@ -347,3 +394,158 @@ def test_product_gaussian_diff_cumulant_cross_terms_vanish():
     f = product_gaussian_density([0.5, -1.0], [1.0, 2.0])
     got = differential_cumulant(f, (0.2, 0.3), (1, 1)).value
     assert got == pytest.approx(0.0, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the builders compile the exact specs
+
+# a computed inverse is symmetric only up to rounding
+INVERSE = np.linalg.inv(np.array([[2.0, 0.3, 0.1], [0.3, 1.5, 0.2],
+                                  [0.1, 0.2, 1.0]]))
+GAUSSIAN = (GaussianSpec, gaussian_density)
+MEC = (MECSpec, lambda p, coeffs: mec_density(coeffs, p))
+
+
+@pytest.mark.parametrize("builders, args", [
+    (GAUSSIAN, (5, ((1,),))),
+    (GAUSSIAN, ((0,), 5)),
+    (GAUSSIAN, ((0,), (5,))),
+    (GAUSSIAN, ((), ())),
+    (GAUSSIAN, ((0, 0), ((1, 0),))),
+    (GAUSSIAN, ((0, True), ((1, 0), (0, 1)))),
+    (GAUSSIAN, ((0, np.bool_(True)), ((1, 0), (0, 1)))),
+    (GAUSSIAN, ((0, "0"), ((1, 0), (0, 1)))),
+    (GAUSSIAN, ((0, 0), ((1, np.nan), (np.nan, 1)))),
+    (GAUSSIAN, ((0, 0), ((np.inf, 0), (0, 1)))),
+    (GAUSSIAN, ((0, 0), ((1, 2), (3, 1)))),
+    (GAUSSIAN, ((0, 0, 0), INVERSE)),
+    ((gaussian_density,), ((10 ** 400,), ((1,),))),
+    ((gaussian_density,), ((0, 0), ((1, 2), (2, 1)))),
+    ((product_gaussian_density,), ([0.0], 5)),
+    ((product_gaussian_density,), (5, [1.0])),
+    ((product_gaussian_density,), ([0.0, 0.0], [1.0])),
+    ((product_gaussian_density,), ([], [])),
+    ((product_gaussian_density,), ([0.0], [0.0])),
+    ((product_gaussian_density,), ([0.0], [True])),
+    ((product_gaussian_density,), ([0.0], [np.bool_(True)])),
+    ((product_gaussian_density,), ([0.0], ["1"])),
+    ((product_gaussian_density,), ([0.0], [np.nan])),
+    ((product_gaussian_density,), ([0.0], [np.inf])),
+    ((product_gaussian_density,), ([0.0], [10 ** 400])),
+    ((product_gaussian_density,), ([10 ** 400], [1.0])),
+    ((product_gaussian_density,), (["0"], [1.0])),
+    (MEC, (2, {(1, 1): np.nan})),
+    (MEC, (2, {(1, 1): np.inf})),
+    (MEC, (2, {(1, 1): "abc"})),
+    (MEC, (2, {(1, 1): True})),
+    (MEC, (2, [((1, 1), 0.5)])),
+    (MEC, (2.0, {(1, 1): 0.5})),
+    (MEC, (True, {(1,): 0.5})),
+    (MEC, ("2", {(1, 1): 0.5})),
+    (MEC, (2, {(2, 0): 0.5})),
+    (MEC, (2, {(1, 1, 0): 0.5})),
+    (MEC, (1, {1: 0.5})),
+    ((MEC[1],), (1, {(1,): 10 ** 400})),
+], ids=["mean-scalar", "precision-scalar", "precision-row-scalar",
+        "no-variables", "precision-shape", "bool", "numpy-bool", "string",
+        "nan", "inf", "asymmetric", "inverse-3x3", "huge-int",
+        "indefinite", "variances-scalar", "means-scalar",
+        "variances-length", "product-empty", "variance-zero",
+        "variance-bool", "variance-numpy-bool", "variance-string",
+        "variance-nan", "variance-inf", "variance-huge-int",
+        "mean-huge-int", "mean-string", "mec-nan", "mec-inf", "mec-string",
+        "mec-bool", "mec-coeffs-list", "mec-p-float", "mec-p-bool",
+        "mec-p-string", "mec-non-binary",
+        "mec-index-length", "mec-index-scalar", "mec-huge-int"])
+def test_bad_density_parameters_rejected(builders, args):
+    for build in builders:
+        with pytest.raises(DomainError):
+            build(*args)
+
+
+def test_symmetrised_inverse_precision_accepted():
+    lam = (INVERSE + INVERSE.T) / 2
+    assert GaussianSpec((0, 0, 0), lam).p == 3
+    assert gaussian_density((0, 0, 0), lam)((0.1, 0.2, 0.3)) > 0
+
+
+@st.composite
+def mec_specs(draw):
+    """A random complex Delta on p <= 4 vertices, given by its generating
+    faces, and an MEC spec with a positive rational coefficient on each
+    of them.  Coefficients of at most 1/8 keep the partition sum's
+    fourth-order finite differences within 1e-6 of zero; every
+    non-vanishing cumulant is still above 1/256."""
+    p = draw(st.integers(1, 4))
+    subsets = [s for s in product((0, 1), repeat=p) if any(s)]
+    facets = draw(st.lists(st.sampled_from(subsets), min_size=1,
+                           max_size=4, unique=True))
+    coeff = st.fractions(Fraction(1, 32), Fraction(1, 8), max_denominator=32)
+    coeffs = {s: draw(coeff) for s in facets}
+    return MECSpec(p, coeffs), facets
+
+
+def _log_density_gap(f, poly, rng):
+    """log f(x) - log f(y) against the exact polynomial's g(x) - g(y) at
+    two seeded points, relative to the size of g."""
+    x, y = ([rng.uniform(-1.5, 1.5) for _ in range(f.p)] for _ in range(2))
+    gx, gy = (poly.evaluate([Fraction(v) for v in pt]) for pt in (x, y))
+    got = math.log(f(x)) - math.log(f(y))
+    return abs(got - float(gx - gy)) / (1 + abs(gx) + abs(gy))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(mec_specs(), st.integers(0, 2 ** 32))
+def test_mec_spec_drives_both_sides_of_the_dictionary(drawn, seed):
+    spec, facets = drawn
+    p = spec.p
+    delta = make_complex(p, [[i + 1 for i in range(p) if s[i]]
+                             for s in facets])
+    g = mec_polynomial(spec)
+    assert mec_support_complex(spec) == delta and is_hierarchical(g, delta)
+    f = mec_density(spec.coeffs, p)
+    rng = random.Random(seed)
+    xi = tuple(rng.uniform(0.5, 1.5) for _ in range(p))
+    # the central difference is exact on a multilinear log-density, so the
+    # log-derivative takes a wide step; the partition sum differentiates
+    # exp(g), and 1e-2 balances its truncation against rounding
+    steps = {"partition": 1e-2, "logderiv": 1e-1}
+    vanishing = []
+    for alpha in product((0, 1), repeat=p):
+        if not any(alpha):
+            continue
+        in_delta = any(all(a <= s for a, s in zip(alpha, facet))
+                       for facet in facets)
+        assert differentiate(g, alpha).is_zero() == (not in_delta)
+        for method, step in steps.items():
+            value = differential_cumulant(f, xi, alpha, method=method,
+                                          step_scale=step).value
+            assert (abs(value) <= 1e-6) == (not in_delta), (alpha, method)
+        if not in_delta:
+            vanishing.append(frozenset(i + 1 for i in range(p) if alpha[i]))
+    minimal = {a for a in vanishing if not any(b < a for b in vanishing)}
+    assert minimal == set(stanley_reisner(delta).generator_sets())
+    assert _log_density_gap(f, g, rng) <= 1e-12
+
+
+@st.composite
+def gaussian_specs(draw):
+    """Rational mean and a diagonally dominant rational precision."""
+    p = draw(st.integers(1, 4))
+    rational = st.fractions(-2, 2, max_denominator=8)
+    mean = [draw(rational) for _ in range(p)]
+    lam = [[Fraction(0)] * p for _ in range(p)]
+    for i in range(p):
+        for j in range(i):
+            lam[i][j] = lam[j][i] = draw(rational)
+    for i in range(p):
+        lam[i][i] = 1 + sum(abs(v) for v in lam[i])
+    return GaussianSpec(mean, lam)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(gaussian_specs(), st.integers(0, 2 ** 32))
+def test_gaussian_spec_compiles_to_its_log_polynomial(spec, seed):
+    f = gaussian_density(spec.mean, spec.precision)
+    assert _log_density_gap(f, gaussian_log_poly(spec),
+                            random.Random(seed)) <= 1e-12
