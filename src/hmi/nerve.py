@@ -11,29 +11,54 @@ and the nerve at radius s is the set of J with birth(J) <= s +
 FACE_TOLERANCE.  By induction on |J| that is exactly the level-by-level
 recursion "enclosing radius within tolerance, and every facet present", so
 a whole filtration is one set of birth radii, thresholded at each step.
+Simplices are bit masks over point positions.
 
-Balls are inherited rather than re-solved where possible: if a vertex w of
-J lies in the smallest enclosing ball of J minus w, that ball encloses J
-too and is its smallest one.  Otherwise the newest vertex lies outside the
-ball of the face it extends, so it lies on the boundary of J's ball, and
-Welzl's recursion runs over the face with that vertex on the boundary."""
+Each simplex J inherits a ball or else solves one.  If a vertex w of J lies
+in the smallest enclosing ball of J minus w, that ball encloses J too and
+is its smallest one; vertices are tried in ascending order.  Otherwise no
+vertex lies in the ball of its opposite facet, so by Welzl's lemma every
+vertex lies on the boundary of J's smallest ball: that ball is J's
+circumball, one ``_circumball`` solve with no recursion.  Its boundary is
+listed as Welzl's recursion over the face, with the newest vertex on the
+boundary, would list it in its last call, so a birth radius does not depend
+on which of the two computed it.  Welzl's recursion itself serves only
+``smallest_enclosing_ball`` and ``enclosing_radius``."""
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError
+from .graphs import _bits
 from .hierarchy import is_decomposable
-from .simplicial import SimplicialComplex, make_complex
+from .logdensity import _finite_real
+from .simplicial import (MAX_VERTICES, SimplicialComplex, _antichain,
+                         _json_int)
 
 #: slack on the ball-intersection test, stabilizes boundary cases
 FACE_TOLERANCE = 1e-9
 MAX_NERVE_DIM = 8
+
+
+def _rows(points) -> tuple:
+    """A non-empty p x d array of finite real numbers as float tuples."""
+    try:
+        rows = [tuple(row) for row in points]
+    except TypeError:
+        rows = []
+    if not rows or any(len(row) != len(rows[0]) for row in rows):
+        raise DomainError("points must form a non-empty p x d array")
+    try:
+        if all(_finite_real(x) for row in rows for x in row):
+            return tuple(tuple(map(float, row)) for row in rows)
+    except OverflowError:
+        pass
+    raise DomainError("points must be finite real numbers")
 
 
 @dataclass(frozen=True)
@@ -41,12 +66,7 @@ class PointCloud:
     points: tuple        # p rows of d coordinates
 
     def __post_init__(self):
-        arr = np.asarray(self.points, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] < 1:
-            raise DomainError("point cloud must be a non-empty p x d array")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("points must be finite")
-        object.__setattr__(self, "points", tuple(map(tuple, arr.tolist())))
+        object.__setattr__(self, "points", _rows(self.points))
 
     @property
     def p(self):
@@ -106,12 +126,24 @@ def _circumball(boundary: tuple, d: int):
     return center, max(math.dist(center, q) for q in boundary)
 
 
+@cache
+def _shuffle(n: int) -> tuple:
+    """The fixed pseudo-random order in which Welzl's recursion visits n
+    points."""
+    order = list(range(n))
+    random.Random(0x5eb).shuffle(order)
+    return tuple(order)
+
+
+def _shuffled(points: Sequence[tuple]) -> list:
+    return [points[i] for i in _shuffle(len(points))]
+
+
 def _welzl(points: Sequence[tuple], d: int, boundary: tuple = ()):
     """Welzl's randomized incremental algorithm on float tuples, with a
     deterministic shuffle: the smallest ball enclosing ``points`` that has
     every ``boundary`` point on its boundary."""
-    order = list(points)
-    random.Random(0x5eb).shuffle(order)
+    order = _shuffled(points)
 
     def welzl(n, bnd):
         if n == 0 or len(bnd) == d + 1:
@@ -127,10 +159,8 @@ def _welzl(points: Sequence[tuple], d: int, boundary: tuple = ()):
 
 def smallest_enclosing_ball(pts) -> tuple[np.ndarray, float]:
     """Welzl's randomized incremental algorithm (deterministic shuffle)."""
-    arr = np.asarray(pts, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] < 1:
-        raise DomainError("need a non-empty list of points")
-    center, radius = _welzl(list(map(tuple, arr.tolist())), arr.shape[1])
+    rows = _rows(pts)
+    center, radius = _welzl(rows, len(rows[0]))
     return np.array(center), float(radius)
 
 
@@ -139,7 +169,7 @@ def enclosing_radius(cloud: PointCloud, indices: Iterable[int]) -> float:
     point indices: the equal balls B_i(r) intersect iff r is at least the
     smallest-enclosing-ball radius of the points."""
     try:
-        indices = [operator.index(i) for i in indices]
+        indices = [_json_int(i) for i in indices]
     except TypeError:
         raise DomainError("point indices must be integers") from None
     if not indices:
@@ -151,19 +181,23 @@ def enclosing_radius(cloud: PointCloud, indices: Iterable[int]) -> float:
 
 
 def _radius(r) -> float:
+    """A non-negative real number, or infinity."""
     if np.ndim(r) != 0:
         raise DomainError("equal radii only: r must be a scalar")
-    r = float(r)
-    if not r >= 0:
+    if not (_finite_real(r) or r == math.inf) or r < 0:
         raise DomainError("radius must be a non-negative number")
-    return r
+    return float(r)
 
 
 def _max_dim(cloud: PointCloud, max_dim) -> int:
+    """The dimension cap, once the cloud is known to fit a complex: checked
+    before any ball is solved."""
+    if cloud.p > MAX_VERTICES:
+        raise DomainError(f"at most {MAX_VERTICES} vertices supported")
     if max_dim is None:
         return min(cloud.p - 1, MAX_NERVE_DIM)
     try:
-        max_dim = operator.index(max_dim)
+        max_dim = _json_int(max_dim)
     except TypeError:
         raise DomainError("max_dim must be an integer") from None
     if max_dim < 0:
@@ -172,44 +206,54 @@ def _max_dim(cloud: PointCloud, max_dim) -> int:
 
 
 def _births(cloud: PointCloud, r: float, max_dim: int) -> dict:
-    """Birth radius of every simplex (a sorted index tuple) of the nerve at
-    radius r, up to max_dim.  A face f grows only by the vertices v > max(f)
-    joined to every vertex of f in the nerve's 1-skeleton, so each
-    candidate arises once; it is kept when all its facets were kept and its
-    birth is within tolerance of r."""
+    """Birth radius of every simplex (a bit mask over point positions) of
+    the nerve at radius r, up to max_dim.  A face f grows only by the
+    vertices above its highest one that are joined to every vertex of f in
+    the nerve's 1-skeleton, so each candidate arises once; it is kept when
+    all its facets were kept and its birth is within tolerance of r."""
     pts = cloud.points
     limit = r + FACE_TOLERANCE
     p, d = cloud.p, cloud.d
-    births = {(i,): 0.0 for i in range(1, p + 1)}
-    balls = {(i,): (pts[i - 1], 0.0) for i in range(1, p + 1)}
-    # upward neighbours; every later vertex until the edges are known
-    up = {i: range(i + 1, p + 1) for i in range(1, p + 1)}
+    births = {1 << i: 0.0 for i in range(p)}
+    balls = {1 << i: (pts[i], 0.0) for i in range(p)}
+    full = (1 << p) - 1
+    # upward neighbour masks; every later vertex until the edges are known
+    up = [full ^ ((2 << i) - 1) for i in range(p)]
     level = list(births)
     for size in range(2, max_dim + 2):
         grown = []
         for f in level:
-            common = set(up[f[0]]).intersection(*(up[u] for u in f[1:]))
-            for v in sorted(common):
-                simplex = f + (v,)
-                facets = [simplex[:k] + simplex[k + 1:] for k in range(size)]
-                if not all(g in births for g in facets):
-                    continue
-                for w, g in zip(simplex, facets):
-                    if _inside(pts[w - 1], balls[g]):
+            verts = list(_bits(f))
+            common = full
+            for u in verts:
+                common &= up[u]
+            for v in _bits(common):
+                simplex, corners = f | 1 << v, verts + [v]
+                facets = [simplex ^ 1 << w for w in corners]
+                try:
+                    facet_birth = max([births[g] for g in facets])
+                except KeyError:
+                    continue            # a facet is not in the nerve
+                for w, g in zip(corners, facets):
+                    if _inside(pts[w], balls[g]):
                         ball = balls[g]
                         break
                 else:
-                    # v lies outside the ball of f, hence on this one's
-                    ball = _welzl([pts[u - 1] for u in f], d, (pts[v - 1],))
-                birth = max(ball[1], max(births[g] for g in facets))
+                    # every vertex lies on the boundary: the circumball, as
+                    # the last call of _welzl(f, d, (v,)) would solve it
+                    face = _shuffled([pts[u] for u in verts])
+                    ball = _circumball(
+                        ((pts[v],) + tuple(reversed(face)))[:d + 1], d)
+                birth = max(ball[1], facet_birth)
                 if birth <= limit:
                     births[simplex] = birth
                     balls[simplex] = ball
                     grown.append(simplex)
         if size == 2:
-            up = {i: set() for i in range(1, p + 1)}
-            for u, v in grown:
-                up[u].add(v)
+            up = [0] * p
+            for edge in grown:
+                low = edge & -edge
+                up[low.bit_length() - 1] |= edge ^ low
         level = grown
         if not level:
             break
@@ -217,8 +261,8 @@ def _births(cloud: PointCloud, r: float, max_dim: int) -> dict:
 
 
 def _threshold(p: int, births: dict, r: float) -> SimplicialComplex:
-    return make_complex(p, [s for s, b in births.items()
-                            if b <= r + FACE_TOLERANCE])
+    return SimplicialComplex(p, _antichain(
+        s for s, b in births.items() if b <= r + FACE_TOLERANCE))
 
 
 def nerve_complex(cloud: PointCloud, r, max_dim: int | None = None
@@ -244,7 +288,10 @@ def filtration(cloud: PointCloud, radii: Sequence[float],
     decomposability flag per step.  The birth radii are computed once, at
     the largest radius, and each step thresholds them: step r equals
     ``nerve_complex(cloud, r, max_dim)``."""
-    radii = [_radius(r) for r in radii]
+    try:
+        radii = [_radius(r) for r in radii]
+    except TypeError:
+        raise DomainError("radii must be a list of numbers") from None
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise DomainError("radii must be strictly increasing")
     max_dim = _max_dim(cloud, max_dim)

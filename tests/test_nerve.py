@@ -1,13 +1,16 @@
 """Smallest enclosing balls and nerve complexes: geometric goldens, the
-collinear filtration, nesting and edge-before-face ordering."""
+collinear filtration, nesting and edge-before-face ordering, the brute Čech
+comparison on random and lattice clouds, and the ball-solve count."""
 import math
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hmi import (PointCloud, smallest_enclosing_ball, nerve_complex,
-                 filtration)
+                 filtration, nerve)
 from hmi.errors import DomainError
 from hmi.nerve import FACE_TOLERANCE, enclosing_radius, points_from_csv
 from oracles import brute_meb_radius
@@ -114,6 +117,13 @@ def _faces(S):
             for sub in combinations(sorted(f), size)}
 
 
+def _brute_meb(pts):
+    p = len(pts)
+    return {frozenset(sub): brute_meb_radius(pts[[i - 1 for i in sub]])
+            for size in range(1, p + 1)
+            for sub in combinations(range(1, p + 1), size)}
+
+
 def test_nerve_matches_brute_cech():
     # the nerve at r is every index set whose smallest enclosing ball has
     # radius at most r; clouds include lattice points, so duplicates and
@@ -127,9 +137,7 @@ def test_nerve_matches_brute_cech():
             pts = np.round(pts * 2) / 2
             pts[-1] = pts[0]
         radii = sorted(float(r) for r in rng.uniform(0.05, 2.0, 3))
-        meb = {frozenset(sub): brute_meb_radius(pts[[i - 1 for i in sub]])
-               for size in range(1, p + 1)
-               for sub in combinations(range(1, p + 1), size)}
+        meb = _brute_meb(pts)
         if any(abs(v - r) < 1e-7 for v in meb.values() for r in radii):
             continue
         cloud = PointCloud(tuple(map(tuple, pts)))
@@ -141,6 +149,54 @@ def test_nerve_matches_brute_cech():
             assert step.complex == S
         checked += 1
     assert checked >= 50
+
+
+@st.composite
+def lattice_clouds(draw):
+    # integer points in a 3^d box: cocircular squares, collinear triples
+    # and duplicates, where every vertex of a simplex may lie on its ball
+    d = draw(st.integers(1, 3))
+    coords = st.lists(st.integers(0, 2), min_size=d, max_size=d)
+    return np.array(draw(st.lists(coords, min_size=1, max_size=7)),
+                    dtype=float)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(lattice_clouds(),
+       st.lists(st.floats(0.05, 2.5), min_size=1, max_size=3, unique=True))
+def test_nerve_matches_brute_cech_on_lattices(pts, radii):
+    meb = _brute_meb(pts)
+    radii = sorted(r for r in radii
+                   if all(abs(v - r) >= 1e-7 for v in meb.values()))
+    cloud = PointCloud(tuple(map(tuple, pts)))
+    for r, step in zip(radii, filtration(cloud, radii)):
+        assert _faces(step.complex) == \
+            {s for s, v in meb.items() if v <= r + FACE_TOLERANCE}
+
+
+def test_filtration_solves_each_simplex_at_most_once(monkeypatch):
+    # a jittered 5 x 4 planar grid: every simplex inherits a facet's ball or
+    # solves its circumball once, and Welzl's recursion never runs
+    rng = np.random.default_rng(12)
+    pts = [(0.9 * i + rng.uniform(-0.018, 0.018),
+            0.9 * j + rng.uniform(-0.018, 0.018))
+           for i in range(5) for j in range(4)]
+
+    def no_welzl(*args):
+        raise AssertionError("Welzl's recursion ran")
+    solved = Counter()
+    circumball = nerve._circumball
+
+    def counted(boundary, d):
+        # in the plane a solved simplex has at most d + 1 = 3 vertices, so
+        # the boundary is the whole simplex
+        solved[frozenset(boundary)] += 1
+        return circumball(boundary, d)
+    monkeypatch.setattr(nerve, "_welzl", no_welzl)
+    monkeypatch.setattr(nerve, "_circumball", counted)
+    steps = filtration(PointCloud(pts), [0.35, 0.55, 0.75, 0.95, 1.1])
+    assert len(steps) == 5
+    assert solved and max(solved.values()) == 1
 
 
 def test_max_dim_cap():
@@ -180,6 +236,38 @@ def test_nerve_validation():
         PointCloud(((float("nan"),),))
     with pytest.raises(DomainError):
         PointCloud(())
+    # non-numbers, strings and booleans are neither radii nor coordinates
+    for r in ("abc", None, "0.7", True):
+        with pytest.raises(DomainError):
+            nerve_complex(cloud, r)
+    for radii in (None, "0.5"):
+        with pytest.raises(DomainError):
+            filtration(cloud, radii)
+    for rows in (((0.0,), (1.0, 2.0)), ("ab", "cd"), ((True,), (False,))):
+        with pytest.raises(DomainError):
+            PointCloud(rows)
+    inf = float("inf")
+    for pts in ([[nan, 0.0]], [[inf, 0.0]], [[0.0, 0.0], [1.0]],
+                [["a", "b"]]):
+        with pytest.raises(DomainError):
+            smallest_enclosing_ball(pts)
+    with pytest.raises(DomainError, match="integer"):
+        nerve_complex(cloud, 1.0, max_dim=True)
+    with pytest.raises(DomainError):
+        enclosing_radius(cloud, [True, 2])
+    # an infinite radius joins every ball
+    assert nerve_complex(cloud, inf).facet_sets() == [frozenset({1, 2})]
+
+
+def test_too_many_points_fail_before_any_ball(monkeypatch):
+    def no_births(*args):
+        raise AssertionError("a birth radius was computed")
+    monkeypatch.setattr(nerve, "_births", no_births)
+    cloud = PointCloud(tuple((float(i),) for i in range(70)))
+    with pytest.raises(DomainError, match="at most 64"):
+        nerve_complex(cloud, 1.0)
+    with pytest.raises(DomainError, match="at most 64"):
+        filtration(cloud, [0.5, 1.0])
 
 
 def test_points_from_csv():
