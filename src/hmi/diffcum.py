@@ -277,13 +277,21 @@ def _local_moments(f: DensityOracle, window: CubeWindow, k, nodes, method,
         raise DomainError(f"unknown method {method!r}")
     vals = _sample(f, np.asarray(center) + offsets)
     denom = float(weights @ vals)
+    # prefix[i]: the product of x_j^nu_j over j < i for the last nu, built
+    # from ones left to right as a fresh monomial would be.  _cumulants
+    # asks in ``product`` order, so consecutive nu share a long prefix.
+    prefix, last = [np.ones(len(offsets))], ()
 
     def moment(nu):
-        mono = np.ones(len(offsets))
-        for i, ki in enumerate(nu):
-            if ki:
-                mono *= offsets[:, i] ** ki
-        return float(weights @ (mono * vals)) / denom
+        nonlocal last
+        same = next((i for i, (a, b) in enumerate(zip(nu, last)) if a != b),
+                    len(last))
+        del prefix[same + 1:]
+        for i in range(same, len(nu)):
+            prefix.append(prefix[i] * offsets[:, i] ** nu[i] if nu[i]
+                          else prefix[i])
+        last = nu
+        return float(weights @ (prefix[-1] * vals)) / denom
 
     meta.update({"k": k, "eps": window.eps, "center": center,
                  "method": method})

@@ -5,8 +5,9 @@ A multi-index k in N^p stands for the multiset holding k_i copies of the
 symbol i (1-based).  A partition is represented as a tuple of multi-indices,
 one per block, with the blocks sorted in descending lexicographic order so
 that every partition of a multiset has exactly one representation.  They are
-enumerated by Knuth's Algorithm M (TAOCP 4A, 7.2.1.5), which visits each
-partition once in O(1) amortized steps.
+enumerated by a recursion over sub-multisets: the largest block, then a
+partition of the rest into blocks no larger, with the partitions of every
+rest memoised for one call under its mixed-radix rank.
 
 The transform is Smith's recursion over the sub-multi-indices of k, kept in
 flat lists indexed by mixed-radix rank.  An exact moment table runs it in
@@ -16,8 +17,9 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, islice, product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError
@@ -83,76 +85,51 @@ def enumerate_partitions(k: Sequence[int]) -> list[Partition]:
         raise DomainError(
             f"multi-index order {sum(k)} exceeds enumeration bound "
             f"{MAX_ENUMERATION_ORDER}")
-    # Algorithm M visits the partitions in decreasing lexicographic order
-    out = list(_multiset_partitions(k))
-    out.reverse()
+    strides = _strides(k)
+    rank = sum(v * s for v, s in zip(k, strides))
+    return _multiset_partitions(k, rank, strides, {}, {}, False)
+
+
+def _strides(k) -> list[int]:
+    """Mixed-radix strides of the sub-multi-indices of k: nu <= k has rank
+    sum_j nu_j * strides[j], and ``product`` order is rank order."""
+    strides = [1] * len(k)
+    for j in range(len(k) - 1, 0, -1):
+        strides[j - 1] = strides[j] * (k[j] + 1)
+    return strides
+
+
+def _multiset_partitions(m, r, strides, memo, interned, keep):
+    """The partitions of the sub-multiset m (rank r) in ascending lex order.
+
+    The largest block B holds m's first symbol, and the rest is a partition
+    of m - B whose blocks are all <= B: a prefix of the ascending list for
+    m - B, found by bisecting on first blocks.  B runs in ``product``
+    order, which is ascending, so the output is ascending too.
+
+    ``memo`` maps the rank of a remainder to its list, for the deeper
+    calls that reach it again.  The top level (``keep`` false) is the last
+    to read each of its own remainders, so it pops them.  ``interned``
+    maps a block's rank to its one tuple."""
+    i = next(j for j, v in enumerate(m) if v)
+    out = []
+    for b in product(*(range(1 if j == i else 0, v + 1)
+                       for j, v in enumerate(m))):
+        rb = sum(v * s for v, s in zip(b, strides))
+        head = (interned.setdefault(rb, b),)
+        rest = r - rb
+        if not rest:
+            out.append(head)
+            continue
+        sub = memo.get(rest) if keep else memo.pop(rest, None)
+        if sub is None:
+            sub = _multiset_partitions(tuple(map(operator.sub, m, b)), rest,
+                                       strides, memo, interned, True)
+            if keep:
+                memo[rest] = sub
+        cut = bisect_right(sub, b, key=operator.itemgetter(0))
+        out += [head + tail for tail in islice(sub, cut)]
     return out
-
-
-def _multiset_partitions(k):
-    """Knuth's Algorithm M (TAOCP 4A, 7.2.1.5, "multipartitions").
-
-    Part l of the current partition is the stack frame f[l]..f[l+1]-1:
-    entry j says that component c[j] has u[j] copies left to place in parts
-    l, l+1, ... and v[j] of them in part l.  Each part is the largest the
-    parts before it allow, so the parts come out in descending lex order.
-    Block tuples are interned: equal blocks of different partitions are one
-    object, and a part is rebuilt only once its frame has changed."""
-    p, n = len(k), sum(k)
-    m = sum(1 for x in k if x)
-    c, u, v = [0] * (n * m + 1), [0] * (n * m + 1), [0] * (n * m + 1)
-    f = [0] * (n + 2)
-    # M1: the whole multiset in one part
-    c[:m] = [i for i, x in enumerate(k) if x]
-    u[:m] = v[:m] = [x for x in k if x]
-    a, b, level, f[1] = 0, m, 0, m
-    blocks = [()] * (n + 1)
-    fresh = 0  # lowest part whose block changed since the last visit
-    interned = {}
-    while True:
-        # M2: subtract v from u; M3: push the remainder as a new part
-        while True:
-            top, shrunk = b, False
-            for j in range(a, b):
-                rest = u[j] - v[j]
-                if not rest:
-                    shrunk = True
-                    continue
-                c[top], u[top] = c[j], rest
-                if shrunk:
-                    v[top] = rest
-                else:
-                    v[top] = rest if rest < v[j] else v[j]
-                    shrunk = rest < v[j]
-                top += 1
-            if top == b:
-                break
-            a, b, level = b, top, level + 1
-            f[level + 1] = b
-        # M4: visit
-        for l in range(fresh, level + 1):
-            row = [0] * p
-            for j in range(f[l], f[l + 1]):
-                row[c[j]] = v[j]
-            row = tuple(row)
-            blocks[l] = interned.setdefault(row, row)
-        yield tuple(blocks[:level + 1])
-        # M5: decrease v, M6: backtracking to an earlier part when this
-        # one cannot be decreased
-        while True:
-            j = b - 1
-            while not v[j]:
-                j -= 1
-            if j != a or v[j] != 1:
-                break
-            if not level:
-                return
-            level -= 1
-            b, a = a, f[level]
-        v[j] -= 1
-        for i in range(j + 1, b):
-            v[i] = u[i]
-        fresh = level
 
 
 def _factorials(n: int) -> list[int]:
@@ -224,9 +201,7 @@ def _cumulants(k, moment):
     k = _validate(k)
     if not any(k):
         raise DomainError("empty multiset")
-    strides = [1] * len(k)
-    for j in range(len(k) - 1, 0, -1):
-        strides[j - 1] = strides[j] * (k[j] + 1)
+    strides = _strides(k)
     # pairs[j][a]: (rank offset, C(a, b)) of every b <= a on axis j
     pairs = [[[(b * s, math.comb(a, b)) for b in range(a + 1)]
               for a in range(v + 1)] for v, s in zip(k, strides)]

@@ -18,7 +18,9 @@ from hmi import (DensityOracle, CubeWindow, parity_alpha, r_factor,
                  gaussian_log_poly, mec_polynomial, mec_support_complex,
                  make_complex, stanley_reisner, differentiate,
                  is_hierarchical)
+from hmi.diffcum import _quadrature_grid
 from hmi.errors import DomainError
+from hmi.partitions import _cumulants
 
 from oracles import (gaussian_derivative_ratio, gaussian_log_derivative,
                      cumulant_by_set_partitions)
@@ -154,6 +156,48 @@ def test_local_moment_env_seed(monkeypatch):
         monkeypatch.setenv("HMI_SEED", bad)
         with pytest.raises(DomainError, match="HMI_SEED"):
             local_moment(f, w, (1, 1), method="mc", mc_samples=50)
+
+
+def fresh_monomial_moments(f, window, options):
+    """The local moment function with every x^nu rebuilt from ones, one
+    axis at a time, on the grid or sample the estimators use."""
+    p, eps = len(window.center), window.eps
+    if "nodes" in options:
+        offsets, weights = _quadrature_grid(window, options["nodes"])
+    else:
+        offsets = np.random.default_rng(options["seed"]).uniform(
+            -eps, eps, size=(options["mc_samples"], p))
+        weights = np.ones(options["mc_samples"])
+    vals = f.batch(np.asarray(window.center) + offsets)
+    denom = float(weights @ vals)
+
+    def moment(nu):
+        mono = np.ones(len(offsets))
+        for i, ki in enumerate(nu):
+            if ki:
+                mono *= offsets[:, i] ** ki
+        return float(weights @ (mono * vals)) / denom
+    return moment
+
+
+@pytest.mark.parametrize("f", [
+    gaussian_density((0.2, -0.1, 0.0), ((2.0, 0.3, 0.1), (0.3, 1.5, 0.2),
+                                        (0.1, 0.2, 1.0))),
+    mec_density({(1, 1, 0): -0.5, (0, 1, 1): 0.4, (1, 1, 1): 0.3,
+                 (1, 0, 0): 0.2}, 3)], ids=["gaussian", "mec"])
+@pytest.mark.parametrize("options", [
+    {"nodes": 6}, {"method": "mc", "mc_samples": 3000, "seed": 5}],
+    ids=["quadrature", "mc"])
+def test_local_moments_bit_identical_to_fresh_monomials(f, options):
+    # the estimators share monomial prefixes between moments; every value
+    # must still equal the one built from scratch, to the last bit
+    w = CubeWindow((0.1, -0.2, 0.3), 0.4)
+    moment = fresh_monomial_moments(f, w, options)
+    for k in product(range(4), repeat=3):
+        assert local_moment(f, w, k, **options).value == moment(k)
+        if any(k):
+            assert (local_cumulant(f, w, k, **options).value
+                    == _cumulants(k, moment))
 
 
 def test_local_cumulant_centered_window():

@@ -1,12 +1,13 @@
 """Multiset partition enumeration, collapse numbers and the moment-cumulant
 transform, certified against labelled set partitions and the exact Isserlis
 recursion."""
+import gc
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy.utilities.iterables import multiset_partitions
 
 from hmi import (enumerate_partitions, collapse_number, chain_rule_terms,
@@ -41,14 +42,37 @@ def test_collapse_numbers_are_preimage_counts(k):
         assert c == count
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 10))
 def test_square_free_counts_are_bell_numbers(n):
     k = (1,) * n
     assert len(enumerate_partitions(k)) == bell(n)
 
 
+def test_enumeration_leaves_no_reference_cycle():
+    # the sub-multiset memo lives for one call: freed by reference
+    # counting on return, not left for the cycle collector
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_partitions((1,) * 7)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_equal_blocks_are_one_object():
+    for k in [(1, 1, 1, 1), (2, 1, 1), (3, 3, 2)]:
+        blocks = {}
+        for pi in enumerate_partitions(k):
+            for b in pi:
+                assert blocks.setdefault(b, b) is b
+
+
 @given(st.lists(st.integers(min_value=0, max_value=8), min_size=1,
-                max_size=4).filter(lambda k: 0 < sum(k) <= 8))
+                max_size=5).filter(lambda k: 0 < sum(k) <= 8))
+@example([0, 2, 0, 1, 0])
+@example([3, 0, 0, 0, 2])
+@example([0, 0, 0, 0, 1])
 def test_enumeration_matches_sympy_multiset_partitions(k):
     p = len(k)
     symbols = [i for i, v in enumerate(k) for _ in range(v)]
