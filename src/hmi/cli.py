@@ -210,7 +210,9 @@ def cmd_network_duality(args):
 
 def cmd_nerve(args):
     cloud = nerve.points_from_csv(_read_text(args.points))
-    if args.filtration:
+    if (args.radius is None) == (args.filtration is None):
+        raise DomainError("need --radius or --filtration, not both")
+    if args.filtration is not None:
         steps = nerve.filtration(cloud, _floats(args.filtration),
                                  max_dim=args.max_dim)
         lines = [f"r={step.radius:g}: {_fmt_facets(step.complex)} "
@@ -221,8 +223,6 @@ def cmd_nerve(args):
              "facets": [sorted(f) for f in step.complex.facet_sets()],
              "decomposable": step.decomposable} for step in steps])
     else:
-        if args.radius is None:
-            raise DomainError("need --radius or --filtration")
         S = nerve.nerve_complex(cloud, args.radius, max_dim=args.max_dim)
         _emit(args, _fmt_facets(S), simplicial.complex_to_json(S))
 

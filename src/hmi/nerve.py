@@ -21,8 +21,18 @@ vertex lies on the boundary of J's smallest ball: that ball is J's
 circumball, one ``_circumball`` solve with no recursion.  Its boundary is
 listed as Welzl's recursion over the face, with the newest vertex on the
 boundary, would list it in its last call, so a birth radius does not depend
-on which of the two computed it.  Welzl's recursion itself serves only
-``smallest_enclosing_ball`` and ``enclosing_radius``."""
+on which of the two computed it.  A two-point boundary gives the midpoint
+ball in closed form, by the float operations the Gram elimination
+(``_gram_ball``) would do, so the ball is the same bit for bit.  Three or
+more points, or two whose squared distance is zero, overflows or loses
+bits to underflow, go through the elimination.  Welzl's recursion itself
+serves only ``smallest_enclosing_ball`` and ``enclosing_radius``.
+
+Each born simplex also gets a *cover radius*, the smallest birth among its
+born one-vertex extensions.  The born simplices are closed downward, so
+the facets of the nerve at s are the simplices born by s whose cover
+radius (if any) exceeds s + FACE_TOLERANCE: they are read off the births,
+with no search for the maximal faces."""
 from __future__ import annotations
 
 import math
@@ -37,8 +47,8 @@ from .errors import DomainError
 from .graphs import _bits
 from .hierarchy import is_decomposable
 from .logdensity import _finite_real
-from .simplicial import (MAX_VERTICES, SimplicialComplex, _antichain,
-                         _json_int)
+from .simplicial import (MAX_VERTICES, SimplicialComplex, _json_int,
+                         _sort_key)
 
 #: slack on the ball-intersection test, stabilizes boundary cases
 FACE_TOLERANCE = 1e-9
@@ -87,18 +97,39 @@ def _inside(pt, ball) -> bool:
 
 
 def _circumball(boundary: tuple, d: int):
-    """Smallest ball with the given points on its boundary.  The center is
-    boundary[0] + sum lam_j (q_j - boundary[0]), where lam solves the Gram
-    system G lam = diag(G)/2 by Gaussian elimination with partial pivoting.
-    A point whose pivot is within 1e-12 of the largest diagonal entry
-    depends affinely on the earlier ones and is skipped (lam_j = 0), which
-    keeps duplicated and collinear inputs finite; the radius still covers
-    every boundary point."""
+    """Smallest ball with the given points on its boundary.  Two points q,
+    b = boundary[0] give the centre b + 0.5 (q - b) in closed form, as
+    ``_gram_ball`` would compute it; more points, or two whose squared
+    distance a is zero, non-finite or so small that 0.5 a rounds, go to
+    ``_gram_ball``."""
     if not boundary:
         return (0.0,) * d, -1.0
     base = boundary[0]
     if len(boundary) == 1:
         return base, 0.0
+    if len(boundary) == 2:
+        # the elimination's float operations on its one row q - b: lam is
+        # (0.5 a) / a, and each centre coordinate adds to b a sum that
+        # starts from 0 (so -0.0 turns into 0.0)
+        q = boundary[1]
+        diff = [x - b for x, b in zip(q, base)]
+        a = sum(x * x for x in diff)
+        if a and 0.5 * a / a == 0.5:
+            center = tuple(b + (0 + 0.5 * x) for b, x in zip(base, diff))
+            return center, max(math.dist(center, base),
+                               math.dist(center, q))
+    return _gram_ball(boundary)
+
+
+def _gram_ball(boundary: tuple):
+    """Smallest ball with the given points (at least two) on its boundary.
+    The center is boundary[0] + sum lam_j (q_j - boundary[0]), where lam
+    solves the Gram system G lam = diag(G)/2 by Gaussian elimination with
+    partial pivoting.  A point whose pivot is within 1e-12 of the largest
+    diagonal entry depends affinely on the earlier ones and is skipped
+    (lam_j = 0), which keeps duplicated and collinear inputs finite; the
+    radius still covers every boundary point."""
+    base = boundary[0]
     rows = [[a - b for a, b in zip(q, base)] for q in boundary[1:]]
     m = len(rows)
     aug = [[sum(x * y for x, y in zip(ri, rj)) for rj in rows]
@@ -205,23 +236,27 @@ def _max_dim(cloud: PointCloud, max_dim) -> int:
     return max_dim
 
 
-def _births(cloud: PointCloud, r: float, max_dim: int) -> dict:
+def _births(cloud: PointCloud, r: float, max_dim: int) -> tuple[dict, dict]:
     """Birth radius of every simplex (a bit mask over point positions) of
-    the nerve at radius r, up to max_dim.  A face f grows only by the
-    vertices above its highest one that are joined to every vertex of f in
-    the nerve's 1-skeleton, so each candidate arises once; it is kept when
-    all its facets were kept and its birth is within tolerance of r."""
+    the nerve at radius r, up to max_dim, and the cover radius of each one
+    with a born one-vertex extension: the smallest birth among those.  A
+    face f grows only by the vertices above its highest one that are joined
+    to every vertex of f in the nerve's 1-skeleton, so each candidate
+    arises once; it is kept when all its facets were kept and its birth is
+    within tolerance of r."""
     pts = cloud.points
     limit = r + FACE_TOLERANCE
     p, d = cloud.p, cloud.d
     births = {1 << i: 0.0 for i in range(p)}
-    balls = {1 << i: (pts[i], 0.0) for i in range(p)}
+    cover: dict = {}
     full = (1 << p) - 1
     # upward neighbour masks; every later vertex until the edges are known
     up = [full ^ ((2 << i) - 1) for i in range(p)]
-    level = list(births)
+    # the smallest enclosing ball of each simplex of the previous size:
+    # every facet of a candidate has that size
+    level = {1 << i: (pts[i], 0.0) for i in range(p)}
     for size in range(2, max_dim + 2):
-        grown = []
+        grown = {}
         for f in level:
             verts = list(_bits(f))
             common = full
@@ -235,8 +270,8 @@ def _births(cloud: PointCloud, r: float, max_dim: int) -> dict:
                 except KeyError:
                     continue            # a facet is not in the nerve
                 for w, g in zip(corners, facets):
-                    if _inside(pts[w], balls[g]):
-                        ball = balls[g]
+                    if _inside(pts[w], level[g]):
+                        ball = level[g]
                         break
                 else:
                     # every vertex lies on the boundary: the circumball, as
@@ -247,8 +282,10 @@ def _births(cloud: PointCloud, r: float, max_dim: int) -> dict:
                 birth = max(ball[1], facet_birth)
                 if birth <= limit:
                     births[simplex] = birth
-                    balls[simplex] = ball
-                    grown.append(simplex)
+                    grown[simplex] = ball
+                    for g in facets:
+                        if birth <= cover.get(g, math.inf):
+                            cover[g] = birth
         if size == 2:
             up = [0] * p
             for edge in grown:
@@ -257,12 +294,19 @@ def _births(cloud: PointCloud, r: float, max_dim: int) -> dict:
         level = grown
         if not level:
             break
-    return births
+    return births, cover
 
 
-def _threshold(p: int, births: dict, r: float) -> SimplicialComplex:
-    return SimplicialComplex(p, _antichain(
-        s for s, b in births.items() if b <= r + FACE_TOLERANCE))
+def _threshold(p: int, births: dict, cover: dict, r: float
+               ) -> SimplicialComplex:
+    """The nerve at radius r.  The born simplices are closed downward, so
+    the facets are those born by r with no one-vertex extension born by r.
+    """
+    limit = r + FACE_TOLERANCE
+    return SimplicialComplex(p, tuple(sorted(
+        (s for s, b in births.items()
+         if b <= limit and (s not in cover or cover[s] > limit)),
+        key=_sort_key)))
 
 
 def nerve_complex(cloud: PointCloud, r, max_dim: int | None = None
@@ -271,7 +315,7 @@ def nerve_complex(cloud: PointCloud, r, max_dim: int | None = None
     r and every facet a face: the simplices of birth radius at most r, up
     to dimension max_dim (default min(p - 1, MAX_NERVE_DIM))."""
     r = _radius(r)
-    return _threshold(cloud.p, _births(cloud, r, _max_dim(cloud, max_dim)),
+    return _threshold(cloud.p, *_births(cloud, r, _max_dim(cloud, max_dim)),
                       r)
 
 
@@ -297,10 +341,10 @@ def filtration(cloud: PointCloud, radii: Sequence[float],
     max_dim = _max_dim(cloud, max_dim)
     if not radii:
         return []
-    births = _births(cloud, radii[-1], max_dim)
+    births, cover = _births(cloud, radii[-1], max_dim)
     out = []
     for r in radii:
-        S = _threshold(cloud.p, births, r)
+        S = _threshold(cloud.p, births, cover, r)
         out.append(FiltrationStep(r, S, is_decomposable(S)))
     return out
 

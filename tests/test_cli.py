@@ -240,6 +240,9 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
     (["nerve", "--points", "missing.csv", "--radius", "0.5"], None),
     (["nerve", "--points", "pts.csv", "--radius", "0.5"], "0,0\n1,x\n"),
     (["nerve", "--points", "pts.csv", "--filtration", "0.4,x"], "0\n1\n"),
+    (["nerve", "--points", "p.csv", "--radius", "0.7", "--filtration", "0.5"],
+     "0,0\n1,0\n"),
+    (["nerve", "--points", "p.csv"], "0,0\n1,0\n"),
     (["parse-poly", "--p", "2", "--poly-file", "missing.txt"], None),
     (["marginalize", "--complex", "c.json", "--strip", "a"],
      json.dumps(CHAIN)),
@@ -303,8 +306,9 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
      json.dumps({"family": "product", "means": [0], "variances": [True]})),
     (["diff-moment", "--density", "d.json", "--xi", "0", "--k", "1"],
      json.dumps({"family": "product", "means": ["0"], "variances": [1]})),
-], ids=["missing-points", "csv-cell", "filtration-list", "missing-poly",
-        "strip-list", "ci-list", "given-list", "gaussian-keys",
+], ids=["missing-points", "csv-cell", "filtration-list",
+        "radius-and-filtration", "neither-radius-nor-filtration",
+        "missing-poly", "strip-list", "ci-list", "given-list", "gaussian-keys",
         "product-keys", "moments-list", "collapse-lengths",
         "complex-duplicate-labels", "ideal-duplicate-labels",
         "facet-not-list", "generator-not-list", "gaussian-mean-string",
@@ -317,7 +321,8 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
         "product-variance-bool", "product-mean-string"])
 def test_bad_input_exits_one_with_one_error_line(argv, text, capsys,
                                                  tmp_path):
-    # missing files, non-numeric CSV cells, bad number lists, density
+    # missing files, non-numeric CSV cells, bad number lists, a nerve
+    # asked for both or neither of a radius and a filtration, density
     # files without their parameters, a moment table that is not an object,
     # partition blocks of unequal length, duplicate labels, faces that are
     # not lists, non-numeric Gaussian entries, a vertex count, node or edge

@@ -1,6 +1,8 @@
 """Smallest enclosing balls and nerve complexes: geometric goldens, the
 collinear filtration, nesting and edge-before-face ordering, the brute Čech
-comparison on random and lattice clouds, and the ball-solve count."""
+comparison on random and lattice clouds, facets against the maximal born
+simplices, two-point balls against the Gram elimination, and the
+ball-solve count."""
 import math
 from collections import Counter
 from itertools import combinations
@@ -197,6 +199,101 @@ def test_filtration_solves_each_simplex_at_most_once(monkeypatch):
     steps = filtration(PointCloud(pts), [0.35, 0.55, 0.75, 0.95, 1.1])
     assert len(steps) == 5
     assert solved and max(solved.values()) == 1
+
+
+def _clouds(rng, trials):
+    """Random clouds, half-integer clouds with a duplicated point, and
+    integer points in a 3^d box, with d = 1..3."""
+    for trial in range(trials):
+        p, d = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        if trial % 3 == 0:
+            pts = rng.normal(size=(p, d))
+        elif trial % 3 == 1:
+            pts = np.round(rng.normal(size=(p, d)) * 2) / 2
+            pts[-1] = pts[0]
+        else:
+            pts = rng.integers(0, 3, size=(p, d)).astype(float)
+        yield PointCloud(tuple(map(tuple, pts)))
+
+
+@pytest.mark.parametrize("max_dim", [0, 1, 2, None])
+def test_facets_are_the_maximal_born_simplices(max_dim):
+    # facets are read off the cover radii; here they are found by brute
+    # force among the simplices born by each radius
+    rng = np.random.default_rng(61)
+    for cloud in _clouds(rng, 45):
+        radii = sorted(float(r) for r in rng.uniform(0.05, 2.0, 3))
+        cap = nerve._max_dim(cloud, max_dim)
+        births, cover = nerve._births(cloud, radii[-1], cap)
+        assert all(s.bit_count() <= cap + 1 for s in births)
+        assert all(s ^ 1 << v in births for s in births if s.bit_count() > 1
+                   for v in range(cloud.p) if s >> v & 1)
+
+        def maximal_born(r):
+            born = [s for s, b in births.items() if b <= r + FACE_TOLERANCE]
+            return tuple(sorted(
+                (s for s in born if not any(s != t and s & t == s
+                                            for t in born)),
+                key=lambda s: (s.bit_count(), s)))
+        for r, step in zip(radii, filtration(cloud, radii, max_dim)):
+            assert step.complex.facets == maximal_born(r)
+            assert step.complex == nerve_complex(cloud, r, max_dim)
+        # radii at which some birth lies exactly on the tolerance limit
+        for b in set(births.values()):
+            r = b - FACE_TOLERANCE
+            if r >= 0 and r + FACE_TOLERANCE == b:
+                assert nerve._threshold(cloud.p, births, cover, r).facets \
+                    == maximal_born(r)
+
+
+def _hex_ball(ball):
+    center, radius = ball
+    return [x.hex() for x in center], radius.hex()
+
+
+def test_two_point_ball_is_the_elimination_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(67)
+    pairs = [((0.0, 0.0), (0.0, 0.0)), ((1.5, -2.0), (1.5, -2.0)),
+             ((-0.0, 0.0), (0.0, -0.0)), ((0.0, -0.0), (-0.0, 1.0)),
+             ((-0.0, 0.0), (-5e-324, 1.0)), ((-0.0,), (-1e-310,)),
+             ((1.0, 2.0), (1.0 + 1e-15, 2.0)), ((0.3,), (0.3 + 4e-15,))]
+    for d in (1, 2, 3):
+        for exp in (-200, -160, -154, -150, -14, 0, 150, 154, 160, 200):
+            for _ in range(20):
+                b = tuple(map(float, rng.normal(size=d) * 10.0 ** exp))
+                q = tuple(x + float(rng.normal()) * 10.0 ** exp for x in b)
+                pairs.append((b, q))
+                pairs.append((b, tuple(x * (1 + float(rng.normal()) * 1e-14)
+                                       for x in b)))
+    gram = nerve._gram_ball
+    want = [_hex_ball(gram((b, q))) for b, q in pairs]
+    eliminated = []
+    monkeypatch.setattr(nerve, "_gram_ball",
+                        lambda boundary: eliminated.append(boundary)
+                        or gram(boundary))
+    assert [_hex_ball(nerve._circumball((b, q), len(b)))
+            for b, q in pairs] == want
+    # coincident, underflowing and overflowing pairs are eliminated
+    assert ((0.0, 0.0), (0.0, 0.0)) in eliminated
+    assert 0 < len(eliminated) < len(pairs) // 2
+
+
+def test_edge_births_are_enclosing_radii_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(71)
+    for cloud in _clouds(rng, 60):
+        births, _ = nerve._births(cloud, math.inf, 1)
+        for s, b in births.items():
+            if s.bit_count() == 2:
+                u, v = (i + 1 for i in range(cloud.p) if s >> i & 1)
+                assert b.hex() == enclosing_radius(cloud, [u, v]).hex()
+    # points within 1e-14 inherit a vertex ball: no solve, birth 0
+    solved = []
+    monkeypatch.setattr(nerve, "_circumball",
+                        lambda boundary, d: solved.append(boundary))
+    cloud = PointCloud(((0.25, -1.0), (0.25 + 4e-15, -1.0 - 4e-15)))
+    births, cover = nerve._births(cloud, 0.0, 1)
+    assert births[0b11] == 0.0 and not solved
+    assert nerve._threshold(2, births, cover, 0.0).facets == (0b11,)
 
 
 def test_max_dim_cap():
