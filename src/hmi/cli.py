@@ -129,8 +129,8 @@ def cmd_factorize(args):
 
 def cmd_marginalize(args):
     strip = _ints(args.strip)
-    if not args.complex and not args.ideal:
-        raise DomainError("need --complex or --ideal")
+    if bool(args.complex) == bool(args.ideal):
+        raise DomainError("need --complex or --ideal, not both")
     if args.complex:
         S = simplicial.complex_from_json(_load_json(args.complex))
         out = hierarchy.marginalize(S, strip)
@@ -265,11 +265,9 @@ def cmd_chain_rule(args):
 
 
 def _poly_from_args(args):
-    text = args.poly
-    if args.poly_file:
-        text = _read_text(args.poly_file)
-    if text is None:
-        raise DomainError("need --poly or --poly-file")
+    if (args.poly is None) == (args.poly_file is None):
+        raise DomainError("need --poly or --poly-file, not both")
+    text = args.poly if args.poly_file is None else _read_text(args.poly_file)
     return logdensity.parse_poly(text, args.p)
 
 

@@ -82,6 +82,7 @@ def r_factor(eps: float, k: Sequence[int]) -> float:
     """Leading-order window scale: eps^{|k|_1^+} times 1/(k_i+1) per even
     and 1/(k_i+2) per odd component."""
     (eps,) = _floats((eps,), "eps", positive=True)
+    k = _validate(k)
     out = eps ** plus_norm(k)
     for v in k:
         out /= (v + 1) if v % 2 == 0 else (v + 2)

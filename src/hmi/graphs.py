@@ -7,14 +7,26 @@ label sets into bit masks over positions with ``encode_all`` and back with
 cardinality search, ``_mcs``, yields the visit order, ranks and
 earlier-neighbour masks from which zero fill-in chordality and the maximal
 cliques of a chordal graph are read (Tarjan-Yannakakis 1984).  A graph is
-one adjacency mask per position, so at most 64 vertices are supported."""
+one adjacency mask per position, built by ``_adjacency`` from any family of
+masks, so ``encode_all`` refuses more than ``MAX_VERTICES`` vertices."""
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError
+
+MAX_VERTICES = 64
+
+
+def _json_int(value) -> int:
+    """A JSON integer as an int; floats, strings and booleans raise
+    ``TypeError`` instead of being rounded or converted."""
+    if isinstance(value, bool):
+        raise TypeError("boolean where an integer is expected")
+    return operator.index(value)
 
 
 def normalize_labels(p: int, labels=None) -> tuple:
@@ -35,7 +47,16 @@ def normalize_labels(p: int, labels=None) -> tuple:
 
 def encode_all(p: int, labels, vertex_sets: Iterable
                ) -> tuple[tuple, list[int]]:
-    """The normalised labels and the mask of each given set of labels."""
+    """The normalised labels and the mask of each given set of labels, on
+    an integer vertex count p in 1..MAX_VERTICES."""
+    try:
+        p = _json_int(p)
+    except TypeError:
+        raise DomainError("vertex count must be an integer") from None
+    if p < 1:
+        raise DomainError("vertex count must be at least 1")
+    if p > MAX_VERTICES:
+        raise DomainError(f"at most {MAX_VERTICES} vertices supported")
     labels = normalize_labels(p, labels)
     position = {lbl: i for i, lbl in enumerate(labels)}
     return labels, [encode(position, vs) for vs in vertex_sets]
@@ -90,15 +111,34 @@ class Graph(Labelled):
                             for j in _bits(nbrs >> (i + 1) << (i + 1))))
 
 
-def make_graph(p: int, edges: Iterable[Iterable], labels=None) -> Graph:
-    labels, masks = encode_all(p, labels, edges)
+def _adjacency(p: int, masks: Iterable[int]) -> list[int]:
+    """Neighbour mask per position of the graph in which each mask joins
+    its vertices pairwise."""
     adj = [0] * p
     for mask in masks:
-        if mask.bit_count() != 2:
-            raise DomainError("an edge must join two distinct vertices")
         for i in _bits(mask):
-            adj[i] |= mask & ~(1 << i)
-    return Graph(p, tuple(adj), labels)
+            adj[i] |= mask
+    return [a & ~(1 << i) for i, a in enumerate(adj)]
+
+
+def _levels(adj: list[int], start: int):
+    """The breadth-first levels, as masks, of a search from the mask
+    ``start``; together they cover its connected component."""
+    seen = frontier = start
+    while frontier:
+        yield frontier
+        reach = 0
+        for v in _bits(frontier):
+            reach |= adj[v]
+        frontier = reach & ~seen
+        seen |= frontier
+
+
+def make_graph(p: int, edges: Iterable[Iterable], labels=None) -> Graph:
+    labels, masks = encode_all(p, labels, edges)
+    if any(mask.bit_count() != 2 for mask in masks):
+        raise DomainError("an edge must join two distinct vertices")
+    return Graph(p, tuple(_adjacency(p, masks)), labels)
 
 
 def max_clique_masks(adj: list[int], p: int) -> list[int]:

@@ -10,7 +10,7 @@ from .errors import DomainError, NotDecomposableError
 from .graphs import (Labelled, _Search, _bits, _mcs, _zero_fill_in,
                      find_chordless_cycle)
 from .ideal import SquareFreeIdeal, complex_of
-from .simplicial import (SimplicialComplex, _antichain, _sort_key, is_face,
+from .simplicial import (SimplicialComplex, _antichain, _sort_key,
                          minimal_transversals, one_skeleton)
 
 
@@ -136,13 +136,14 @@ def marginalize(S: SimplicialComplex, J: Iterable[int]) -> SimplicialComplex:
     J = frozenset(J)
     if not J:
         return S
-    if not is_face(S, J):
+    mask = S.mask_of(J)
+    containing = sum(mask & f == mask for f in S.facets)
+    if not containing:
         raise DomainError(f"{sorted(J)} is not a face")
-    containing = [f for f in S.facet_sets() if J <= f]
-    if len(containing) != 1:
+    if containing != 1:
         raise DomainError(
             f"{sorted(J)} is not a facet of a unique maximal clique")
-    labels, facets = _strip(S, S.mask_of(J), S.facets)
+    labels, facets = _strip(S, mask, S.facets)
     return SimplicialComplex(len(labels), _antichain(facets), labels)
 
 

@@ -1,13 +1,16 @@
 """Square-free monomial ideals: the Stanley-Reisner correspondence in both
 directions, membership, the 2-linear-resolution criterion and Ferrer ideal
-recognition/decomposition."""
+recognition/decomposition.  The degree-2 classes run on the mask-native
+graph core of ``graphs``: Froeberg's criterion on the complement of the
+generator graph, Ferrer recognition on the generator graph itself."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError
-from .graphs import Graph, Labelled, _bits, encode_all, is_chordal
+from .graphs import (Graph, Labelled, _adjacency, _bits, _levels,
+                     encode_all, is_chordal)
 from .simplicial import (SimplicialComplex, minimal_nonface_masks,
                          minimal_transversals, _antichain, _json_int,
                          _sort_key)
@@ -26,10 +29,21 @@ class SquareFreeIdeal(Labelled):
 @dataclass(frozen=True)
 class FerrerShape:
     """Witness ordering for a Ferrer ideal: row i (0-based) pairs with the
-    first lengths[i] column variables; lengths is weakly decreasing."""
+    first lengths[i] column variables; there is one length per row, weakly
+    decreasing, each in 1..len(cols)."""
     rows: tuple[int, ...]
     cols: tuple[int, ...]
     lengths: tuple[int, ...]
+
+    def __post_init__(self):
+        try:
+            chain = [len(self.cols), *map(_json_int, self.lengths)]
+        except TypeError:
+            chain = []
+        if len(chain) != len(self.rows) + 1 or any(
+                a < b or b < 1 for a, b in zip(chain, chain[1:])):
+            raise DomainError("a Ferrer shape needs one length per row, "
+                              "weakly decreasing, each in 1..len(cols)")
 
 
 def make_ideal(p: int, generators: Iterable[Iterable[int]],
@@ -80,98 +94,62 @@ def has_2linear_resolution(I: SquareFreeIdeal) -> bool:
     if any(g.bit_count() != 2 for g in I.generators):
         return False
     full = (1 << I.p) - 1
-    adj = [full & ~(1 << v) for v in range(I.p)]
-    for g in I.generators:
-        for v in _bits(g):
-            adj[v] &= ~g
+    adj = [full & ~(a | 1 << v)
+           for v, a in enumerate(_adjacency(I.p, I.generators))]
     return is_chordal(Graph(I.p, tuple(adj), I.labels))
 
 
 def recognize_ferrer(I: SquareFreeIdeal) -> FerrerShape | None:
-    """A Ferrer ideal has degree-2 generators forming a bipartite graph
-    whose incidence table, with both sides sorted by degree descending, is
-    an inverse staircase.  Variables in no generator are appended as empty
-    columns.  Returns the witness shape, or None."""
+    """A Ferrer ideal has degree-2 generators forming a connected bipartite
+    graph whose row neighbourhoods, ordered by (-degree, label), form a
+    chain under inclusion; the columns are ordered the same way, then the
+    variables in no generator.  Returns the witness shape, or None.
+
+    The rows are the colour class of the lowest-labelled used vertex.  The
+    other class would do as well: the row neighbourhoods are nested exactly
+    when the column neighbourhoods are."""
     if not I.generators or any(g.bit_count() != 2 for g in I.generators):
         return None
-    gens = [tuple(sorted(g)) for g in I.generator_sets()]
-    used = sorted({v for g in gens for v in g})
-    isolated = sorted(set(I.labels) - set(used))
-    sides = _bipartition(gens, used)
-    if sides is None:
+    adj = _adjacency(I.p, I.generators)
+    labels = I.labels
+    used = sum(1 << v for v, a in enumerate(adj) if a)
+    start = 1 << min(_bits(used), key=labels.__getitem__)
+    sides = [0, 0]                      # colour classes by level parity
+    for depth, level in enumerate(_levels(adj, start)):
+        sides[depth & 1] |= level
+    # a staircase is connected, and an odd cycle puts an edge in one class
+    if sides[0] | sides[1] != used or any(adj[v] & side for side in sides
+                                          for v in _bits(side)):
         return None
-    for rows_side, cols_side in (sides, sides[::-1]):
-        shape = _staircase(gens, rows_side, cols_side, isolated)
-        if shape is not None:
-            return shape
-    return None
 
+    def by_degree(side):
+        return sorted(_bits(side),
+                      key=lambda v: (-adj[v].bit_count(), labels[v]))
 
-def _bipartition(gens, used):
-    """Two-colour the generator graph; None if odd cycle.  A staircase with
-    every row and column used is connected, so reject disconnected supports
-    up front."""
-    adj = {v: set() for v in used}
-    for a, b in gens:
-        adj[a].add(b)
-        adj[b].add(a)
-    colour = {used[0]: 0}
-    queue = [used[0]]
-    while queue:
-        v = queue.pop()
-        for w in adj[v]:
-            if w not in colour:
-                colour[w] = colour[v] ^ 1
-                queue.append(w)
-            elif colour[w] == colour[v]:
-                return None
-    if len(colour) != len(used):
+    rows = by_degree(sides[0])
+    if any(adj[b] & ~adj[a] for a, b in zip(rows, rows[1:])):
         return None
-    side0 = sorted(v for v in used if colour[v] == 0)
-    side1 = sorted(v for v in used if colour[v] == 1)
-    return side0, side1
-
-
-def _staircase(gens, rows_side, cols_side, isolated):
-    pairs = {frozenset(g) for g in gens}
-    row_deg = {r: sum(1 for c in cols_side if frozenset((r, c)) in pairs)
-               for r in rows_side}
-    col_deg = {c: sum(1 for r in rows_side if frozenset((r, c)) in pairs)
-               for c in cols_side}
-    rows = sorted(rows_side, key=lambda r: (-row_deg[r], r))
-    cols = sorted(cols_side, key=lambda c: (-col_deg[c], c)) + isolated
-    lengths = []
-    for r in rows:
-        lam = row_deg[r]
-        if any(frozenset((r, c)) not in pairs for c in cols[:lam]):
-            return None
-        lengths.append(lam)
-    if any(a < b for a, b in zip(lengths, lengths[1:])):
-        return None
-    return FerrerShape(tuple(rows), tuple(cols), tuple(lengths))
+    cols = by_degree(((1 << I.p) - 1) & ~sides[0])   # isolated ones last
+    return FerrerShape(tuple(labels[v] for v in rows),
+                       tuple(labels[v] for v in cols),
+                       tuple(adj[v].bit_count() for v in rows))
 
 
 def ferrer_cliques(shape: FerrerShape
                    ) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
     """Maximal cliques and separators of the complex of a Ferrer ideal.
 
-    Applies the complementary-table rule (row variable, its unused columns,
-    all rows below), prunes non-maximal sets, appends the pure-column clique
-    when some column is unused by the first row, and reads separators off
-    the resulting perfect sequence."""
+    Row i's clique is its row variable, the columns it does not use and
+    all rows below it.  It lies inside row i-1's exactly when
+    lambda_i = lambda_{i-1}, so it is kept for i = 0 and wherever lambda
+    drops; no two cliques are equal.  The clique of all columns is always
+    maximal and comes last.  Separators are read off the resulting
+    perfect sequence."""
     rows, cols, lengths = shape.rows, shape.cols, shape.lengths
-    raw = []
-    for i, r in enumerate(rows):
-        clique = {r} | set(cols[lengths[i]:]) | set(rows[i + 1:])
-        raw.append(frozenset(clique))
-    raw.append(frozenset(cols))
-    cliques = [c for c in raw
-               if not any(c < other for other in raw)]
-    seen = []
-    for c in cliques:                       # stable de-dup, keep row order
-        if c not in seen:
-            seen.append(c)
-    cliques = seen
+    cliques = [frozenset((r, *cols[lengths[i]:], *rows[i + 1:]))
+               for i, r in enumerate(rows)
+               if i == 0 or lengths[i] != lengths[i - 1]]
+    cliques.append(frozenset(cols))
     separators = []
     covered: set[int] = set()
     for j, c in enumerate(cliques):

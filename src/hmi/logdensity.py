@@ -16,6 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, PolynomialSyntaxError
 from .ideal import SquareFreeIdeal, make_ideal
+from .partitions import _validate
 from .simplicial import SimplicialComplex, _json_int, is_face, make_complex
 
 
@@ -26,15 +27,22 @@ class SparsePolynomial:
     __slots__ = ("p", "terms")
 
     def __init__(self, p: int, terms: Mapping[tuple, object] | None = None):
+        try:
+            p = _json_int(p)
+        except TypeError:
+            raise DomainError("variable count must be an integer") from None
         if p < 1:
             raise DomainError("variable count must be at least 1")
         self.p = p
         clean = {}
         for exp, coeff in (terms or {}).items():
-            exp = tuple(exp)
-            if len(exp) != p or any(e < 0 for e in exp):
+            exp = _validate(exp)
+            if len(exp) != p:
                 raise DomainError(f"bad exponent vector {exp}")
-            coeff = Fraction(coeff)
+            try:
+                coeff = Fraction(coeff)
+            except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+                raise DomainError(f"bad coefficient {coeff!r}") from None
             if coeff:
                 clean[exp] = clean.get(exp, Fraction(0)) + coeff
         self.terms = {e: c for e, c in clean.items() if c}
@@ -190,7 +198,6 @@ def parse_poly(text: str, p: int) -> SparsePolynomial:
         coeff = Fraction(sign)
         exps = [0] * p
         expect_atom = True
-        saw_atom = False
         while True:
             kind, val, off = peek()
             if expect_atom:
@@ -228,7 +235,6 @@ def parse_poly(text: str, p: int) -> SparsePolynomial:
                 else:
                     raise PolynomialSyntaxError("expected coefficient or "
                                                 "variable", off)
-                saw_atom = True
                 expect_atom = False
             else:
                 if kind == "op" and val == "*":
@@ -236,8 +242,6 @@ def parse_poly(text: str, p: int) -> SparsePolynomial:
                     expect_atom = True
                 else:
                     break
-        if not saw_atom:
-            raise PolynomialSyntaxError("empty term", peek()[2])
         return SparsePolynomial(p, {tuple(exps): coeff})
 
     kind, val, off = peek()
@@ -257,8 +261,8 @@ def parse_poly(text: str, p: int) -> SparsePolynomial:
 
 def differentiate(g: SparsePolynomial, k: Sequence[int]) -> SparsePolynomial:
     """Exact D^k g."""
-    k = tuple(k)
-    if len(k) != g.p or any(v < 0 for v in k):
+    k = _validate(k)
+    if len(k) != g.p:
         raise DomainError(f"bad derivative order {k}")
     out: dict[tuple, Fraction] = {}
     for exp, coeff in g.terms.items():
@@ -298,7 +302,7 @@ def is_hierarchical(g: SparsePolynomial, S: SimplicialComplex) -> bool:
 def artinian_degree_check(g: SparsePolynomial, n: Sequence[int]) -> bool:
     """True iff the n_i-th pure derivative in x_i kills g for every i,
     i.e. deg_{x_i}(g) <= n_i - 1."""
-    n = tuple(n)
+    n = _validate(n)
     if len(n) != g.p or any(v < 1 for v in n):
         raise DomainError("orders must be positive, one per variable")
     return all(g.degree_in(i + 1) <= n[i] - 1 for i in range(g.p))

@@ -44,11 +44,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .graphs import _bits
+from .graphs import MAX_VERTICES, _bits
 from .hierarchy import is_decomposable
 from .logdensity import _finite_real
-from .simplicial import (MAX_VERTICES, SimplicialComplex, _json_int,
-                         _sort_key)
+from .simplicial import SimplicialComplex, _json_int, _sort_key
 
 #: slack on the ball-intersection test, stabilizes boundary cases
 FACE_TOLERANCE = 1e-9

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import DomainError
-from .graphs import _bits
+from .graphs import _adjacency, _bits, _levels
 from .ideal import SquareFreeIdeal, complex_of, make_ideal
 from .simplicial import _antichain, _json_int, alexander_dual
 
@@ -44,20 +44,11 @@ class Network:
         return len(self.edges)
 
     def _connected(self):
-        if not self.nodes:
-            return False
-        adj = {n: set() for n in self.nodes}
-        for _, u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        seen = {self.nodes[0]}
-        stack = [self.nodes[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen == set(self.nodes)
+        position = {n: i for i, n in enumerate(dict.fromkeys(self.nodes))}
+        adj = _adjacency(len(position), [1 << position[u] | 1 << position[v]
+                                         for _, u, v in self.edges])
+        return bool(position) and \
+            sum(_levels(adj, 1)) == (1 << len(position)) - 1
 
 
 def make_network(nodes: Iterable[int], edges, input: int,
@@ -66,18 +57,18 @@ def make_network(nodes: Iterable[int], edges, input: int,
                    input, output)
 
 
-def _minimal_edge_sets(masks) -> list[frozenset[int]]:
-    """The minimal edge-id masks as edge-id sets, in (size, lexicographic)
-    order; bit i of a mask is edge i + 1."""
-    sets = [frozenset(i + 1 for i in _bits(m))
-            for m in _antichain(masks, minimal=True)]
+def _edge_sets(masks) -> list[frozenset[int]]:
+    """Edge-id masks as edge-id sets, in (size, lexicographic) order; bit i
+    of a mask is edge i + 1."""
+    sets = [frozenset(i + 1 for i in _bits(m)) for m in masks]
     return sorted(sets, key=lambda s: (len(s), sorted(s)))
 
 
 def minimal_paths(G: Network) -> list[frozenset[int]]:
-    """Edge sets of simple input-output paths, minimalized; canonical
-    (size, lexicographic) order.  A ``Network`` is connected, so there is
-    at least one."""
+    """Edge sets of simple input-output paths, in canonical (size,
+    lexicographic) order; a ``Network`` is connected, so there is one.  The
+    only such path inside a path's edges is that path, so they are already
+    inclusion-minimal."""
     incident: dict[int, list[tuple[int, int]]] = {n: [] for n in G.nodes}
     for eid, u, v in G.edges:
         incident[u].append((eid, v))
@@ -94,7 +85,7 @@ def minimal_paths(G: Network) -> list[frozenset[int]]:
             walk(other, used_nodes | {other}, used_edges | 1 << eid - 1)
 
     walk(G.input, {G.input}, 0)
-    return _minimal_edge_sets(found)
+    return _edge_sets(found)
 
 
 def minimal_cuts(G: Network) -> list[frozenset[int]]:
@@ -110,7 +101,7 @@ def minimal_cuts(G: Network) -> list[frozenset[int]]:
     for n in incidence:
         if n not in (G.input, G.output):
             cuts += [c ^ incidence[n] for c in cuts]
-    return _minimal_edge_sets(cuts)
+    return _edge_sets(_antichain(cuts, minimal=True))
 
 
 def _edge_ideal(G: Network, sets) -> SquareFreeIdeal:

@@ -23,6 +23,7 @@ from itertools import accumulate, islice, product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError
+from .graphs import _json_int
 
 MultiIndex = tuple  # tuple[int, ...]
 Partition = tuple   # tuple[MultiIndex, ...]
@@ -64,9 +65,10 @@ def unit_vector(p: int, i: int) -> MultiIndex:
 
 
 def _validate(k) -> MultiIndex:
-    k = tuple(k)
+    """k as a non-empty tuple of non-negative integers; the one multi-index
+    reader, so a float, string or boolean entry raises ``DomainError``."""
     try:
-        k = tuple(operator.index(v) for v in k)
+        k = tuple(map(_json_int, k))
     except TypeError:
         raise DomainError(f"invalid multi-index {k!r}") from None
     if not k or any(v < 0 for v in k):

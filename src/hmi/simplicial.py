@@ -17,14 +17,12 @@ void complex is ``[frozenset()]``.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError
-from .graphs import Graph, Labelled, _bits, encode_all, max_clique_masks
-
-MAX_VERTICES = 64
+from .graphs import (Graph, Labelled, _adjacency, _bits, _json_int,
+                     encode_all, max_clique_masks)
 
 
 @dataclass(frozen=True)
@@ -121,10 +119,6 @@ def minimal_transversals(edge_masks: Iterable[int], p: int) -> tuple[int, ...]:
 def make_complex(p: int, faces: Iterable[Iterable[int]],
                  labels=None) -> SimplicialComplex:
     """Downward closure of the given faces; facets are the maximal inputs."""
-    if p < 1:
-        raise DomainError("vertex count must be at least 1")
-    if p > MAX_VERTICES:
-        raise DomainError(f"at most {MAX_VERTICES} vertices supported")
     labels, masks = encode_all(p, labels, faces)
     return SimplicialComplex(p, _antichain(masks), labels)
 
@@ -162,17 +156,15 @@ def alexander_dual(S: SimplicialComplex) -> SimplicialComplex:
 
 
 def one_skeleton(S: SimplicialComplex) -> Graph:
-    adj = [0] * S.p
-    for f in S.facets:
-        for v in _bits(f):
-            adj[v] |= f & ~(1 << v)
-    return Graph(S.p, tuple(adj), S.labels)
+    return Graph(S.p, tuple(_adjacency(S.p, S.facets)), S.labels)
 
 
 def flag_complex(graph: Graph) -> SimplicialComplex:
-    """Clique complex of a graph."""
+    """Clique complex of a graph.  Bron-Kerbosch reports each maximal
+    clique exactly once, so its output is already the facet antichain."""
     cliques = max_clique_masks(graph.adj, graph.p)
-    return SimplicialComplex(graph.p, _antichain(cliques), graph.labels)
+    return SimplicialComplex(graph.p, tuple(sorted(cliques, key=_sort_key)),
+                             graph.labels)
 
 
 def complex_to_json(S: SimplicialComplex) -> dict:
@@ -180,14 +172,6 @@ def complex_to_json(S: SimplicialComplex) -> dict:
     if S.labels != tuple(range(1, S.p + 1)):
         obj["labels"] = list(S.labels)
     return obj
-
-
-def _json_int(value) -> int:
-    """A JSON integer as an int; floats, strings and booleans raise
-    ``TypeError`` instead of being rounded or converted."""
-    if isinstance(value, bool):
-        raise TypeError("boolean where an integer is expected")
-    return operator.index(value)
 
 
 def complex_from_json(obj: dict) -> SimplicialComplex:

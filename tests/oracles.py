@@ -179,12 +179,36 @@ def brute_maximal_cliques(p, edges):
 
 def brute_force_cliques(ideal):
     """Maximal cliques of the graph of variable pairs that are not
-    generators of a square-free ideal on variables 1..p."""
-    assert ideal.labels == tuple(range(1, ideal.p + 1))
-    gens = {frozenset(g) for g in ideal.generator_sets()}
+    generators of a square-free ideal, on the ideal's own labels."""
+    labels = ideal.labels
+    index = {lbl: i + 1 for i, lbl in enumerate(labels)}
+    gens = {frozenset(index[v] for v in g) for g in ideal.generator_sets()}
     pairs = [pair for pair in combinations(range(1, ideal.p + 1), 2)
              if frozenset(pair) not in gens]
-    return brute_maximal_cliques(ideal.p, pairs)
+    cliques = [frozenset(labels[v - 1] for v in c)
+               for c in brute_maximal_cliques(ideal.p, pairs)]
+    return sorted(cliques, key=lambda c: (len(c), sorted(c)))
+
+
+def brute_ferrer(pairs):
+    """True iff the label pairs are the edges of a Ferrer (difference)
+    graph: some set of rows holds exactly one end of every pair, and the
+    rows' neighbourhoods, as label sets, are pairwise nested.  Every subset
+    of the used labels is tried as the rows, so both sides of every
+    two-colouring are tried and neither is preferred."""
+    pairs = [tuple(pair) for pair in pairs]
+    if not pairs or any(len(set(pair)) != 2 for pair in pairs):
+        return False
+    used = list({v for pair in pairs for v in pair})
+    for size in range(1, len(used) + 1):
+        for rows in map(set, combinations(used, size)):
+            if any((a in rows) == (b in rows) for a, b in pairs):
+                continue
+            nbhd = [{b if a == r else a for a, b in pairs if r in (a, b)}
+                    for r in rows]
+            if all(x <= y or y <= x for x, y in combinations(nbhd, 2)):
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------

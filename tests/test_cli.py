@@ -306,6 +306,20 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
      json.dumps({"family": "product", "means": [0], "variances": [True]})),
     (["diff-moment", "--density", "d.json", "--xi", "0", "--k", "1"],
      json.dumps({"family": "product", "means": ["0"], "variances": [1]})),
+    (["marginalize", "--complex", "c.json", "--ideal", "i.json", "--strip",
+      "1"], (json.dumps(CHAIN),
+             json.dumps({"p": 5, "generators": [[1, 4], [1, 5], [2, 5]]}))),
+    (["parse-poly", "--p", "2", "--poly", "x1", "--poly-file", "g.txt"],
+     "x2"),
+    (["check-model", "--p", "2", "--poly", "x1", "--poly-file", "g.txt",
+      "--complex", "c.json"],
+     ("x2", json.dumps({"p": 2, "facets": [[1, 2]]}))),
+    (["artinian", "--p", "2", "--poly", "x1", "--poly-file", "g.txt", "--n",
+      "2,2"], "x2"),
+    (["complex-of", "--ideal", "i.json"],
+     json.dumps({"p": 0, "generators": []})),
+    (["complex-of", "--ideal", "i.json"],
+     json.dumps({"p": 70, "generators": []})),
 ], ids=["missing-points", "csv-cell", "filtration-list",
         "radius-and-filtration", "neither-radius-nor-filtration",
         "missing-poly", "strip-list", "ci-list", "given-list", "gaussian-keys",
@@ -318,7 +332,9 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
         "mec-density-p-bool", "mec-coeff-string", "mec-coeff-zero-division",
         "mec-coeffs-list", "mec-density-overflow", "moment-string",
         "moment-zero-division", "moment-bool", "moment-nan",
-        "product-variance-bool", "product-mean-string"])
+        "product-variance-bool", "product-mean-string",
+        "complex-and-ideal", "parse-poly-both", "check-model-poly-both",
+        "artinian-poly-both", "ideal-p-zero", "ideal-p-70"])
 def test_bad_input_exits_one_with_one_error_line(argv, text, capsys,
                                                  tmp_path):
     # missing files, non-numeric CSV cells, bad number lists, a nerve
@@ -328,11 +344,15 @@ def test_bad_input_exits_one_with_one_error_line(argv, text, capsys,
     # not lists, non-numeric Gaussian entries, a vertex count, node or edge
     # id that is not a JSON integer, rationals that are not rationals (or
     # are booleans, nan or out of float range where a float is needed),
-    # density parameters that are booleans or strings;
-    # text goes to the first file named
+    # density parameters that are booleans or strings, two inputs where one
+    # belongs, a vertex count outside 1..64;
+    # text goes to the first file named, or a tuple of texts to the files
+    # in the order named
     files = [a for a in argv if a.endswith((".csv", ".txt", ".json"))]
-    if text is not None:
-        (tmp_path / files[0]).write_text(text)
+    for name, body in zip(files, text if isinstance(text, tuple)
+                          else (text,)):
+        if body is not None:
+            (tmp_path / name).write_text(body)
     argv = [str(tmp_path / a) if a in files else a for a in argv]
     code, out, err = run(capsys, argv)
     assert code == 1 and out == ""

@@ -12,7 +12,8 @@ from hmi.errors import DomainError
 from hmi.ideal import format_generators, ideal_to_json, ideal_from_json
 from hmi.simplicial import SimplicialComplex
 
-from oracles import brute_chordal, brute_force_cliques, brute_maximal_cliques
+from oracles import (brute_chordal, brute_ferrer, brute_force_cliques,
+                     brute_maximal_cliques)
 
 
 def gens(I):
@@ -207,6 +208,71 @@ def test_ferrer_always_2linear():
                       for c in range(lengths[r - 1])]
         I = make_ideal(rows + cols, generators)
         assert has_2linear_resolution(I)
+
+
+def random_degree2_ideal(rng):
+    """A seeded degree-2 ideal on 2..8 variables: a random bipartite
+    generator set, or a relabelled staircase with one row-column pair
+    toggled; labels are custom half the time, and variables may be
+    isolated."""
+    p = rng.randint(2, 8)
+    if rng.random() < 0.5:
+        left = rng.randint(1, p - 1)
+        pairs = [(a, b) for a in range(1, left + 1)
+                 for b in range(left + 1, p + 1) if rng.random() < 0.6]
+    else:
+        r = rng.randint(1, p - 1)
+        lengths = sorted((rng.randint(1, p - r) for _ in range(r)),
+                         reverse=True)
+        lab = rng.sample(range(1, p + 1), p)
+        rows, cols = lab[:r], lab[r:]
+        pairs = {frozenset((rows[i], cols[j]))
+                 for i in range(r) for j in range(lengths[i])}
+        pairs ^= {frozenset((rng.choice(rows), rng.choice(cols)))}
+        pairs = [tuple(pair) for pair in pairs]
+    labels = None
+    if rng.random() < 0.5:
+        labels = [f"v{x}" for x in rng.sample(range(10, 40), p)]
+        pairs = [(labels[a - 1], labels[b - 1]) for a, b in pairs]
+    return make_ideal(p, pairs, labels=labels), pairs
+
+
+def test_recognize_ferrer_matches_oracle():
+    rng = random.Random(15)
+    recognised = 0
+    for _ in range(400):
+        I, pairs = random_degree2_ideal(rng)
+        shape = recognize_ferrer(I)
+        assert (shape is not None) == brute_ferrer(pairs)
+        if shape is None:
+            continue
+        recognised += 1
+        # a witness: the rows and columns split the labels, the lowest
+        # used label is a row, and row i meets the first lambda_i columns
+        assert sorted(shape.rows + shape.cols) == sorted(I.labels)
+        used = {v for pair in pairs for v in pair}
+        assert min(used) in shape.rows
+        assert {frozenset((r, c)) for r, n in zip(shape.rows, shape.lengths)
+                for c in shape.cols[:n]} == {frozenset(g) for g in pairs}
+        cliques, _ = ferrer_cliques(shape)
+        assert sorted(cliques, key=lambda c: (len(c), sorted(c))) == \
+            brute_force_cliques(I)
+    assert 100 < recognised < 300
+
+
+@pytest.mark.parametrize("rows, cols, lengths", [
+    ((1, 2), (3,), (1,)),               # a length missing
+    ((1,), (2,), (1, 1)),               # a length too many
+    ((1,), (2,), (0,)),                 # an empty row
+    ((1,), (2,), (2,)),                 # longer than the columns
+    ((1, 2), (3, 4), (1, 2)),           # increasing
+    ((1,), (2,), (1.0,)),               # not an integer
+    ((1,), (2,), (True,)),
+    ((1,), (2,), 1),                    # not a sequence
+])
+def test_invalid_ferrer_shapes_rejected(rows, cols, lengths):
+    with pytest.raises(DomainError):
+        FerrerShape(rows, cols, lengths)
 
 
 # ---------------------------------------------------------------------------

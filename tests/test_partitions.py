@@ -12,7 +12,10 @@ from sympy.utilities.iterables import multiset_partitions
 
 from hmi import (enumerate_partitions, collapse_number, chain_rule_terms,
                  cumulant_from_moments, manhattan_norm, plus_norm,
-                 unit_vector, parse_multiindex, format_multiindex)
+                 unit_vector, parse_multiindex, format_multiindex,
+                 SparsePolynomial, artinian_degree_check, differentiate,
+                 differential_cumulant, differential_moment, local_cumulant,
+                 product_gaussian_density, r_factor, CubeWindow)
 from hmi.errors import DomainError
 from hmi.partitions import moment_table_from_json
 
@@ -243,6 +246,50 @@ def test_empty_and_oversized_indices_rejected():
         enumerate_partitions((13,))
     with pytest.raises(DomainError):
         collapse_number(((0, 0),))
+
+
+X1 = SparsePolynomial.variable(1, 1)
+NORMAL = product_gaussian_density([0.0], [1.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: enumerate_partitions((True, True)),
+    lambda: enumerate_partitions(5),
+    lambda: chain_rule_terms((1.5,)),
+    lambda: collapse_number(((True,), (1,))),
+    lambda: cumulant_from_moments((True,), {(1,): 1}),
+    lambda: differential_moment(NORMAL, (0.0,), (True,)),
+    lambda: differential_cumulant(NORMAL, (0.0,), (1.5,)),
+    lambda: local_cumulant(NORMAL, CubeWindow((0.0,), 0.1), ("2",)),
+    lambda: r_factor(0.1, (1.5,)),
+    lambda: r_factor(0.1, (-1,)),
+    lambda: r_factor(0.1, ()),
+    lambda: differentiate(X1, (1.5,)),
+    lambda: differentiate(X1, (-1,)),
+    lambda: artinian_degree_check(X1, (2.5,)),
+    lambda: artinian_degree_check(X1, (0,)),
+    lambda: SparsePolynomial(2.0),
+    lambda: SparsePolynomial(True),
+    lambda: SparsePolynomial(0),
+    lambda: SparsePolynomial(1, {(1.5,): 1}),
+    lambda: SparsePolynomial(1, {(1, 0): 1}),
+    lambda: SparsePolynomial(1, {(1,): float("nan")}),
+    lambda: SparsePolynomial(1, {(1,): float("inf")}),
+    lambda: SparsePolynomial(1, {(1,): "a"}),
+], ids=["partitions-bool", "partitions-scalar", "chain-rule-float",
+        "collapse-bool", "cumulant-bool", "diff-moment-bool",
+        "diff-cumulant-float", "local-cumulant-string", "r-factor-float",
+        "r-factor-negative", "r-factor-empty", "differentiate-float",
+        "differentiate-negative", "artinian-float", "artinian-zero",
+        "poly-p-float", "poly-p-bool", "poly-p-zero", "poly-exponent-float",
+        "poly-exponent-length", "poly-coeff-nan", "poly-coeff-inf",
+        "poly-coeff-string"])
+def test_multi_indices_and_coefficients_read_strictly(call):
+    # every multi-index goes through partitions._validate, which reads each
+    # entry as a JSON integer: booleans, floats and strings are refused, as
+    # are coefficients Fraction cannot read
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_collapse_rejects_blocks_of_different_lengths():

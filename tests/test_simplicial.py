@@ -10,12 +10,13 @@ from hmi import (SimplicialComplex, make_complex, is_face, minimal_nonfaces,
                  alexander_dual, one_skeleton, flag_complex)
 from hmi.errors import DomainError
 from hmi.graphs import make_graph
-from hmi.ideal import complex_of, stanley_reisner
+from hmi.ideal import complex_of, make_ideal, stanley_reisner
 from hmi.simplicial import (complex_to_json, complex_from_json,
                             minimal_nonface_masks, minimal_transversals,
                             _antichain, _sort_key)
 
-from oracles import brute_minimal_nonfaces, brute_minimal_transversals
+from oracles import (brute_maximal_cliques, brute_minimal_nonfaces,
+                     brute_minimal_transversals)
 
 
 def all_complexes(p):
@@ -134,6 +135,18 @@ def test_one_skeleton_and_flag():
     assert flag_complex(tri).facet_sets() == [frozenset({1, 2, 3})]
 
 
+def test_flag_complex_facets_are_the_maximal_cliques():
+    rng = random.Random(10)
+    for p in range(1, 11):
+        pairs = list(combinations(range(1, p + 1), 2))
+        for density in (0.2, 0.5, 0.8):
+            edges = [e for e in pairs if rng.random() < density]
+            S = flag_complex(make_graph(p, edges))
+            assert sorted(S.facet_sets(), key=lambda f: (len(f), sorted(f))) \
+                == brute_maximal_cliques(p, edges)
+            assert list(S.facets) == sorted(S.facets, key=_sort_key)
+
+
 def test_minimal_nonface_masks_golden():
     S = make_complex(5, [[1, 2, 3], [2, 3, 4], [3, 4, 5]])
     assert minimal_nonfaces(S) == [frozenset({1, 4}), frozenset({1, 5}),
@@ -181,6 +194,15 @@ def test_make_complex_validation():
         make_complex(2, [[3]])
     with pytest.raises(DomainError):
         make_complex(65, [])
+
+
+@pytest.mark.parametrize("build", [make_complex, make_ideal, make_graph])
+@pytest.mark.parametrize("p, message", [
+    (0, "at least 1"), (-1, "at least 1"), (65, "at most 64"),
+    (True, "integer"), (2.0, "integer"), ("2", "integer")])
+def test_one_vertex_count_rule(build, p, message):
+    with pytest.raises(DomainError, match=message):
+        build(p, [])
 
 
 @st.composite
