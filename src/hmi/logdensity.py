@@ -173,7 +173,8 @@ _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>x\d+)|(?P<op>[-+*/^]))")
 
 def parse_poly(text: str, p: int) -> SparsePolynomial:
     """Parse ``coeff*x1^2*x3 - x2 + 1/2`` style text; exact, and round-trips
-    through str()."""
+    through str().  The terms' coefficients are summed per exponent as they
+    are read, and one polynomial is built from the sums at the end."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -187,7 +188,9 @@ def parse_poly(text: str, p: int) -> SparsePolynomial:
         kind = m.lastgroup
         tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
-    result = SparsePolynomial.zero(p)
+    # an invalid p is reported before any error in the terms
+    p = SparsePolynomial.zero(p).p
+    terms: dict[tuple, Fraction] = {}
     idx = 0
 
     def peek():
@@ -211,6 +214,9 @@ def parse_poly(text: str, p: int) -> SparsePolynomial:
                         if k3 != "int":
                             raise PolynomialSyntaxError(
                                 "expected denominator", off3)
+                        if not int(v3):
+                            raise PolynomialSyntaxError("zero denominator",
+                                                        off3)
                         idx += 1
                         coeff *= Fraction(num, int(v3))
                     else:
@@ -242,21 +248,28 @@ def parse_poly(text: str, p: int) -> SparsePolynomial:
                     expect_atom = True
                 else:
                     break
-        return SparsePolynomial(p, {tuple(exps): coeff})
+        # a sum that cancels drops its exponent, as adding the term to a
+        # polynomial would, so a later term with it goes last
+        exp = tuple(exps)
+        total = terms.get(exp, 0) + coeff
+        if total:
+            terms[exp] = total
+        else:
+            terms.pop(exp, None)
 
     kind, val, off = peek()
     sign = 1
     if kind == "op" and val in "+-":
         sign = -1 if val == "-" else 1
         idx += 1
-    result = result + parse_term(sign)
+    parse_term(sign)
     while idx < len(tokens):
         kind, val, off = peek()
         if kind != "op" or val not in "+-":
             raise PolynomialSyntaxError("expected '+' or '-'", off)
         idx += 1
-        result = result + parse_term(-1 if val == "-" else 1)
-    return result
+        parse_term(-1 if val == "-" else 1)
+    return SparsePolynomial(p, terms)
 
 
 def differentiate(g: SparsePolynomial, k: Sequence[int]) -> SparsePolynomial:

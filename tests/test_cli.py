@@ -320,6 +320,7 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
      json.dumps({"p": 0, "generators": []})),
     (["complex-of", "--ideal", "i.json"],
      json.dumps({"p": 70, "generators": []})),
+    (["parse-poly", "--p", "1", "--poly-file", "g.txt"], "x1 + 1/0"),
 ], ids=["missing-points", "csv-cell", "filtration-list",
         "radius-and-filtration", "neither-radius-nor-filtration",
         "missing-poly", "strip-list", "ci-list", "given-list", "gaussian-keys",
@@ -334,7 +335,8 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
         "moment-zero-division", "moment-bool", "moment-nan",
         "product-variance-bool", "product-mean-string",
         "complex-and-ideal", "parse-poly-both", "check-model-poly-both",
-        "artinian-poly-both", "ideal-p-zero", "ideal-p-70"])
+        "artinian-poly-both", "ideal-p-zero", "ideal-p-70",
+        "poly-zero-denominator"])
 def test_bad_input_exits_one_with_one_error_line(argv, text, capsys,
                                                  tmp_path):
     # missing files, non-numeric CSV cells, bad number lists, a nerve
@@ -345,7 +347,7 @@ def test_bad_input_exits_one_with_one_error_line(argv, text, capsys,
     # id that is not a JSON integer, rationals that are not rationals (or
     # are booleans, nan or out of float range where a float is needed),
     # density parameters that are booleans or strings, two inputs where one
-    # belongs, a vertex count outside 1..64;
+    # belongs, a vertex count outside 1..64, a zero denominator;
     # text goes to the first file named, or a tuple of texts to the files
     # in the order named
     files = [a for a in argv if a.endswith((".csv", ".txt", ".json"))]

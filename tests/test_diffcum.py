@@ -18,7 +18,6 @@ from hmi import (DensityOracle, CubeWindow, parity_alpha, r_factor,
                  gaussian_log_poly, mec_polynomial, mec_support_complex,
                  make_complex, stanley_reisner, differentiate,
                  is_hierarchical)
-from hmi.diffcum import _quadrature_grid
 from hmi.errors import DomainError
 from hmi.partitions import _cumulants
 
@@ -160,10 +159,18 @@ def test_local_moment_env_seed(monkeypatch):
 
 def fresh_monomial_moments(f, window, options):
     """The local moment function with every x^nu rebuilt from ones, one
-    axis at a time, on the grid or sample the estimators use."""
+    axis at a time.  The tensor grid is built here on its own, as an (N, p)
+    C-order array from ``meshgrid`` with each weight multiplied in axis by
+    axis, so a change to the estimators' grid layout or to the array the
+    density reads shows as a changed bit."""
     p, eps = len(window.center), window.eps
     if "nodes" in options:
-        offsets, weights = _quadrature_grid(window, options["nodes"])
+        t, w = np.polynomial.legendre.leggauss(options["nodes"])
+        grids = np.meshgrid(*[eps * t] * p, indexing="ij")
+        offsets = np.stack([g.ravel() for g in grids], axis=1)
+        weights = np.ones(len(offsets))
+        for g in np.meshgrid(*[w] * p, indexing="ij"):
+            weights *= g.ravel()
     else:
         offsets = np.random.default_rng(options["seed"]).uniform(
             -eps, eps, size=(options["mc_samples"], p))
@@ -180,24 +187,38 @@ def fresh_monomial_moments(f, window, options):
     return moment
 
 
-@pytest.mark.parametrize("f", [
-    gaussian_density((0.2, -0.1, 0.0), ((2.0, 0.3, 0.1), (0.3, 1.5, 0.2),
-                                        (0.1, 0.2, 1.0))),
-    mec_density({(1, 1, 0): -0.5, (0, 1, 1): 0.4, (1, 1, 1): 0.3,
-                 (1, 0, 0): 0.2}, 3)], ids=["gaussian", "mec"])
+PRECISION4 = ((2.0, 0.3, 0.1, -0.2), (0.3, 1.5, 0.2, 0.1),
+              (0.1, 0.2, 1.0, 0.3), (-0.2, 0.1, 0.3, 1.8))
+MEC4 = {(1, 1, 0, 0): -0.5, (0, 1, 1, 0): 0.4, (1, 1, 1, 0): 0.3,
+        (1, 0, 0, 0): 0.2, (0, 0, 1, 1): -0.3, (1, 0, 0, 1): 0.25}
+
+
+def local_density(kind, p):
+    """The p-variate corner of a fixed Gaussian or MEC density."""
+    if kind == "gaussian":
+        return gaussian_density((0.2, -0.1, 0.0, 0.1)[:p],
+                                [row[:p] for row in PRECISION4[:p]])
+    return mec_density({s[:p]: a for s, a in MEC4.items()
+                        if not any(s[p:])}, p)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "mec"])
 @pytest.mark.parametrize("options", [
     {"nodes": 6}, {"method": "mc", "mc_samples": 3000, "seed": 5}],
     ids=["quadrature", "mc"])
-def test_local_moments_bit_identical_to_fresh_monomials(f, options):
-    # the estimators share monomial prefixes between moments; every value
-    # must still equal the one built from scratch, to the last bit
-    w = CubeWindow((0.1, -0.2, 0.3), 0.4)
-    moment = fresh_monomial_moments(f, w, options)
-    for k in product(range(4), repeat=3):
-        assert local_moment(f, w, k, **options).value == moment(k)
-        if any(k):
-            assert (local_cumulant(f, w, k, **options).value
-                    == _cumulants(k, moment))
+def test_local_moments_bit_identical_to_fresh_monomials(kind, options):
+    # the estimators share monomial prefixes between moments and lay the
+    # grid out column by column; every value must still equal the one built
+    # from scratch on a C-order grid, to the last bit
+    for p in range(1, 5):
+        f = local_density(kind, p)
+        w = CubeWindow((0.1, -0.2, 0.3, -0.15)[:p], 0.4)
+        moment = fresh_monomial_moments(f, w, options)
+        for k in product(range(4 if p < 4 else 3), repeat=p):
+            assert local_moment(f, w, k, **options).value == moment(k)
+            if any(k):
+                assert (local_cumulant(f, w, k, **options).value
+                        == _cumulants(k, moment))
 
 
 def test_local_cumulant_centered_window():
@@ -227,6 +248,87 @@ def test_local_cumulant_evaluates_density_once(center, k):
     want = cumulant_by_set_partitions(
         k, lambda nu: local_moment(base, w, nu, nodes=8).value)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def stencil_points(xi, axes, h):
+    """The central-difference stencil built point by point: xi with +-h_i
+    added on each axis i of alpha, one row per sign row in ``product``
+    order, every other coordinate copied from xi."""
+    rows = []
+    for signs in product((1.0, -1.0), repeat=len(axes)):
+        row = list(xi)
+        for s, i, v in zip(signs, axes, h):
+            row[i] = xi[i] + s * v
+        rows.append(row)
+    return np.array(rows)
+
+
+def expected_batches(xi, alphas, step_scale, richardson, log):
+    """The batches the finite differences send for the parity classes
+    alphas, in the order they are first asked for: a coarse stencil, then
+    (with Richardson) the half-step one, and f(xi) once, after the first
+    stencils of a ratio D^alpha f / f or for a log-derivative of order 0."""
+    batches, at_xi = [], []
+    for alpha in alphas:
+        axes = [i for i, a in enumerate(alpha) if a]
+        if axes:
+            h = [step_scale * max(1.0, abs(xi[i])) for i in axes]
+            batches.append(stencil_points(xi, axes, h))
+            if richardson:
+                batches.append(stencil_points(xi, axes, [v / 2 for v in h]))
+        if (not axes if log else axes) and not at_xi:
+            at_xi.append(np.array([xi]))
+            batches.append(at_xi[0])
+    return batches
+
+
+def first_parity_classes(k):
+    """The parity classes of the nonzero nu <= k in the order the
+    moment-cumulant transform asks for them: ``product`` order."""
+    order = []
+    for nu in product(*(range(v + 1) for v in k)):
+        alpha = parity_alpha(nu)
+        if any(nu) and alpha not in order:
+            order.append(alpha)
+    return order
+
+
+@pytest.mark.parametrize("xi, k, step_scale", [
+    ((-0.0,), (1,), 1e-3), ((0.7,), (2,), 1e-3), ((-1.4,), (3,), 1e-2),
+    ((0.6, -0.0), (1, 1), 1e-3), ((2.5, 0.3), (2, 1), 1e-3),
+    ((-0.0, 1.3, -2.5), (1, 1, 1), 1e-3), ((0.4, -0.0, 0.2), (2, 1, 3), 1e-3),
+    ((0.2, -0.0, 1.5, -0.4), (1, 1, 1, 1), 1e-2),
+    ((-0.3, 0.1, -0.0, 0.9), (1, 2, 0, 1), 1e-3),
+    # the step on axis 0 overflows to inf: off alpha it must leave 1e308 as
+    # it is, on alpha it puts +-inf on the stencil
+    ((1e308, 0.5), (0, 1), 2.0), ((1e308, -0.0), (1, 1), 2.0)])
+@pytest.mark.parametrize("richardson", [True, False])
+def test_stencil_points_pinned(xi, k, step_scale, richardson):
+    # every batch the finite differences send to the density, bit for bit
+    # and in order, against stencils built point by point
+    p = len(xi)
+    batches = []
+
+    def counted(pts):
+        batches.append(np.array(pts))
+        return np.exp(np.tanh(pts) @ np.linspace(0.5, -0.5, p))
+
+    f = DensityOracle(p, counted)
+    alpha = parity_alpha(k)
+    options = {"step_scale": step_scale, "richardson": richardson}
+    calls = [
+        (lambda: differential_moment(f, xi, k, **options), [alpha], False),
+        (lambda: differential_cumulant(f, xi, k, **options),
+         first_parity_classes(k), False),
+        (lambda: differential_cumulant(f, xi, k, method="logderiv",
+                                       **options), [alpha], True)]
+    for call, alphas, log in calls:
+        batches.clear()
+        call()
+        want = expected_batches(xi, alphas, step_scale, richardson, log)
+        assert [b.shape for b in batches] == [w.shape for w in want]
+        for got, w in zip(batches, want):
+            assert got.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("xi, k, classes", [

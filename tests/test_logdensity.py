@@ -43,6 +43,12 @@ def test_parse_golden():
                        (0, 0, 0): Fraction(1, 3)}
     assert parse_poly("x1*x1", 1).terms == {(2,): Fraction(1)}
     assert parse_poly("-x1", 1).terms == {(1,): Fraction(-1)}
+    # like terms are summed as they are read; a sum that cancels drops its
+    # exponent, so a later term with it comes after the others
+    g = parse_poly("x1 - x1 + x2 + 0*x1 + 1/2*x1 + 1/2*x1", 2)
+    assert list(g.terms.items()) == [((0, 1), 1), ((1, 0), 1)]
+    assert parse_poly("x1*x2 + 2 - x2*x1 - 2", 2).is_zero()
+    assert parse_poly("x1 + 2*x2 + 3*x1", 2).terms == {(1, 0): 4, (0, 1): 2}
 
 
 def test_parse_errors_with_offsets():
@@ -56,6 +62,13 @@ def test_parse_errors_with_offsets():
         parse_poly("1/", 1)
     with pytest.raises(DomainError, match="exceeds dimension"):
         parse_poly("x9", 2)
+    with pytest.raises(PolynomialSyntaxError) as err:
+        parse_poly("x1 + 1/0", 1)
+    assert err.value.offset == 7
+    # an invalid variable count is reported before an error in the terms
+    for text in ("x1 + ", "x9", "1/0"):
+        with pytest.raises(DomainError, match="variable count"):
+            parse_poly(text, 0)
 
 
 @st.composite
