@@ -36,6 +36,7 @@ from .partitions import _cumulants, _validate, plus_norm
 DEFAULT_NODES = 16
 DEFAULT_STEP_SCALE = 1e-3
 TENSOR_GRID_MAX_DIM = 4
+_MEC_SHORT_BATCH = 128  # longest batch an MEC density evaluates at once
 
 
 @dataclass(frozen=True)
@@ -410,15 +411,34 @@ def mec_density(coeffs, p: int) -> DensityOracle:
                  for s, a in spec.coeffs.items()]
     except OverflowError:
         raise DomainError("MEC coefficient out of float range") from None
+    # for short batches: row 0 is the zero the sum starts from, and
+    # factors[d][j] is the axis of term j's d-th factor, or p (a row of
+    # ones) past its degree, since x * 1.0 is x bit for bit
+    start = np.array([0.0] + [a for a, _ in terms])[:, None]
+    depth = max((len(axes) for _, axes in terms), default=0)
+    factors = np.array([[axes[d] if d < len(axes) else p
+                         for _, axes in terms] for d in range(depth)],
+                       dtype=np.intp)
 
     def fn(pts):
-        g = np.zeros(pts.shape[0])
-        for a, axes in terms:
-            term = a
-            for i in axes:
-                term = term * pts[:, i]
-            g += term
-        return np.exp(g)
+        # either way each term is a_s * x_i * x_j * ... left to right and
+        # the terms are added to zero in order, so both give the same bits
+        if len(pts) > _MEC_SHORT_BATCH:
+            g = np.zeros(pts.shape[0])
+            for a, axes in terms:
+                term = a
+                for i in axes:
+                    term = term * pts[:, i]
+                g += term
+            return np.exp(g)
+        # a stencil: one array operation per factor depth rather than
+        # several per term, so its cost does not grow with the terms
+        x = np.ones((p + 1, len(pts)))
+        x[:p] = pts.T
+        term = np.repeat(start, len(pts), axis=1)
+        for axes in factors:
+            term[1:] *= x[axes]
+        return np.exp(np.add.accumulate(term)[-1])
 
     return DensityOracle(spec.p, fn)
 

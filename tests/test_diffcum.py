@@ -536,6 +536,40 @@ def test_mec_density_matches_exp_of_polynomial():
         mec_density({(2, 0): 1.0}, 2)
 
 
+def mec_by_terms(coeffs, pts):
+    """exp(sum a_s x^s) one term at a time: each term a_s * x_i * x_j ...
+    left to right, added to zero in the spec's order."""
+    g = np.zeros(len(pts))
+    for s, a in coeffs.items():
+        term = float(a)
+        for i in (i for i, si in enumerate(s) if si):
+            term = term * pts[:, i]
+        g += term
+    return np.exp(g)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_mec_density_bit_identical_to_term_loop(p):
+    # short batches (stencils) and long ones (grids) are evaluated two ways;
+    # both must give the per-term loop's bits, however many terms there are
+    rng = np.random.default_rng(p)
+    subsets = list(product((0, 1), repeat=p))
+    specials = np.array([-0.0, 0.0, 1e200, -1e-300])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n_terms in range(len(subsets) + 1):
+            picked = rng.permutation(len(subsets))[:n_terms]
+            coeffs = {subsets[j]: float(rng.uniform(-2, 2)) for j in picked}
+            f = mec_density(coeffs, p)
+            for n in (0, 1, 8, 128, 129, 700):
+                pts = rng.normal(size=(n, p))
+                if n:
+                    pts.flat[rng.integers(0, pts.size, 4)] = specials
+                for layout in (pts, np.asfortranarray(pts)):
+                    got = f.batch(layout)
+                    assert got.tobytes() == mec_by_terms(coeffs,
+                                                         layout).tobytes()
+
+
 def test_product_gaussian_diff_cumulant_cross_terms_vanish():
     f = product_gaussian_density([0.5, -1.0], [1.0, 2.0])
     got = differential_cumulant(f, (0.2, 0.3), (1, 1)).value
