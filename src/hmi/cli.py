@@ -419,7 +419,8 @@ def build_parser():
     add("mec", cmd_mec, spec={"required": True})
     add("local-moment", cmd_local_moment, density={"required": True},
         xi={"required": True}, eps={"type": float, "required": True},
-        k={"required": True}, nodes={"type": int, "default": 16},
+        k={"required": True},
+        nodes={"type": int, "default": diffcum.DEFAULT_NODES},
         method={"choices": ("quadrature", "mc"), "default": "quadrature"})
     add("diff-moment", cmd_diff_moment, density={"required": True},
         xi={"required": True}, k={"required": True})
@@ -429,7 +430,8 @@ def build_parser():
                 "default": "partition"})
     add("limit-probe", cmd_limit_probe, density={"required": True},
         xi={"required": True}, k={"required": True},
-        eps_seq={"required": True}, nodes={"type": int, "default": 16})
+        eps_seq={"required": True},
+        nodes={"type": int, "default": diffcum.DEFAULT_NODES})
     add("ci-generators", cmd_ci_generators, p={"type": int,
         "required": True}, i={"required": True}, j={"required": True},
         given={"default": ""})

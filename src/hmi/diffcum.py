@@ -20,7 +20,6 @@ negative or nan value anywhere on a stencil or grid raises ``DomainError``
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 from functools import cache
@@ -31,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError
 from .logdensity import GaussianSpec, MECSpec, _finite_real
-from .partitions import _cumulants, _validate, plus_norm
+from .partitions import _cumulants, _positive_int, _validate, plus_norm
 
 DEFAULT_NODES = 16
 DEFAULT_STEP_SCALE = 1e-3
@@ -117,6 +116,9 @@ def _sample(f: DensityOracle, pts) -> np.ndarray:
     """f on the rows of pts.  Every estimator here is a ratio of density
     samples, so each one must be positive; ``min`` also catches a nan."""
     vals = f.batch(pts)
+    if vals.shape != (len(pts),):
+        raise DomainError(f"density gave shape {vals.shape} for {len(pts)} "
+                          "points")
     if not vals.min() > 0:
         raise DomainError("non-positive density sample encountered")
     return vals
@@ -279,13 +281,11 @@ def _local_moments(f: DensityOracle, window: CubeWindow, k, nodes, method,
             raise DomainError(
                 f"tensor quadrature supports p <= {TENSOR_GRID_MAX_DIM}; "
                 "use method='mc'")
-        if not (isinstance(nodes, numbers.Integral) and nodes > 0):
-            raise DomainError("nodes must be a positive integer")
+        nodes = _positive_int(nodes, "nodes")
         offsets, weights = _quadrature_grid(window, nodes)
         meta = {"nodes": nodes}
     elif method == "mc":
-        if not (isinstance(mc_samples, numbers.Integral) and mc_samples > 0):
-            raise DomainError("mc_samples must be a positive integer")
+        mc_samples = _positive_int(mc_samples, "mc_samples")
         if seed is None:
             text = os.environ.get("HMI_SEED", "0")
             if not text.isdecimal():

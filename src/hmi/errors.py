@@ -16,8 +16,9 @@ class NotDecomposableError(DomainError):
 
 
 class PolynomialSyntaxError(DomainError):
-    """Polynomial text did not match the grammar.  ``offset`` is the byte
-    position of the offending token."""
+    """Polynomial text did not match the grammar.  ``offset`` is the
+    character index (not the UTF-8 byte) of the offending token, or the
+    text's length at its end; the message still says "at byte"."""
 
     def __init__(self, message, offset):
         super().__init__(f"{message} (at byte {offset})")

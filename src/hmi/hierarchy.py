@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError, NotDecomposableError
-from .graphs import (Labelled, _Search, _bits, _mcs, _zero_fill_in,
-                     find_chordless_cycle)
+from .graphs import (Labelled, _Search, _bits, _json_int, _mcs,
+                     _zero_fill_in, find_chordless_cycle)
 from .ideal import SquareFreeIdeal, complex_of
 from .simplicial import (SimplicialComplex, _antichain, _sort_key,
                          minimal_transversals, one_skeleton)
@@ -31,9 +31,15 @@ class CIStatement:
     k_set: frozenset[int]
 
     def __post_init__(self):
-        universe = set(range(1, self.p + 1))
-        parts = [set(self.i_set), set(self.j_set), set(self.k_set)]
-        if not self.i_set or not self.j_set:
+        try:
+            p = _json_int(self.p)
+            parts = [frozenset(map(_json_int, s))
+                     for s in (self.i_set, self.j_set, self.k_set)]
+        except TypeError:
+            raise DomainError("a CI statement needs an integer p and sets "
+                              "of integer indices") from None
+        universe = set(range(1, p + 1))
+        if not parts[0] or not parts[1]:
             raise DomainError("I and J must be non-empty")
         if sum(len(s) for s in parts) != len(universe) \
                 or set().union(*parts) != universe:
@@ -160,15 +166,10 @@ def ideal_marginalize(I: SquareFreeIdeal, J: Iterable[int]) -> SquareFreeIdeal:
 
 def ci_to_generators(stmt: CIStatement) -> list[tuple[int, ...]]:
     """Zero-cumulant orders {e_i + e_j : i in I, j in J} whose vanishing is
-    equivalent to X_I independent of X_J given X_K."""
-    out = []
-    for i in sorted(stmt.i_set):
-        for j in sorted(stmt.j_set):
-            k = [0] * stmt.p
-            k[i - 1] += 1
-            k[j - 1] += 1
-            out.append(tuple(k))
-    return sorted(out)
+    equivalent to X_I independent of X_J given X_K; I and J are disjoint,
+    so each is a 0/1 vector."""
+    return sorted(tuple(int(v in (i, j)) for v in range(1, stmt.p + 1))
+                  for i in stmt.i_set for j in stmt.j_set)
 
 
 def format_factorization(fact: Factorization) -> str:

@@ -65,10 +65,9 @@ def stanley_reisner(S: SimplicialComplex) -> SquareFreeIdeal:
 def complex_of(I: SquareFreeIdeal) -> SimplicialComplex:
     """Inverse of the Stanley-Reisner map: faces are the supports divided by
     no generator.  The facets are the complements of the minimal
-    transversals of the generator supports."""
+    transversals of the generator supports, so the zero ideal gives the
+    full simplex."""
     full = (1 << I.p) - 1
-    if not I.generators:
-        return SimplicialComplex(I.p, (full,), I.labels)
     facets = [full & ~t for t in minimal_transversals(I.generators, I.p)]
     return SimplicialComplex(I.p, tuple(sorted(facets, key=_sort_key)),
                              I.labels)

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, PolynomialSyntaxError
 from .ideal import SquareFreeIdeal, make_ideal
-from .partitions import _validate
+from .partitions import _index, _positive_int, _validate
 from .simplicial import SimplicialComplex, _json_int, is_face, make_complex
 
 
@@ -58,8 +58,7 @@ class SparsePolynomial:
     @classmethod
     def variable(cls, p, i):
         """x_i, 1-based."""
-        if not 1 <= i <= p:
-            raise DomainError(f"variable index {i} out of range 1..{p}")
+        i = _index(i, p, "variable index")
         return cls(p, {tuple(1 if j == i - 1 else 0 for j in range(p)): 1})
 
     def is_zero(self):
@@ -123,16 +122,15 @@ class SparsePolynomial:
 
     def degree_in(self, i: int) -> int:
         """Degree in x_i (1-based); -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(e[i - 1] for e in self.terms)
+        i = _index(i, self.p, "variable index")
+        return max((e[i - 1] for e in self.terms), default=-1)
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.terms), default=-1)
 
     def evaluate(self, point: Sequence):
+        if not hasattr(point, "__len__") or len(point) != self.p:
+            raise DomainError(f"point must have {self.p} coordinates")
         total = Fraction(0)
         for e, c in self.terms.items():
             val = c
@@ -173,8 +171,14 @@ _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>x\d+)|(?P<op>[-+*/^]))")
 
 def parse_poly(text: str, p: int) -> SparsePolynomial:
     """Parse ``coeff*x1^2*x3 - x2 + 1/2`` style text; exact, and round-trips
-    through str().  The terms' coefficients are summed per exponent as they
-    are read, and one polynomial is built from the sums at the end."""
+    through str().  One cursor reads the tokens by the grammar
+
+        sum  := [+|-] term ((+|-) term)*
+        term := atom (* atom)*
+        atom := int [/ int] | x_i [^ int]
+
+    Each term's coefficient is added to the sum for its exponent as it is
+    read, and one polynomial is built from the sums at the end."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -185,91 +189,61 @@ def parse_poly(text: str, p: int) -> SparsePolynomial:
                 raise PolynomialSyntaxError(
                     f"unexpected character {text[bad]!r}", bad)
             break
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
+        tokens.append((kind := m.lastgroup, m.group(kind), m.start(kind)))
         pos = m.end()
+    tokens.append((None, None, len(text)))          # end of text
     # an invalid p is reported before any error in the terms
     p = SparsePolynomial.zero(p).p
     terms: dict[tuple, Fraction] = {}
     idx = 0
 
-    def peek():
-        return tokens[idx] if idx < len(tokens) else (None, None, len(text))
-
-    def parse_term(sign):
+    def take(kind, ops=""):
+        """Consume and return the next token's text if it is a ``kind``."""
         nonlocal idx
-        coeff = Fraction(sign)
-        exps = [0] * p
-        expect_atom = True
+        k, val, _ = tokens[idx]
+        if k != kind or (ops and val not in ops):
+            return None
+        idx += 1
+        return val
+
+    def expected(what):
+        raise PolynomialSyntaxError(f"expected {what}", tokens[idx][2])
+
+    sign = take("op", "+-")
+    while True:
+        coeff, exps = Fraction(-1 if sign == "-" else 1), [0] * p
         while True:
-            kind, val, off = peek()
-            if expect_atom:
-                if kind == "int":
-                    idx += 1
-                    num = int(val)
-                    k2, v2, _ = peek()
-                    if k2 == "op" and v2 == "/":
-                        idx += 1
-                        k3, v3, off3 = peek()
-                        if k3 != "int":
-                            raise PolynomialSyntaxError(
-                                "expected denominator", off3)
-                        if not int(v3):
-                            raise PolynomialSyntaxError("zero denominator",
-                                                        off3)
-                        idx += 1
-                        coeff *= Fraction(num, int(v3))
-                    else:
-                        coeff *= num
-                elif kind == "var":
-                    idx += 1
-                    var = int(val[1:])
-                    if not 1 <= var <= p:
-                        raise DomainError(
-                            f"variable index {var} exceeds dimension {p}")
-                    power = 1
-                    k2, v2, _ = peek()
-                    if k2 == "op" and v2 == "^":
-                        idx += 1
-                        k3, v3, off3 = peek()
-                        if k3 != "int":
-                            raise PolynomialSyntaxError("expected exponent",
-                                                        off3)
-                        idx += 1
-                        power = int(v3)
-                    exps[var - 1] += power
+            if num := take("int"):
+                if take("op", "/"):
+                    den = int(take("int") or expected("denominator"))
+                    if not den:     # reported at the denominator just read
+                        raise PolynomialSyntaxError("zero denominator",
+                                                    tokens[idx - 1][2])
+                    coeff *= Fraction(int(num), den)
                 else:
-                    raise PolynomialSyntaxError("expected coefficient or "
-                                                "variable", off)
-                expect_atom = False
+                    coeff *= int(num)
+            elif var := take("var"):
+                var = int(var[1:])
+                if not 1 <= var <= p:
+                    raise DomainError(
+                        f"variable index {var} exceeds dimension {p}")
+                power = 1
+                if take("op", "^"):
+                    power = int(take("int") or expected("exponent"))
+                exps[var - 1] += power
             else:
-                if kind == "op" and val == "*":
-                    idx += 1
-                    expect_atom = True
-                else:
-                    break
+                expected("coefficient or variable")
+            if not take("op", "*"):
+                break
         # a sum that cancels drops its exponent, as adding the term to a
         # polynomial would, so a later term with it goes last
         exp = tuple(exps)
-        total = terms.get(exp, 0) + coeff
-        if total:
-            terms[exp] = total
-        else:
-            terms.pop(exp, None)
-
-    kind, val, off = peek()
-    sign = 1
-    if kind == "op" and val in "+-":
-        sign = -1 if val == "-" else 1
-        idx += 1
-    parse_term(sign)
-    while idx < len(tokens):
-        kind, val, off = peek()
-        if kind != "op" or val not in "+-":
-            raise PolynomialSyntaxError("expected '+' or '-'", off)
-        idx += 1
-        parse_term(-1 if val == "-" else 1)
-    return SparsePolynomial(p, terms)
+        terms[exp] = terms.get(exp, 0) + coeff
+        if not terms[exp]:
+            del terms[exp]
+        if tokens[idx][0] is None:
+            return SparsePolynomial(p, terms)
+        sign = take("op", "+-") or expected("'+' or '-'")
 
 
 def differentiate(g: SparsePolynomial, k: Sequence[int]) -> SparsePolynomial:
@@ -285,8 +259,8 @@ def differentiate(g: SparsePolynomial, k: Sequence[int]) -> SparsePolynomial:
         for e, d in zip(exp, k):
             for step in range(d):
                 c *= e - step
-        out[tuple(e - d for e, d in zip(exp, k))] = \
-            out.get(tuple(e - d for e, d in zip(exp, k)), Fraction(0)) + c
+        # exponents that survive stay distinct after the shift
+        out[tuple(e - d for e, d in zip(exp, k))] = c
     return SparsePolynomial(g.p, out)
 
 
@@ -324,8 +298,7 @@ def artinian_degree_check(g: SparsePolynomial, n: Sequence[int]) -> bool:
 def total_degree_cumulant_check(g: SparsePolynomial, d: int) -> bool:
     """True iff D^alpha g = 0 for every |alpha| = d, i.e. total degree of g
     is at most d - 1."""
-    if d < 1:
-        raise DomainError("degree must be positive")
+    d = _positive_int(d, "degree")
     return g.total_degree() <= d - 1
 
 
@@ -382,7 +355,8 @@ def gaussian_log_poly(spec: GaussianSpec) -> SparsePolynomial:
 def gaussian_ideal(spec: GaussianSpec, tolerance=0) -> SquareFreeIdeal:
     """Stanley-Reisner ideal read off the zero pattern of the precision
     matrix: one generator x_i x_j per (near-)zero off-diagonal entry."""
-    if not tolerance >= 0:
+    if isinstance(tolerance, bool) or not (
+            isinstance(tolerance, numbers.Real) and tolerance >= 0):
         raise DomainError("tolerance must be non-negative")
     gens = []
     for i in range(spec.p):
@@ -405,6 +379,8 @@ class MECSpec:
         except (AttributeError, TypeError):
             raise DomainError("MEC spec needs an integer p and a mapping of "
                               "coefficients") from None
+        if p < 1:
+            raise DomainError("variable count must be at least 1")
         clean = {}
         for s, a in items:
             if not (isinstance(s, Iterable) and len(s := tuple(s)) == p

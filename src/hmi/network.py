@@ -23,6 +23,8 @@ class Network:
     output: int
 
     def __post_init__(self):
+        if any(len(e) != 3 for e in self.edges):
+            raise DomainError("each edge must be an (id, u, v) triple")
         nodes = set(self.nodes)
         if self.input == self.output:
             raise DomainError("input and output must differ")

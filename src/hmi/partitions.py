@@ -59,9 +59,28 @@ def plus_norm(k: Sequence[int]) -> int:
 
 def unit_vector(p: int, i: int) -> MultiIndex:
     """e_i in N^p, i is 1-based."""
-    if not 1 <= i <= p:
-        raise DomainError(f"unit vector index {i} out of range 1..{p}")
+    i = _index(i, p, "unit vector index")
     return tuple(1 if j == i - 1 else 0 for j in range(p))
+
+
+def _index(i, p, what) -> int:
+    """i as an int in 1..p, else ``DomainError`` (also for a non-int p)."""
+    try:
+        if 1 <= _json_int(i) <= _json_int(p):
+            return _json_int(i)
+    except TypeError:
+        pass
+    raise DomainError(f"{what} {i!r} out of range 1..{p!r}")
+
+
+def _positive_int(value, what) -> int:
+    """value as a positive int; a float, string or boolean is refused."""
+    try:
+        if (n := _json_int(value)) > 0:
+            return n
+    except TypeError:
+        pass
+    raise DomainError(f"{what} must be a positive integer")
 
 
 def _validate(k) -> MultiIndex:

@@ -130,14 +130,11 @@ def is_face(S: SimplicialComplex, J: Iterable[int]) -> bool:
 
 def minimal_nonface_masks(S: SimplicialComplex) -> tuple[int, ...]:
     # K is a non-face iff K meets the complement of every facet, so the
-    # minimal non-faces are the minimal transversals of those complements.
-    if not S.facets:
-        return (0,)                     # void complex: the empty set itself
+    # minimal non-faces are the minimal transversals of those complements:
+    # the empty set alone for the void complex (no complements), none for
+    # the full simplex (an empty complement).
     full = S.full_mask()
-    complements = [full & ~f for f in S.facets]
-    if any(c == 0 for c in complements):
-        return ()                       # full simplex: no non-faces
-    return minimal_transversals(complements, S.p)
+    return minimal_transversals([full & ~f for f in S.facets], S.p)
 
 
 def minimal_nonfaces(S: SimplicialComplex) -> list[frozenset[int]]:

@@ -425,16 +425,38 @@ def test_non_finite_point_rejected(bad):
     (lambda f: differential_cumulant(f, (0.0, 0.0), (1, 1),
                                      method="logderiv", step_scale=-1e-3),
      "step_scale"),
+    (lambda f: local_moment(f, CubeWindow((0.0, 0.0), 0.1), (1, 1),
+                            nodes=True), "nodes"),
+    (lambda f: local_cumulant(f, CubeWindow((0.0, 0.0), 0.1), (1, 1),
+                              nodes="16"), "nodes"),
+    (lambda f: local_moment(f, CubeWindow((0.0, 0.0), 0.1), (1, 1),
+                            method="mc", mc_samples=True), "mc_samples"),
+    (lambda f: local_cumulant(f, CubeWindow((0.0, 0.0), 0.1), (1, 1),
+                              method="mc", mc_samples=100.0), "mc_samples"),
 ], ids=["moment-k-negative", "moment-k-float", "logderiv-k-negative",
         "partition-k-float", "local-k-negative", "xi-string", "xi-none",
         "xi-scalar", "xi-bool", "centre-string", "eps-string", "eps-inf",
         "eps-values-string", "eps-values-scalar", "step-zero", "step-nan",
-        "step-negative"])
+        "step-negative", "nodes-bool", "nodes-string", "mc-samples-bool",
+        "mc-samples-float"])
 def test_bad_estimator_arguments_rejected(call, match):
     # each used to be read silently (k = (-1, 1) as (1, 1), an infinite
     # half-width) or to end in a TypeError, ValueError or ZeroDivisionError
     with pytest.raises(DomainError, match=match):
         call(std_pair())
+
+
+@pytest.mark.parametrize("fn", [
+    lambda pts: 1.0, lambda pts: np.ones((len(pts), 1)),
+    lambda pts: np.ones(len(pts) + 1), lambda pts: np.ones(0)],
+    ids=["scalar", "column", "one-too-many", "empty"])
+def test_density_of_wrong_shape_rejected(fn):
+    # each used to end in a numpy ValueError or TypeError, or to be read
+    f = DensityOracle(2, fn)
+    with pytest.raises(DomainError, match="shape"):
+        differential_cumulant(f, (0.0, 0.0), (1, 1))
+    with pytest.raises(DomainError, match="shape"):
+        local_cumulant(f, CubeWindow((0.0, 0.0), 0.1), (1, 1), nodes=2)
 
 
 def test_non_positive_density_rejected():
@@ -626,6 +648,8 @@ MEC = (MECSpec, lambda p, coeffs: mec_density(coeffs, p))
     (MEC, (2, {(1, 1, 0): 0.5})),
     (MEC, (1, {1: 0.5})),
     ((MEC[1],), (1, {(1,): 10 ** 400})),
+    (MEC, (-1, {})),
+    (MEC, (0, {(): 1.0})),
 ], ids=["mean-scalar", "precision-scalar", "precision-row-scalar",
         "no-variables", "precision-shape", "bool", "numpy-bool", "string",
         "nan", "inf", "asymmetric", "inverse-3x3", "huge-int",
@@ -636,7 +660,8 @@ MEC = (MECSpec, lambda p, coeffs: mec_density(coeffs, p))
         "mean-huge-int", "mean-string", "mec-nan", "mec-inf", "mec-string",
         "mec-bool", "mec-coeffs-list", "mec-p-float", "mec-p-bool",
         "mec-p-string", "mec-non-binary",
-        "mec-index-length", "mec-index-scalar", "mec-huge-int"])
+        "mec-index-length", "mec-index-scalar", "mec-huge-int",
+        "mec-p-negative", "mec-p-zero"])
 def test_bad_density_parameters_rejected(builders, args):
     for build in builders:
         with pytest.raises(DomainError):

@@ -188,6 +188,11 @@ def test_ci_generators():
         CIStatement(3, frozenset({1}), frozenset({2}), frozenset())
     with pytest.raises(DomainError):
         CIStatement(3, frozenset(), frozenset({2}), frozenset({1, 3}))
+    # a float index used to pass here and fail in ci_to_generators
+    for args in [(3, {1.0}, {2}, {3}), (3.0, {1}, {2}, {3}),
+                 (3, {1}, {2}, {True}), (3, 1, {2}, {3})]:
+        with pytest.raises(DomainError, match="integer"):
+            CIStatement(*args)
 
 
 def test_ci_generators_are_the_sr_generators():

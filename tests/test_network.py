@@ -103,6 +103,9 @@ def test_network_validation():
         make_network([1, 2, 3], [(1, 1, 2)], 1, 2)
     with pytest.raises(DomainError, match="not a node"):
         make_network([1, 2], [(1, 1, 9)], 1, 2)
+    for edge in [(1, 2), (1, 1, 2, 3)]:
+        with pytest.raises(DomainError, match="triple"):
+            make_network([1, 2], [edge], 1, 2)
 
 
 def test_json_parsing():

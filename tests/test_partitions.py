@@ -313,8 +313,13 @@ def test_norms_and_units():
     assert plus_norm((1, 0, 2)) == 4
     assert plus_norm((1, 1)) == 4
     assert unit_vector(3, 2) == (0, 1, 0)
-    with pytest.raises(DomainError):
-        unit_vector(3, 4)
+    assert unit_vector(np.int64(3), np.int64(2)) == (0, 1, 0)
+    # a float, string or boolean index used to give a zero vector or
+    # a TypeError
+    for p, i in [(3, 4), (3, 0), (3, 1.5), (3, "2"), (3, True), (2.0, 1),
+                 ("3", 1), (True, 1)]:
+        with pytest.raises(DomainError):
+            unit_vector(p, i)
 
 
 def test_parse_and_format_multiindex():
