@@ -106,6 +106,10 @@ class SparsePolynomial:
         return self * other
 
     def __pow__(self, n):
+        try:
+            n = _json_int(n)
+        except TypeError:
+            raise DomainError(f"power {n!r} is not an integer") from None
         if n < 0:
             raise DomainError("negative power")
         out = SparsePolynomial.constant(self.p, 1)

@@ -25,19 +25,21 @@ class Network:
     def __post_init__(self):
         if any(len(e) != 3 for e in self.edges):
             raise DomainError("each edge must be an (id, u, v) triple")
-        nodes = set(self.nodes)
+        nodes = set(_ints(self.nodes, "node ids must be integers"))
         if self.input == self.output:
             raise DomainError("input and output must differ")
-        if self.input not in nodes or self.output not in nodes:
+        if not nodes.issuperset(_ints((self.input, self.output),
+                                      "terminals must be nodes")):
             raise DomainError("terminals must be nodes")
-        ids = sorted(e[0] for e in self.edges)
+        ids = sorted(_ints((e[0] for e in self.edges),
+                           "edge ids must be dense 1..p"))
         if ids != list(range(1, len(ids) + 1)):
             raise DomainError("edge ids must be dense 1..p")
         if len(ids) > MAX_EDGES:
             raise DomainError(f"at most {MAX_EDGES} edges supported")
-        for _, u, v in self.edges:
-            if u not in nodes or v not in nodes:
-                raise DomainError("edge endpoint is not a node")
+        ends = (x for e in self.edges for x in e[1:])
+        if not nodes.issuperset(_ints(ends, "edge endpoint is not a node")):
+            raise DomainError("edge endpoint is not a node")
         if not self._connected():
             raise DomainError("network must be connected")
 
@@ -51,6 +53,16 @@ class Network:
                                          for _, u, v in self.edges])
         return bool(position) and \
             sum(_levels(adj, 1)) == (1 << len(position)) - 1
+
+
+def _ints(values, message) -> list[int]:
+    """values as ints; a float, string or boolean raises ``DomainError``
+    with ``message``, where a comparison by value would let 1.0 or True
+    stand for 1."""
+    try:
+        return [_json_int(v) for v in values]
+    except TypeError:
+        raise DomainError(message) from None
 
 
 def make_network(nodes: Iterable[int], edges, input: int,

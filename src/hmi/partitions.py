@@ -6,8 +6,11 @@ symbol i (1-based).  A partition is represented as a tuple of multi-indices,
 one per block, with the blocks sorted in descending lexicographic order so
 that every partition of a multiset has exactly one representation.  They are
 enumerated by a recursion over sub-multisets: the largest block, then a
-partition of the rest into blocks no larger, with the partitions of every
-rest memoised for one call under its mixed-radix rank.
+partition of the rest into blocks no larger.  The sub-multi-indices of k
+are listed once per call in a table indexed by mixed-radix rank; the
+recursion works on ranks, reads every block and rest off the table, so
+equal blocks are one shared tuple, and memoises the partitions of every
+rest under its rank.
 
 The transform is Smith's recursion over the sub-multi-indices of k, kept in
 flat lists indexed by mixed-radix rank.  An exact moment table runs it in
@@ -106,9 +109,8 @@ def enumerate_partitions(k: Sequence[int]) -> list[Partition]:
         raise DomainError(
             f"multi-index order {sum(k)} exceeds enumeration bound "
             f"{MAX_ENUMERATION_ORDER}")
-    strides = _strides(k)
-    rank = sum(v * s for v, s in zip(k, strides))
-    return _multiset_partitions(k, rank, strides, {}, {}, False)
+    table = list(product(*(range(v + 1) for v in k)))
+    return _multiset_partitions(len(table) - 1, table, _strides(k), {}, False)
 
 
 def _strides(k) -> list[int]:
@@ -120,32 +122,36 @@ def _strides(k) -> list[int]:
     return strides
 
 
-def _multiset_partitions(m, r, strides, memo, interned, keep):
-    """The partitions of the sub-multiset m (rank r) in ascending lex order.
+def _multiset_partitions(r, table, strides, memo, keep):
+    """The partitions of the sub-multiset of rank r in ascending lex order.
 
-    The largest block B holds m's first symbol, and the rest is a partition
-    of m - B whose blocks are all <= B: a prefix of the ascending list for
-    m - B, found by bisecting on first blocks.  B runs in ``product``
-    order, which is ascending, so the output is ascending too.
+    ``table[r]`` is the sub-multi-index of k with mixed-radix rank r
+    (``product`` order, which is lex order), so a block and its remainder
+    are read off the table by rank arithmetic, and equal blocks are one
+    tuple, the table's.  The largest block B holds the first symbol of
+    m = table[r], and the rest is a partition of m - B whose blocks are
+    all <= B: a prefix of the ascending list for m - B, found by bisecting
+    on first blocks.  B's ranks run in ``product`` order, which is
+    ascending, so the output is ascending too.
 
     ``memo`` maps the rank of a remainder to its list, for the deeper
     calls that reach it again.  The top level (``keep`` false) is the last
-    to read each of its own remainders, so it pops them.  ``interned``
-    maps a block's rank to its one tuple."""
+    to read each of its own remainders, so it pops them."""
+    m = table[r]
     i = next(j for j, v in enumerate(m) if v)
+    ranks = product(*(range(s if j == i else 0, (v + 1) * s, s)
+                      for j, (v, s) in enumerate(zip(m, strides))))
     out = []
-    for b in product(*(range(1 if j == i else 0, v + 1)
-                       for j, v in enumerate(m))):
-        rb = sum(v * s for v, s in zip(b, strides))
-        head = (interned.setdefault(rb, b),)
+    for rb in map(sum, ranks):
+        b = table[rb]
+        head = (b,)
         rest = r - rb
         if not rest:
             out.append(head)
             continue
         sub = memo.get(rest) if keep else memo.pop(rest, None)
         if sub is None:
-            sub = _multiset_partitions(tuple(map(operator.sub, m, b)), rest,
-                                       strides, memo, interned, True)
+            sub = _multiset_partitions(rest, table, strides, memo, True)
             if keep:
                 memo[rest] = sub
         cut = bisect_right(sub, b, key=operator.itemgetter(0))
@@ -193,11 +199,19 @@ def collapse_number(pi: Iterable[Sequence[int]]) -> Fraction:
 
 def chain_rule_terms(k: Sequence[int]) -> list[tuple[Fraction, int, list[MultiIndex]]]:
     """Symbolic expansion of D^k g(h(x)): one (coefficient, outer derivative
-    order, inner derivative orders) triple per partition of k."""
-    pis = enumerate_partitions(k)
+    order, inner derivative orders) triple per partition of k.
+
+    The coefficient is the collapse number c(pi) = nu_k! / (prod_j
+    nu_{M_j}! * nu_pi!), a positive integer.  For a square-free k the
+    numerator nu_k! is 1, so every c(pi) is 1 and all terms share one
+    ``Fraction(1)``."""
     k = _validate(k)
+    pis = enumerate_partitions(k)
     fact = _factorials(max(k))
     top = math.prod(fact[x] for x in k)
+    if top == 1:
+        one = Fraction(1)
+        return [(one, len(pi), list(pi)) for pi in pis]
     block_den, fraction = {}, {}
     return [(_collapse(pi, fact, top, block_den, fraction), len(pi), list(pi))
             for pi in pis]

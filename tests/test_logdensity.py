@@ -40,6 +40,13 @@ def test_basic_arithmetic():
     for point in ((2,), (2, 3, 4), 2):
         with pytest.raises(DomainError, match="coordinates"):
             g.evaluate(point)
+    # x ** 2.5 used to end in a TypeError from range, and x ** True was x
+    assert x1 ** 0 == SparsePolynomial.constant(2, 1)
+    for bad in (2.5, True, "2"):
+        with pytest.raises(DomainError, match="not an integer"):
+            x1 ** bad
+    with pytest.raises(DomainError, match="negative power"):
+        x1 ** -1
 
 
 def test_str_canonical_form():

@@ -106,6 +106,14 @@ def test_network_validation():
     for edge in [(1, 2), (1, 1, 2, 3)]:
         with pytest.raises(DomainError, match="triple"):
             make_network([1, 2], [edge], 1, 2)
+    # ids and terminals are integers, not values equal to one
+    for match, args in [
+            ("dense", ([1, 2], [(1.0, 1, 2)], 1, 2)),
+            ("dense", ([1, 2], [(True, 1, 2)], 1, 2)),
+            ("terminals must be nodes", ([1, 2], [(1, 1, 2)], 1.0, 2)),
+            ("node ids must be integers", ([1.0, 2], [(1, 1, 2)], 1, 2))]:
+        with pytest.raises(DomainError, match=match):
+            make_network(*args)
 
 
 def test_json_parsing():

@@ -92,6 +92,23 @@ def test_enumeration_matches_sympy_multiset_partitions(k):
         assert coefficients == multiset_partition_counts(k)
 
 
+@pytest.mark.parametrize("k", [(1,) * 9, (2, 2, 2, 2), (3, 3, 2),
+                               (1, 0, 1, 0, 1), (0, 2, 1)])
+def test_chain_rule_matches_set_partition_oracle(k):
+    # the benchmark's chain rules, beyond the hypothesis test's |k| <= 6,
+    # and a square-free and a general k with zero entries
+    counts = multiset_partition_counts(k)
+    terms = chain_rule_terms(k)
+    assert [tuple(inner) for _, _, inner in terms] == sorted(counts)
+    for c, outer, inner in terms:
+        assert type(c) is Fraction and c == counts[tuple(inner)]
+        assert outer == len(inner)
+    if k == (1,) * 9:
+        assert len(terms) == bell(9)
+        assert all(type(c) is Fraction and c == Fraction(1)
+                   for c, _, _ in terms)
+
+
 def test_square_free_partitions_have_unit_collapse():
     for pi in enumerate_partitions((1, 1, 1, 1)):
         assert collapse_number(pi) == 1
@@ -302,6 +319,8 @@ def test_numpy_integer_entries_accepted():
     assert enumerate_partitions((np.int64(1),) * 3) == \
         enumerate_partitions((1, 1, 1))
     assert len(enumerate_partitions(np.array([2, 1]))) == 4
+    # k is read once, so a one-shot iterable is a multi-index too
+    assert chain_rule_terms(iter([1, 0, 2])) == chain_rule_terms((1, 0, 2))
     with pytest.raises(DomainError):
         enumerate_partitions((1.0, 1))
     with pytest.raises(DomainError):
