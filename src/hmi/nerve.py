@@ -13,6 +13,12 @@ recursion "enclosing radius within tolerance, and every facet present", so
 a whole filtration is one set of birth radii, thresholded at each step.
 Simplices are bit masks over point positions.
 
+The simplices grow level by level.  Each face carries its ball, its
+vertex list and the mask of the vertices above its highest one that are
+joined to all of its vertices in the 1-skeleton; a face grown by v gets its
+parent's list plus v and the parent's remaining mask cut to v's upward
+neighbours, so no face's bits are read again.
+
 Each simplex J inherits a ball or else solves one.  If a vertex w of J lies
 in the smallest enclosing ball of J minus w, that ball encloses J too and
 is its smallest one; vertices are tried in ascending order.  Otherwise no
@@ -20,13 +26,19 @@ vertex lies in the ball of its opposite facet, so by Welzl's lemma every
 vertex lies on the boundary of J's smallest ball: that ball is J's
 circumball, one ``_circumball`` solve with no recursion.  Its boundary is
 listed as Welzl's recursion over the face, with the newest vertex on the
-boundary, would list it in its last call, so a birth radius does not depend
-on which of the two computed it.  A two-point boundary gives the midpoint
-ball in closed form, by the float operations the Gram elimination
-(``_gram_ball``) would do, so the ball is the same bit for bit.  Three or
-more points, or two whose squared distance is zero, overflows or loses
-bits to underflow, go through the elimination.  Welzl's recursion itself
-serves only ``smallest_enclosing_ball`` and ``enclosing_radius``.
+boundary, would list it in its last call, so a simplex that solves its own
+ball gets the radius that recursion would give, bit for bit.  A birth need
+not equal ``enclosing_radius(J)``, which runs the recursion over J itself:
+a solve lists the boundary from the face, and an inherited ball or a
+facet's birth comes from a smaller set.  Edge births equal it bit for bit;
+a birth of more vertices can differ from it in the last bit or two.  A
+two-point boundary gives the midpoint ball in closed form, and a
+three-point one the two-row elimination unrolled, each by the float
+operations the Gram elimination (``_gram_ball``) would do, so the ball is
+the same bit for bit.  Four or more points, two whose squared distance is
+zero, overflows or loses bits to underflow, or three with a degenerate
+pivot go through the general elimination.  Welzl's recursion itself serves
+only ``smallest_enclosing_ball`` and ``enclosing_radius``.
 
 Each born simplex also gets a *cover radius*, the smallest birth among its
 born one-vertex extensions.  The born simplices are closed downward, so
@@ -39,12 +51,13 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cache
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .graphs import MAX_VERTICES, _bits
+from .graphs import MAX_VERTICES
 from .hierarchy import is_decomposable
 from .logdensity import _finite_real
 from .simplicial import SimplicialComplex, _json_int, _sort_key
@@ -97,10 +110,11 @@ def _inside(pt, ball) -> bool:
 
 def _circumball(boundary: tuple, d: int):
     """Smallest ball with the given points on its boundary.  Two points q,
-    b = boundary[0] give the centre b + 0.5 (q - b) in closed form, as
-    ``_gram_ball`` would compute it; more points, or two whose squared
-    distance a is zero, non-finite or so small that 0.5 a rounds, go to
-    ``_gram_ball``."""
+    b = boundary[0] give the centre b + 0.5 (q - b) in closed form, and
+    three give it by the two-row elimination unrolled, each as
+    ``_gram_ball`` would compute it; more points, two whose squared
+    distance a is zero, non-finite or so small that 0.5 a rounds, or three
+    with a degenerate pivot go to ``_gram_ball``."""
     if not boundary:
         return (0.0,) * d, -1.0
     base = boundary[0]
@@ -117,7 +131,42 @@ def _circumball(boundary: tuple, d: int):
             center = tuple(b + (0 + 0.5 * x) for b, x in zip(base, diff))
             return center, max(math.dist(center, base),
                                math.dist(center, q))
+    elif len(boundary) == 3:
+        ball = _two_row_ball(boundary)
+        if ball is not None:
+            return ball
     return _gram_ball(boundary)
+
+
+def _two_row_ball(boundary: tuple):
+    """``_gram_ball`` on three points, by the same float operations with
+    its loops unrolled for two rows; None where a pivot is degenerate,
+    which the general elimination handles."""
+    base, q, s = boundary
+    r1, r2 = list(map(sub, q, base)), list(map(sub, s, base))
+    g11, g12 = sum(map(mul, r1, r1)), sum(map(mul, r1, r2))
+    g22 = sum(map(mul, r2, r2))
+    # max keeps its first argument unless a later one is greater, also
+    # where a Gram entry is nan
+    tol = 1e-12 * (g22 if g22 > g11 else g11)
+    # pivot row (p0, p1, p2) and the other row (o0, o1, o2) of [G | diag/2]
+    if abs(g12) > g11:
+        p0, p1, p2, o0, o1, o2 = g12, g22, 0.5 * g22, g11, g12, 0.5 * g11
+    else:
+        p0, p1, p2, o0, o1, o2 = g11, g12, 0.5 * g11, g12, g22, 0.5 * g22
+    if abs(p0) <= tol:
+        return None
+    factor = o0 / p0
+    if factor:
+        o1, o2 = o1 - factor * p1, o2 - factor * p2
+    if abs(o1) <= tol:
+        return None
+    lam2 = o2 / o1
+    lam1 = (p2 - (0 + p1 * lam2)) / p0
+    center = tuple(b + (0 + lam1 * x + lam2 * y)
+                   for b, x, y in zip(base, r1, r2))
+    return center, max(math.dist(center, base), math.dist(center, q),
+                       math.dist(center, s))
 
 
 def _gram_ball(boundary: tuple):
@@ -176,13 +225,16 @@ def _welzl(points: Sequence[tuple], d: int, boundary: tuple = ()):
     order = _shuffled(points)
 
     def welzl(n, bnd):
-        if n == 0 or len(bnd) == d + 1:
-            return _circumball(bnd, d)
-        ball = welzl(n - 1, bnd)
-        pt = order[n - 1]
-        if _inside(pt, ball):
+        # the loop form of "ball of the first i points, refit with order[i]
+        # on the boundary when it falls outside": the recursion is only as
+        # deep as the boundary is long
+        ball = _circumball(bnd, d)
+        if len(bnd) == d + 1:
             return ball
-        return welzl(n - 1, bnd + (pt,))
+        for i in range(n):
+            if not _inside(order[i], ball):
+                ball = welzl(i, bnd + (order[i],))
+        return ball
 
     return welzl(len(order), tuple(boundary))
 
@@ -242,7 +294,11 @@ def _births(cloud: PointCloud, r: float, max_dim: int) -> tuple[dict, dict]:
     face f grows only by the vertices above its highest one that are joined
     to every vertex of f in the nerve's 1-skeleton, so each candidate
     arises once; it is kept when all its facets were kept and its birth is
-    within tolerance of r."""
+    within tolerance of r.  Each kept face carries its ball, its vertex
+    list and its mask of common upward neighbours to the next level: the
+    child by v takes the list plus v and the mask of the neighbours left
+    after v, cut to v's own.  The edge level sets those masks once, when
+    the 1-skeleton is known."""
     pts = cloud.points
     limit = r + FACE_TOLERANCE
     p, d = cloud.p, cloud.d
@@ -251,45 +307,51 @@ def _births(cloud: PointCloud, r: float, max_dim: int) -> tuple[dict, dict]:
     full = (1 << p) - 1
     # upward neighbour masks; every later vertex until the edges are known
     up = [full ^ ((2 << i) - 1) for i in range(p)]
-    # the smallest enclosing ball of each simplex of the previous size:
-    # every facet of a candidate has that size
-    level = {1 << i: (pts[i], 0.0) for i in range(p)}
+    # each simplex of the previous size (every facet of a candidate has
+    # that size) with its smallest enclosing ball, its vertices in
+    # ascending order and the mask of its common upward neighbours
+    level = {1 << i: ((pts[i], 0.0), [i], up[i]) for i in range(p)}
     for size in range(2, max_dim + 2):
+        # positions in a face's vertex list of the points that a solve puts
+        # on the boundary after the new vertex, as _welzl would list them
+        picks = tuple(reversed(_shuffle(size - 1)))[:d]
         grown = {}
-        for f in level:
-            verts = list(_bits(f))
-            common = full
-            for u in verts:
-                common &= up[u]
-            for v in _bits(common):
-                simplex, corners = f | 1 << v, verts + [v]
+        for f, (_, verts, rest) in level.items():
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                simplex, corners = f | low, verts + [v]
                 facets = [simplex ^ 1 << w for w in corners]
                 try:
                     facet_birth = max([births[g] for g in facets])
                 except KeyError:
                     continue            # a facet is not in the nerve
                 for w, g in zip(corners, facets):
-                    if _inside(pts[w], level[g]):
-                        ball = level[g]
+                    ball = level[g][0]
+                    if _inside(pts[w], ball):
                         break
                 else:
                     # every vertex lies on the boundary: the circumball, as
                     # the last call of _welzl(f, d, (v,)) would solve it
-                    face = _shuffled([pts[u] for u in verts])
                     ball = _circumball(
-                        ((pts[v],) + tuple(reversed(face)))[:d + 1], d)
+                        (pts[v], *[pts[verts[i]] for i in picks]), d)
                 birth = max(ball[1], facet_birth)
                 if birth <= limit:
                     births[simplex] = birth
-                    grown[simplex] = ball
+                    grown[simplex] = ball, corners, rest & up[v]
                     for g in facets:
                         if birth <= cover.get(g, math.inf):
                             cover[g] = birth
         if size == 2:
+            # the edges are known: set the upward neighbour masks, and each
+            # edge's common ones, once
             up = [0] * p
             for edge in grown:
                 low = edge & -edge
                 up[low.bit_length() - 1] |= edge ^ low
+            for edge, (ball, verts, _) in grown.items():
+                grown[edge] = ball, verts, up[verts[0]] & up[verts[1]]
         level = grown
         if not level:
             break

@@ -1,8 +1,9 @@
 """Smallest enclosing balls and nerve complexes: geometric goldens, the
 collinear filtration, nesting and edge-before-face ordering, the brute Čech
 comparison on random and lattice clouds, facets against the maximal born
-simplices, two-point balls against the Gram elimination, and the
-ball-solve count."""
+simplices, two- and three-point balls against the Gram elimination, Welzl's
+algorithm on 3,000 points, and the ball-solve count in the plane and in
+space."""
 import math
 from collections import Counter
 from itertools import combinations
@@ -48,6 +49,24 @@ def test_seb_contains_all_points_random():
         assert np.all(dists <= r * (1 + 1e-9) + 1e-12)
         # minimality: some point is (nearly) on the boundary
         assert dists.max() == pytest.approx(r, abs=1e-9)
+
+
+def test_seb_of_3000_points_recurses_only_along_the_boundary():
+    # an equilateral triangle inscribed in the unit circle and seeded points
+    # inside its incircle: one frame per point would pass Python's
+    # recursion limit
+    rng = np.random.default_rng(29)
+    h = math.sqrt(3) / 2
+    rho = 0.45 * np.sqrt(rng.uniform(size=2997))
+    theta = rng.uniform(0.0, 2 * math.pi, size=2997)
+    pts = [(1.0, 0.0), (-0.5, h), (-0.5, -h)] + \
+        list(zip((rho * np.cos(theta)).tolist(),
+                 (rho * np.sin(theta)).tolist()))
+    rng.shuffle(pts)
+    c, r = smallest_enclosing_ball(pts)
+    assert np.abs(c).max() <= 1e-12 and abs(r - 1) <= 1e-12
+    assert abs(enclosing_radius(PointCloud(pts), range(1, 3001)) - 1) \
+        <= 1e-12
 
 
 def test_seb_matches_brute_on_degenerate_clouds():
@@ -176,29 +195,45 @@ def test_nerve_matches_brute_cech_on_lattices(pts, radii):
             {s for s, v in meb.items() if v <= r + FACE_TOLERANCE}
 
 
-def test_filtration_solves_each_simplex_at_most_once(monkeypatch):
-    # a jittered 5 x 4 planar grid: every simplex inherits a facet's ball or
-    # solves its circumball once, and Welzl's recursion never runs
-    rng = np.random.default_rng(12)
-    pts = [(0.9 * i + rng.uniform(-0.018, 0.018),
-            0.9 * j + rng.uniform(-0.018, 0.018))
-           for i in range(5) for j in range(4)]
-
+def _solves(monkeypatch, pts, radii):
+    """How often the filtration over pts solves each boundary point set;
+    Welzl's recursion must never run."""
     def no_welzl(*args):
         raise AssertionError("Welzl's recursion ran")
     solved = Counter()
     circumball = nerve._circumball
 
     def counted(boundary, d):
-        # in the plane a solved simplex has at most d + 1 = 3 vertices, so
-        # the boundary is the whole simplex
         solved[frozenset(boundary)] += 1
         return circumball(boundary, d)
     monkeypatch.setattr(nerve, "_welzl", no_welzl)
     monkeypatch.setattr(nerve, "_circumball", counted)
-    steps = filtration(PointCloud(pts), [0.35, 0.55, 0.75, 0.95, 1.1])
-    assert len(steps) == 5
+    assert len(filtration(PointCloud(pts), radii)) == len(radii)
+    return solved
+
+
+def test_filtration_solves_each_simplex_at_most_once(monkeypatch):
+    # a jittered 5 x 4 planar grid: every simplex inherits a facet's ball or
+    # solves its circumball once, and Welzl's recursion never runs; in the
+    # plane a solved simplex has at most d + 1 = 3 vertices, so the
+    # boundary is the whole simplex
+    rng = np.random.default_rng(12)
+    pts = [(0.9 * i + rng.uniform(-0.018, 0.018),
+            0.9 * j + rng.uniform(-0.018, 0.018))
+           for i in range(5) for j in range(4)]
+    solved = _solves(monkeypatch, pts, [0.35, 0.55, 0.75, 0.95, 1.1])
     assert solved and max(solved.values()) == 1
+
+
+def test_filtration_solves_each_simplex_at_most_once_in_space(monkeypatch):
+    # a jittered 3 x 2 x 2 grid at spacing 1.07: two-, three- and four-point
+    # boundaries are all solved, each at most once
+    rng = np.random.default_rng(13)
+    pts = [tuple(1.07 * (i + rng.uniform(-0.02, 0.02)) for i in idx)
+           for idx in np.ndindex(3, 2, 2)]
+    solved = _solves(monkeypatch, pts, [0.45, 0.65, 0.85, 1.0])
+    assert max(solved.values()) == 1
+    assert {len(b) for b in solved} == {2, 3, 4}
 
 
 def _clouds(rng, trials):
@@ -276,6 +311,65 @@ def test_two_point_ball_is_the_elimination_bit_for_bit(monkeypatch):
     # coincident, underflowing and overflowing pairs are eliminated
     assert ((0.0, 0.0), (0.0, 0.0)) in eliminated
     assert 0 < len(eliminated) < len(pairs) // 2
+
+
+def test_three_point_ball_is_the_elimination_bit_for_bit(monkeypatch):
+    # the unrolled two-row elimination against the general loop; every
+    # degenerate pivot must still reach the general loop
+    nan, inf = float("nan"), float("inf")
+    degenerate = [
+        ((0.0, 0.0), (1.0, 1.0), (2.0, 2.0)),              # collinear
+        ((0.0, 0.0, 0.0), (1.0, 2.0, 3.0), (-1.0, -2.0, -3.0)),
+        ((1.0, 2.0), (1.0, 2.0), (3.0, 4.0)),              # duplicated
+        ((1.0, 2.0), (3.0, 4.0), (3.0, 4.0)),
+        ((1.0, 2.0), (3.0, 4.0), (1.0, 2.0)),
+        ((-0.0, 0.0), (0.0, -0.0), (-0.0, 1.0)),
+        # overflow: the Gram entries are inf and g12 = inf - inf is nan
+        ((0.0, 0.0), (1e155, 1e155), (1e155, -1e155)),
+        ((0.0, 0.0), (1e155, 0.0), (1.0, 1.0)),
+        ((0.0, 0.0), (1.0, 0.0), (inf, 1.0)),
+        # g22 is nan: max keeps g11 = 0 as the scale, so the zero pivot is
+        # degenerate
+        ((0.0, 0.0), (0.0, 0.0), (nan, 1.0)),
+    ]
+    eliminated_directly = [
+        ((0.0, 0.0), (0.1, 0.0), (1.0, 1.0)),              # |g12| > g11
+        ((0.0, 0.0), (0.1, 0.0), (-1.0, 1.0)),
+        ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),  # factor 0
+        ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0)),  # |g12| = g11
+        ((0.0, 0.0), (2.0, 0.0), (-2.0, 1.0)),
+        ((0.0, 0.0), (1.0, 0.0), (nan, 0.0)),              # g12, g22 nan
+    ]
+    triples = degenerate + eliminated_directly
+    well_scaled = []
+    rng = np.random.default_rng(73)
+    for d in (2, 3):
+        for exp in (-200, -160, -154, -150, -14, 0, 150, 154, 160, 200):
+            for _ in range(20):
+                b = tuple(map(float, rng.normal(size=d) * 10.0 ** exp))
+                q, s = (tuple(x + float(rng.normal()) * 10.0 ** exp
+                              for x in b) for _ in range(2))
+                triples.append((b, q, s))
+                if abs(exp) <= 150:
+                    well_scaled.append((b, q, s))
+                # nearly collinear: s close to b + 2 (q - b)
+                triples.append((b, q, tuple(
+                    x + 2 * (y - x) * (1 + float(rng.normal()) * 1e-14)
+                    for x, y in zip(b, q))))
+    gram = nerve._gram_ball
+    want = [_hex_ball(gram(t)) for t in triples]
+    eliminated = []
+    monkeypatch.setattr(nerve, "_gram_ball",
+                        lambda boundary: eliminated.append(boundary)
+                        or gram(boundary))
+    assert [_hex_ball(nerve._circumball(t, len(t[0]))) for t in triples] \
+        == want
+    assert all(t in eliminated for t in degenerate)
+    assert not any(t in eliminated
+                   for t in eliminated_directly + well_scaled)
+    # squares that overflow or underflow, and near-collinear triples, make
+    # a degenerate pivot
+    assert len(eliminated) > len(degenerate) + len(triples) // 4
 
 
 def test_edge_births_are_enclosing_radii_bit_for_bit(monkeypatch):
