@@ -28,9 +28,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
-from .logdensity import GaussianSpec, MECSpec, _finite_real
-from .partitions import _cumulants, _positive_int, _validate, plus_norm
+from .errors import DomainError, _floats, _positive_int
+from .logdensity import GaussianSpec, MECSpec
+from .partitions import _cumulants, _validate, plus_norm
 
 DEFAULT_NODES = 16
 DEFAULT_STEP_SCALE = 1e-3
@@ -95,18 +95,6 @@ def same_moment_class(u: Sequence[int], k: Sequence[int]) -> bool:
     if len(u) != len(k):
         raise DomainError("multi-indices must have the same dimension")
     return all(a % 2 == b % 2 for a, b in zip(u, k))
-
-
-def _floats(values, what, positive=False):
-    """A tuple of finite floats (positive with ``positive``) or DomainError."""
-    try:
-        values = tuple(values)
-        if all(_finite_real(v) and (v > 0 or not positive) for v in values):
-            return tuple(map(float, values))
-    except (TypeError, OverflowError):
-        pass
-    raise DomainError(f"{what}: expected {'positive ' * positive}finite "
-                      "real numbers")
 
 
 # ---------------------------------------------------------------------------

@@ -8,25 +8,21 @@ cardinality search, ``_mcs``, yields the visit order, ranks and
 earlier-neighbour masks from which zero fill-in chordality and the maximal
 cliques of a chordal graph are read (Tarjan-Yannakakis 1984).  A graph is
 one adjacency mask per position, built by ``_adjacency`` from any family of
-masks, so ``encode_all`` refuses more than ``MAX_VERTICES`` vertices."""
+masks, so ``encode_all`` refuses more than ``MAX_VERTICES`` vertices.
+
+The one JSON codec for label families (complexes and ideals):
+``Labelled._to_json`` writes ``p``, the sorted label sets of one mask field
+and the labels unless they are 1..p, and ``_from_json`` reads that form
+back through the family's builder."""
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, _int, _json_int
 
 MAX_VERTICES = 64
-
-
-def _json_int(value) -> int:
-    """A JSON integer as an int; floats, strings and booleans raise
-    ``TypeError`` instead of being rounded or converted."""
-    if isinstance(value, bool):
-        raise TypeError("boolean where an integer is expected")
-    return operator.index(value)
 
 
 def normalize_labels(p: int, labels=None) -> tuple:
@@ -49,10 +45,7 @@ def encode_all(p: int, labels, vertex_sets: Iterable
                ) -> tuple[tuple, list[int]]:
     """The normalised labels and the mask of each given set of labels, on
     an integer vertex count p in 1..MAX_VERTICES."""
-    try:
-        p = _json_int(p)
-    except TypeError:
-        raise DomainError("vertex count must be an integer") from None
+    p = _int(p, "vertex count must be an integer")
     if p < 1:
         raise DomainError("vertex count must be at least 1")
     if p > MAX_VERTICES:
@@ -94,6 +87,28 @@ class Labelled:
     def vertices_of(self, mask: int) -> frozenset:
         labels = self.labels
         return frozenset(labels[i] for i in _bits(mask))
+
+    def _to_json(self, key: str) -> dict:
+        """The JSON form: ``p``, under ``key`` the sorted label sets of the
+        masks in the field of that name, and the labels unless 1..p."""
+        obj = {"p": self.p,
+               key: [sorted(self.vertices_of(m)) for m in getattr(self, key)]}
+        if self.labels != tuple(range(1, self.p + 1)):
+            obj["labels"] = list(self.labels)
+        return obj
+
+
+def _from_json(obj, key: str, what: str, make):
+    """``make(p, label sets, labels=...)`` on the JSON form that
+    ``Labelled._to_json`` writes; a missing or non-integer ``p`` or a
+    missing ``key`` list is refused with "<what> JSON needs ..."."""
+    try:
+        p = _json_int(obj["p"])
+        sets = list(obj[key])
+    except (KeyError, TypeError, ValueError):
+        raise DomainError(f"{what} JSON needs integer 'p' and '{key}'") \
+            from None
+    return make(p, sets, labels=obj.get("labels"))
 
 
 @dataclass(frozen=True)
@@ -242,14 +257,14 @@ def find_chordless_cycle(graph: Graph) -> list | None:
                 if adj[x] >> y & 1:
                     continue
                 blocked = (adj[v] | (1 << v)) & ~(1 << x) & ~(1 << y)
-                path = _shortest_path(adj, graph.p, x, y, blocked)
+                path = _shortest_path(adj, x, y, blocked)
                 if path is not None:
                     cycle = path + [v]
                     return [graph.labels[i] for i in cycle]
     return None
 
 
-def _shortest_path(adj, p, src, dst, blocked):
+def _shortest_path(adj, src, dst, blocked):
     prev = {src: None}
     frontier = [src]
     while frontier:

@@ -6,9 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DomainError, NotDecomposableError
-from .graphs import (Labelled, _Search, _bits, _json_int, _mcs,
-                     _zero_fill_in, find_chordless_cycle)
+from .errors import DomainError, NotDecomposableError, _int, _ints
+from .graphs import (Labelled, _Search, _bits, _mcs, _zero_fill_in,
+                     find_chordless_cycle)
 from .ideal import SquareFreeIdeal, complex_of
 from .simplicial import (SimplicialComplex, _antichain, _sort_key,
                          minimal_transversals, one_skeleton)
@@ -31,13 +31,11 @@ class CIStatement:
     k_set: frozenset[int]
 
     def __post_init__(self):
-        try:
-            p = _json_int(self.p)
-            parts = [frozenset(map(_json_int, s))
-                     for s in (self.i_set, self.j_set, self.k_set)]
-        except TypeError:
-            raise DomainError("a CI statement needs an integer p and sets "
-                              "of integer indices") from None
+        message = ("a CI statement needs an integer p and sets of integer "
+                   "indices")
+        p = _int(self.p, message)
+        parts = [frozenset(_ints(s, message))
+                 for s in (self.i_set, self.j_set, self.k_set)]
         universe = set(range(1, p + 1))
         if not parts[0] or not parts[1]:
             raise DomainError("I and J must be non-empty")

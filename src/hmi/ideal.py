@@ -8,12 +8,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DomainError
-from .graphs import (Graph, Labelled, _adjacency, _bits, _levels,
-                     encode_all, is_chordal)
+from .errors import DomainError, _ints
+from .graphs import (Graph, Labelled, _adjacency, _bits, _from_json,
+                     _levels, encode_all, is_chordal)
+from .partitions import _validate
 from .simplicial import (SimplicialComplex, minimal_nonface_masks,
-                         minimal_transversals, _antichain, _json_int,
-                         _sort_key)
+                         minimal_transversals, _antichain, _sort_key)
 
 
 @dataclass(frozen=True)
@@ -36,14 +36,15 @@ class FerrerShape:
     lengths: tuple[int, ...]
 
     def __post_init__(self):
-        try:
-            chain = [len(self.cols), *map(_json_int, self.lengths)]
-        except TypeError:
-            chain = []
-        if len(chain) != len(self.rows) + 1 or any(
+        message = ("a Ferrer shape needs one length per row, weakly "
+                   "decreasing, each in 1..len(cols)")
+        # the sizes are taken inside the reader, which refuses rows or cols
+        # without a length too
+        rows, cols = _ints((len(s) for s in (self.rows, self.cols)), message)
+        chain = [cols, *_ints(self.lengths, message)]
+        if len(chain) != rows + 1 or any(
                 a < b or b < 1 for a, b in zip(chain, chain[1:])):
-            raise DomainError("a Ferrer shape needs one length per row, "
-                              "weakly decreasing, each in 1..len(cols)")
+            raise DomainError(message)
 
 
 def make_ideal(p: int, generators: Iterable[Iterable[int]],
@@ -80,7 +81,7 @@ def contains(I: SquareFreeIdeal, m) -> bool:
     if isinstance(m, (set, frozenset)):
         mask = I.mask_of(m)
     else:
-        m = tuple(m)
+        m = _validate(m)
         if len(m) != I.p:
             raise DomainError(f"exponent vector must have length {I.p}")
         mask = sum(1 << i for i, e in enumerate(m) if e)
@@ -159,20 +160,11 @@ def ferrer_cliques(shape: FerrerShape
 
 
 def ideal_to_json(I: SquareFreeIdeal) -> dict:
-    obj = {"p": I.p, "generators": [sorted(g) for g in I.generator_sets()]}
-    if I.labels != tuple(range(1, I.p + 1)):
-        obj["labels"] = list(I.labels)
-    return obj
+    return I._to_json("generators")
 
 
 def ideal_from_json(obj: dict) -> SquareFreeIdeal:
-    try:
-        p = _json_int(obj["p"])
-        gens = list(obj["generators"])
-    except (KeyError, TypeError, ValueError):
-        raise DomainError("ideal JSON needs integer 'p' and 'generators'") \
-            from None
-    return make_ideal(p, gens, labels=obj.get("labels"))
+    return _from_json(obj, "generators", "ideal", make_ideal)
 
 
 def format_generators(I: SquareFreeIdeal) -> str:

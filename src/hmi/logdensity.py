@@ -7,17 +7,17 @@ of positive order kills the normalization anyway.
 """
 from __future__ import annotations
 
-import math
-import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DomainError, PolynomialSyntaxError
+from .errors import (DomainError, PolynomialSyntaxError, _finite_real,
+                     _index, _int, _json_int, _nonnegative_real,
+                     _positive_int)
 from .ideal import SquareFreeIdeal, make_ideal
-from .partitions import _index, _positive_int, _validate
-from .simplicial import SimplicialComplex, _json_int, is_face, make_complex
+from .partitions import _validate
+from .simplicial import SimplicialComplex, is_face, make_complex
 
 
 class SparsePolynomial:
@@ -27,10 +27,7 @@ class SparsePolynomial:
     __slots__ = ("p", "terms")
 
     def __init__(self, p: int, terms: Mapping[tuple, object] | None = None):
-        try:
-            p = _json_int(p)
-        except TypeError:
-            raise DomainError("variable count must be an integer") from None
+        p = _int(p, "variable count must be an integer")
         if p < 1:
             raise DomainError("variable count must be at least 1")
         self.p = p
@@ -106,10 +103,7 @@ class SparsePolynomial:
         return self * other
 
     def __pow__(self, n):
-        try:
-            n = _json_int(n)
-        except TypeError:
-            raise DomainError(f"power {n!r} is not an integer") from None
+        n = _int(n, f"power {n!r} is not an integer")
         if n < 0:
             raise DomainError("negative power")
         out = SparsePolynomial.constant(self.p, 1)
@@ -306,12 +300,6 @@ def total_degree_cumulant_check(g: SparsePolynomial, d: int) -> bool:
     return g.total_degree() <= d - 1
 
 
-def _finite_real(x) -> bool:
-    """Real, not boolean, and finite."""
-    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
-            and abs(x) < math.inf)
-
-
 @dataclass(frozen=True)
 class GaussianSpec:
     """Mean vector and precision (influence) matrix.  The precision must
@@ -359,9 +347,7 @@ def gaussian_log_poly(spec: GaussianSpec) -> SparsePolynomial:
 def gaussian_ideal(spec: GaussianSpec, tolerance=0) -> SquareFreeIdeal:
     """Stanley-Reisner ideal read off the zero pattern of the precision
     matrix: one generator x_i x_j per (near-)zero off-diagonal entry."""
-    if isinstance(tolerance, bool) or not (
-            isinstance(tolerance, numbers.Real) and tolerance >= 0):
-        raise DomainError("tolerance must be non-negative")
+    _nonnegative_real(tolerance, "tolerance must be non-negative")
     gens = []
     for i in range(spec.p):
         for j in range(i + 1, spec.p):

@@ -56,31 +56,33 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _int, _ints, _nonnegative_real, _reals
 from .graphs import MAX_VERTICES
 from .hierarchy import is_decomposable
-from .logdensity import _finite_real
-from .simplicial import SimplicialComplex, _json_int, _sort_key
+from .simplicial import SimplicialComplex, _sort_key
 
 #: slack on the ball-intersection test, stabilizes boundary cases
 FACE_TOLERANCE = 1e-9
 MAX_NERVE_DIM = 8
+#: squared distances between coordinates this large stay finite
+_MAX_COORDINATE = 1e150
 
 
 def _rows(points) -> tuple:
-    """A non-empty p x d array of finite real numbers as float tuples."""
+    """A non-empty p x d array of finite real numbers, none larger than
+    ``_MAX_COORDINATE`` in magnitude, as float tuples."""
     try:
         rows = [tuple(row) for row in points]
     except TypeError:
         rows = []
     if not rows or any(len(row) != len(rows[0]) for row in rows):
         raise DomainError("points must form a non-empty p x d array")
-    try:
-        if all(_finite_real(x) for row in rows for x in row):
-            return tuple(tuple(map(float, row)) for row in rows)
-    except OverflowError:
-        pass
-    raise DomainError("points must be finite real numbers")
+    rows = tuple(_reals(row, "points must be finite real numbers")
+                 for row in rows)
+    if any(abs(x) > _MAX_COORDINATE for row in rows for x in row):
+        raise DomainError(f"point coordinates must not exceed "
+                          f"{_MAX_COORDINATE!r} in magnitude")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -250,10 +252,7 @@ def enclosing_radius(cloud: PointCloud, indices: Iterable[int]) -> float:
     """Smallest common-intersection radius for the balls at the 1-based
     point indices: the equal balls B_i(r) intersect iff r is at least the
     smallest-enclosing-ball radius of the points."""
-    try:
-        indices = [_json_int(i) for i in indices]
-    except TypeError:
-        raise DomainError("point indices must be integers") from None
+    indices = _ints(indices, "point indices must be integers")
     if not indices:
         raise DomainError("need a non-empty list of points")
     if not all(1 <= i <= cloud.p for i in indices):
@@ -266,9 +265,7 @@ def _radius(r) -> float:
     """A non-negative real number, or infinity."""
     if np.ndim(r) != 0:
         raise DomainError("equal radii only: r must be a scalar")
-    if not (_finite_real(r) or r == math.inf) or r < 0:
-        raise DomainError("radius must be a non-negative number")
-    return float(r)
+    return float(_nonnegative_real(r, "radius must be a non-negative number"))
 
 
 def _max_dim(cloud: PointCloud, max_dim) -> int:
@@ -278,10 +275,7 @@ def _max_dim(cloud: PointCloud, max_dim) -> int:
         raise DomainError(f"at most {MAX_VERTICES} vertices supported")
     if max_dim is None:
         return min(cloud.p - 1, MAX_NERVE_DIM)
-    try:
-        max_dim = _json_int(max_dim)
-    except TypeError:
-        raise DomainError("max_dim must be an integer") from None
+    max_dim = _int(max_dim, "max_dim must be an integer")
     if max_dim < 0:
         raise DomainError("max_dim must be non-negative")
     return max_dim

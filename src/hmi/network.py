@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import DomainError
+from .errors import DomainError, _ints, _json_int
 from .graphs import _adjacency, _bits, _levels
 from .ideal import SquareFreeIdeal, complex_of, make_ideal
-from .simplicial import _antichain, _json_int, alexander_dual
+from .simplicial import _antichain, alexander_dual
 
 MAX_EDGES = 20
 
@@ -53,16 +53,6 @@ class Network:
                                          for _, u, v in self.edges])
         return bool(position) and \
             sum(_levels(adj, 1)) == (1 << len(position)) - 1
-
-
-def _ints(values, message) -> list[int]:
-    """values as ints; a float, string or boolean raises ``DomainError``
-    with ``message``, where a comparison by value would let 1.0 or True
-    stand for 1."""
-    try:
-        return [_json_int(v) for v in values]
-    except TypeError:
-        raise DomainError(message) from None
 
 
 def make_network(nodes: Iterable[int], edges, input: int,

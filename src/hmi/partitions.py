@@ -25,8 +25,7 @@ from fractions import Fraction
 from itertools import accumulate, islice, product
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DomainError
-from .graphs import _json_int
+from .errors import DomainError, _finite_real, _index, _json_int
 
 MultiIndex = tuple  # tuple[int, ...]
 Partition = tuple   # tuple[MultiIndex, ...]
@@ -64,26 +63,6 @@ def unit_vector(p: int, i: int) -> MultiIndex:
     """e_i in N^p, i is 1-based."""
     i = _index(i, p, "unit vector index")
     return tuple(1 if j == i - 1 else 0 for j in range(p))
-
-
-def _index(i, p, what) -> int:
-    """i as an int in 1..p, else ``DomainError`` (also for a non-int p)."""
-    try:
-        if 1 <= _json_int(i) <= _json_int(p):
-            return _json_int(i)
-    except TypeError:
-        pass
-    raise DomainError(f"{what} {i!r} out of range 1..{p!r}")
-
-
-def _positive_int(value, what) -> int:
-    """value as a positive int; a float, string or boolean is refused."""
-    try:
-        if (n := _json_int(value)) > 0:
-            return n
-    except TypeError:
-        pass
-    raise DomainError(f"{what} must be a positive integer")
 
 
 def _validate(k) -> MultiIndex:
@@ -264,8 +243,10 @@ def _cumulants(k, moment):
 
 def cumulant_from_moments(k: Sequence[int], moments: Mapping[MultiIndex, object]):
     """kappa_k from the moment table, which must hold m_nu for every nonzero
-    nu <= k.  Exact when the moments are Fractions (ints count as
-    Fractions); float moments give a float.
+    nu <= k.  Exact when the moments are ints and Fractions (numpy integers
+    too); float moments give a float.  As in ``moment_table_from_json``, a
+    value that is not a finite real (a boolean, nan, an infinity, a complex
+    number, a string) is refused.
 
     Exact tables run in integers: with D the lcm of the moments'
     denominators, the recursion is homogeneous of degree |nu|, so the
@@ -279,7 +260,12 @@ def cumulant_from_moments(k: Sequence[int], moments: Mapping[MultiIndex, object]
                 raise DomainError(
                     f"missing moment for index {format_multiindex(nu)}")
             needed[nu] = moments[nu]
-    if not all(isinstance(v, (int, Fraction)) for v in needed.values()):
+    if any(type(v) not in (int, Fraction) for v in needed.values()):
+        # floats, numpy scalars and booleans: only finite reals are moments
+        for nu, v in needed.items():
+            if not _finite_real(v):
+                raise DomainError(f"bad moment value {v!r} for index "
+                                  f"{format_multiindex(nu)}")
         return _cumulants(k, lambda nu: Fraction(0) + needed[nu])
     d = math.lcm(*(v.denominator for v in needed.values()))
     power = [d ** n for n in range(sum(k) + 1)]

@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DomainError
-from .graphs import (Graph, Labelled, _adjacency, _bits, _json_int,
+from .graphs import (Graph, Labelled, _adjacency, _bits, _from_json,
                      encode_all, max_clique_masks)
 
 
@@ -165,17 +164,8 @@ def flag_complex(graph: Graph) -> SimplicialComplex:
 
 
 def complex_to_json(S: SimplicialComplex) -> dict:
-    obj = {"p": S.p, "facets": [sorted(f) for f in S.facet_sets()]}
-    if S.labels != tuple(range(1, S.p + 1)):
-        obj["labels"] = list(S.labels)
-    return obj
+    return S._to_json("facets")
 
 
 def complex_from_json(obj: dict) -> SimplicialComplex:
-    try:
-        p = _json_int(obj["p"])
-        facets = list(obj["facets"])
-    except (KeyError, TypeError, ValueError):
-        raise DomainError("complex JSON needs integer 'p' and 'facets'") \
-            from None
-    return make_complex(p, facets, labels=obj.get("labels"))
+    return _from_json(obj, "facets", "complex", make_complex)

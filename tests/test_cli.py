@@ -321,6 +321,8 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
     (["complex-of", "--ideal", "i.json"],
      json.dumps({"p": 70, "generators": []})),
     (["parse-poly", "--p", "1", "--poly-file", "g.txt"], "x1 + 1/0"),
+    (["nerve", "--points", "pts.csv", "--radius", "inf"],
+     "1e308,0\n-1e308,0\n0,1\n"),
 ], ids=["missing-points", "csv-cell", "filtration-list",
         "radius-and-filtration", "neither-radius-nor-filtration",
         "missing-poly", "strip-list", "ci-list", "given-list", "gaussian-keys",
@@ -336,7 +338,7 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
         "product-variance-bool", "product-mean-string",
         "complex-and-ideal", "parse-poly-both", "check-model-poly-both",
         "artinian-poly-both", "ideal-p-zero", "ideal-p-70",
-        "poly-zero-denominator"])
+        "poly-zero-denominator", "nerve-coordinate-overflow"])
 def test_bad_input_exits_one_with_one_error_line(argv, text, capsys,
                                                  tmp_path):
     # missing files, non-numeric CSV cells, bad number lists, a nerve
@@ -347,7 +349,8 @@ def test_bad_input_exits_one_with_one_error_line(argv, text, capsys,
     # id that is not a JSON integer, rationals that are not rationals (or
     # are booleans, nan or out of float range where a float is needed),
     # density parameters that are booleans or strings, two inputs where one
-    # belongs, a vertex count outside 1..64, a zero denominator;
+    # belongs, a vertex count outside 1..64, a zero denominator, point
+    # coordinates whose squared distances overflow;
     # text goes to the first file named, or a tuple of texts to the files
     # in the order named
     files = [a for a in argv if a.endswith((".csv", ".txt", ".json"))]

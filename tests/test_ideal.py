@@ -72,6 +72,16 @@ def test_membership():
         contains(I, {7})
 
 
+@pytest.mark.parametrize("m", [(-1, -1, 0), ("a", "b", ""), (0.5, 1.0, 0),
+                               (True, True, 0), 5])
+def test_exponent_vectors_read_as_multi_indices(m):
+    # each of these read as the support {1, 2} before, so x1*x2 divided it
+    I = make_ideal(3, [[1, 2]])
+    with pytest.raises(DomainError, match="invalid multi-index"):
+        contains(I, m)
+    assert contains(I, (1, 1, 0)) and not contains(I, [0, 1, 1])
+
+
 def test_make_ideal_rejects_bad_labels_and_generators():
     with pytest.raises(DomainError):
         make_ideal(2, [[3]], labels=[3, 3])
@@ -269,6 +279,7 @@ def test_recognize_ferrer_matches_oracle():
     ((1,), (2,), (1.0,)),               # not an integer
     ((1,), (2,), (True,)),
     ((1,), (2,), 1),                    # not a sequence
+    (None, (1,), (1,)),                 # rows without a length
 ])
 def test_invalid_ferrer_shapes_rejected(rows, cols, lengths):
     with pytest.raises(DomainError):

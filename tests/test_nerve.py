@@ -450,6 +450,20 @@ def test_nerve_validation():
     assert nerve_complex(cloud, inf).facet_sets() == [frozenset({1, 2})]
 
 
+def test_coordinates_are_bounded_so_squared_distances_stay_finite():
+    # at 1e154 the squared distance overflowed: the midpoint ball came out
+    # as 2e154, and at 1e308 as nan
+    s = 1e150
+    assert enclosing_radius(PointCloud([[s], [-s]]), [1, 2]) == s
+    for s in (1e154, 1e308, -1e151):
+        with pytest.raises(DomainError) as refused:
+            PointCloud([[s], [0.0]])
+        assert str(refused.value) == \
+            "point coordinates must not exceed 1e+150 in magnitude"
+        with pytest.raises(DomainError):
+            smallest_enclosing_ball([[0.0, s]])
+
+
 def test_too_many_points_fail_before_any_ball(monkeypatch):
     def no_births(*args):
         raise AssertionError("a birth radius was computed")

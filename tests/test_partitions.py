@@ -256,6 +256,28 @@ def test_missing_moment_raises():
             cumulant_from_moments((1, 2), table)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), True, 1j, "a",
+                                   None, np.float64("nan")])
+def test_moment_values_read_as_in_moment_tables(value):
+    # only finite reals are moments: nan, True, a complex number and a
+    # string used to give nan, 1, a complex cumulant and a TypeError
+    table = {(1, 0): value, (0, 1): 1, (1, 1): 1}
+    with pytest.raises(DomainError) as refused:
+        cumulant_from_moments((1, 1), table)
+    assert str(refused.value) == f"bad moment value {value!r} for index 1,0"
+
+
+def test_moment_values_keep_their_kind():
+    exact = {(1, 0): 1, (0, 1): Fraction(1, 2), (1, 1): 2}
+    got = cumulant_from_moments((1, 1), exact)
+    assert isinstance(got, Fraction) and got == Fraction(3, 2)
+    got = cumulant_from_moments((1, 1), exact | {(1, 0): np.int64(1)})
+    assert isinstance(got, Fraction) and got == Fraction(3, 2)
+    for half in (0.5, np.float32(0.5)):
+        got = cumulant_from_moments((1, 1), exact | {(0, 1): half})
+        assert isinstance(got, float) and got == 1.5
+
+
 def test_empty_and_oversized_indices_rejected():
     with pytest.raises(DomainError):
         enumerate_partitions((0, 0))
