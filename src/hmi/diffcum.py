@@ -13,9 +13,12 @@ this window; e.g. the second moment of a flat density over the window is
 eps^2/3.
 
 Every estimate is a ratio of density samples, so every sample must be
-positive: each batch goes through one gate, ``_sample``, and a zero,
-negative or nan value anywhere on a stencil or grid raises ``DomainError``
-(exit 1 at the command line).
+positive: a zero, negative or nan value anywhere on a stencil or grid raises
+``DomainError`` (exit 1 at the command line).  Each batch's shape is checked
+as it comes (``_sample``), and all the samples of one estimate pass one
+positivity gate (``_positive``) before any of them is read.  A finite
+difference estimate reads all its stencils off one cached geometry table
+(``_stencil_table``) but still sends each stencil as its own batch.
 """
 from __future__ import annotations
 
@@ -75,6 +78,11 @@ class EstimateReport:
 
 def parity_alpha(k: Sequence[int]) -> tuple[int, ...]:
     """Binary vector marking the odd components of k."""
+    return _parity(_validate(k))
+
+
+def _parity(k) -> tuple[int, ...]:
+    """``parity_alpha`` of a multi-index already read by ``_validate``."""
     return tuple(v % 2 for v in k)
 
 
@@ -92,80 +100,132 @@ def r_factor(eps: float, k: Sequence[int]) -> float:
 def same_moment_class(u: Sequence[int], k: Sequence[int]) -> bool:
     """Componentwise parity equivalence: differential moments depend on k
     only through the odd/even pattern."""
+    u, k = _validate(u), _validate(k)
     if len(u) != len(k):
         raise DomainError("multi-indices must have the same dimension")
-    return all(a % 2 == b % 2 for a, b in zip(u, k))
+    return _parity(u) == _parity(k)
 
 
 # ---------------------------------------------------------------------------
 # density samples and finite differences
 
 def _sample(f: DensityOracle, pts) -> np.ndarray:
-    """f on the rows of pts.  Every estimator here is a ratio of density
-    samples, so each one must be positive; ``min`` also catches a nan."""
+    """f on the rows of pts, one value per row."""
     vals = f.batch(pts)
     if vals.shape != (len(pts),):
         raise DomainError(f"density gave shape {vals.shape} for {len(pts)} "
                           "points")
-    if not vals.min() > 0:
-        raise DomainError("non-positive density sample encountered")
     return vals
 
 
+def _positive(vals) -> None:
+    """The one sample gate: every estimator here is a ratio of density
+    samples, so each one must be positive; ``min`` also catches a nan."""
+    if not vals.min() > 0:
+        raise DomainError("non-positive density sample encountered")
+
+
 @cache
-def _sign_table(n):
-    """The 2^n sign rows of the central tensor difference over n axes, in
-    ``product`` order, and each row's product; read-only, shared by every
-    estimate."""
-    signs = np.array(list(product((1.0, -1.0), repeat=n)))
-    weights = signs.prod(axis=1)
-    signs.flags.writeable = weights.flags.writeable = False
-    return signs, weights
+def _stencil_table(n, richardson, every):
+    """The geometry of the central tensor differences over n axes: for the
+    one class marking all of them or, with ``every``, for each nonzero
+    binary pattern on them in lexicographic order.  Read-only, shared by
+    every estimate; returns (signs, mask, classes, batches):
+
+    - ``signs``: each class's coarse rows (+-1 on its axes in ``product``
+      order, 0 elsewhere), then with ``richardson`` its fine rows (+-0.5),
+      and last a zero row, the point xi itself; ``mask`` marks each row's
+      axes;
+    - ``classes``: per class, its axes, its weights (each sign row's
+      product) and the row span of each of its stencils;
+    - ``batches``: the spans sampled, one batch per stencil in class order,
+      without and with f(xi), which comes after the first class's
+      stencils."""
+    patterns = [alpha for alpha in product((0, 1), repeat=n)
+                if any(alpha) and (every or all(alpha))]
+    rows, classes = [], []
+    for alpha in patterns:
+        axes = [i for i, a in enumerate(alpha) if a]
+        coarse = np.array(list(product((1.0, -1.0), repeat=len(axes))))
+        spans = []
+        for scale in (1.0, 0.5)[:1 + richardson]:
+            spans.append((len(rows), len(rows) + len(coarse)))
+            for signs in coarse:
+                row = [0.0] * n
+                for i, s in zip(axes, signs):
+                    row[i] = scale * s
+                rows.append(row)
+        weights = coarse.prod(axis=1)
+        weights.flags.writeable = False
+        classes.append((axes, weights, tuple(spans)))
+    stencils = [span for *_, spans in classes for span in spans]
+    first = len(classes[0][2]) if classes else 0
+    at_xi = [(len(rows), len(rows) + 1)]
+    signs = np.array(rows + [[0.0] * n])
+    mask = signs != 0.0
+    signs.flags.writeable = mask.flags.writeable = False
+    return signs, mask, tuple(classes), (
+        tuple(stencils), tuple(stencils[:first] + at_xi + stencils[first:]))
 
 
 def _central_differences(f: DensityOracle, xi, step_scale, richardson,
-                         log=False):
-    """The map alpha -> D^alpha f / f (or D^alpha log f with ``log``) at xi
-    for binary alpha: the central tensor difference over the axes alpha
-    marks, Richardson-extrapolated once.  Each alpha is estimated once and
-    f(xi) is sampled at most once, however many alpha are asked for.
+                         classes, log=False) -> list[float]:
+    """D^alpha f / f (or D^alpha log f with ``log``) at xi for each binary
+    alpha in ``classes``: the central tensor difference over the axes alpha
+    marks, Richardson-extrapolated once.  ``classes`` is one class, or the
+    parity classes of every nu <= k in ``product`` order, which puts the
+    odd ones in the order the moment-cumulant transform first asks for
+    them.  The zero class is 1 (log f(xi) with ``log``).
 
-    Every stencil (one per alpha and step) is its own batch.  A density may
-    round differently by batch length (the Gaussian's ``einsum`` does), so
-    merging stencils would change the estimates in the last digits."""
+    Every stencil is read off one ``_stencil_table``: its offsets are the
+    table's signs times the steps, in one array operation, and all its
+    points are xi plus them, in one more.  Each stencil is still sent to
+    the density as its own batch, in the table's order, and f(xi) at most
+    once: a density may round differently by batch length (the Gaussian's
+    ``einsum`` does at p = 2), so merging batches would move the estimates
+    in the last digits.  That waits for numeric goldens that hold across
+    such rounding (see ROADMAP.md); then it is one call on this table.
+    All samples pass one gate before any difference is read."""
     x = np.asarray(xi, dtype=float)
-    step = [step_scale * max(1.0, abs(v)) for v in xi]
-
-    @cache
-    def at_xi():
-        return float(_sample(f, x[None, :])[0])
-
-    def difference(offsets, weights, h):
-        vals = _sample(f, x + offsets)
-        if log:
-            vals = np.log(vals)
-        return float(weights @ vals) / math.prod(2.0 * v for v in h)
-
-    @cache
-    def derivative(alpha):
-        axes = [i for i, a in enumerate(alpha) if a]
-        if not axes:
-            return math.log(at_xi()) if log else 1.0
-        signs, weights = _sign_table(len(axes))
-        h = [step[i] for i in axes]
-        # +-h on alpha's axes and -0.0 elsewhere: x + -0.0 is x bit for
-        # bit (a -0.0 coordinate included), and no step off alpha, even an
-        # infinite one, touches the stencil.  (s * h) * 0.5 is s * (h / 2)
-        # bit for bit, so the fine offsets are the coarse ones halved.
-        offsets = np.full((len(signs), len(x)), -0.0)
-        offsets[:, axes] = signs * h
-        est = difference(offsets, weights, h)
-        if richardson:
-            est = (4.0 * difference(offsets * 0.5, weights,
-                                    [v / 2 for v in h]) - est) / 3.0
-        return est if log else est / at_xi()
-
-    return derivative
+    axes = [i for i, marks in enumerate(zip(*classes)) if any(marks)]
+    odd = sum(map(any, classes))
+    signs, mask, table, batches = _stencil_table(len(axes), richardson,
+                                                 odd > 1)
+    step = [step_scale * max(1.0, abs(xi[i])) for i in axes]
+    # +-h on a class's axes and -0.0 elsewhere: x + -0.0 is x bit for bit
+    # (a -0.0 coordinate included), and no step off the class, even an
+    # infinite one, touches the stencil.  (+-0.5) * h is (+-h) * 0.5 bit
+    # for bit, so the fine offsets are the coarse ones halved.
+    offsets = np.full(signs.shape, -0.0)
+    np.multiply(signs, step, out=offsets, where=mask)
+    if len(axes) == len(x):
+        pts = x + offsets
+    else:   # off the table's axes every point is xi
+        pts = np.repeat(x[None, :], len(offsets), axis=0)
+        pts[:, axes] += offsets
+    stencil_rows = len(pts) - 1
+    with_xi = odd < len(classes) if log else odd > 0
+    vals = np.empty(stencil_rows + with_xi)
+    for a, b in batches[with_xi]:
+        vals[a:b] = _sample(f, pts[a:b])
+    if len(vals):
+        _positive(vals)
+    at_xi = float(vals[-1]) if with_xi else None
+    if log:
+        vals = np.log(vals[:stencil_rows])
+    estimates = []
+    for class_axes, weights, spans in table:
+        h = [step[i] for i in class_axes]
+        (a, b), *fine = spans
+        est = float(weights @ vals[a:b]) / math.prod(2.0 * v for v in h)
+        for a, b in fine:
+            half = [v / 2 for v in h]
+            est = (4.0 * (float(weights @ vals[a:b])
+                          / math.prod(2.0 * v for v in half)) - est) / 3.0
+        estimates.append(est if log else est / at_xi)
+    zero = math.log(at_xi) if log and with_xi else 1.0
+    estimates = iter(estimates)
+    return [next(estimates) if any(alpha) else zero for alpha in classes]
 
 
 def _point_and_index(f: DensityOracle, xi, k, step_scale=None):
@@ -191,8 +251,8 @@ def differential_moment(f: DensityOracle, xi, k, *,
     a vanishing cumulant (see ``differential_cumulant``); there
     ``step_scale=1e-2`` brings it under 1e-6 for small coefficients."""
     xi, k = _point_and_index(f, xi, k, step_scale)
-    alpha = parity_alpha(k)
-    value = _central_differences(f, xi, step_scale, richardson)(alpha)
+    alpha = _parity(k)
+    (value,) = _central_differences(f, xi, step_scale, richardson, [alpha])
     return EstimateReport(value, "finite-difference", {
         "k": k, "alpha": alpha, "xi": xi,
         "step_scale": step_scale, "richardson": richardson})
@@ -210,15 +270,18 @@ def differential_cumulant(f: DensityOracle, xi, k, *, method="partition",
     of 1e-2 for the partition sum, or 1e-1 for the log-derivative, brings
     it under 1e-6 for a density with small coefficients."""
     xi, k = _point_and_index(f, xi, k, step_scale)
-    alpha = parity_alpha(k)
+    alpha = _parity(k)
     if method == "partition":
-        ratio = _central_differences(f, xi, step_scale, richardson)
-        # differential moments depend on nu only through its parity
-        value = _cumulants(k, lambda nu: ratio(parity_alpha(nu)))
+        # differential moments depend on nu only through its parity, and
+        # the nu <= k take every parity on k's support
+        classes = list(product(*((0, 1) if v else (0,) for v in k)))
+        ratio = dict(zip(classes, _central_differences(
+            f, xi, step_scale, richardson, classes)))
+        value = _cumulants(k, lambda nu: ratio[_parity(nu)])
         label = "partition-sum"
     elif method == "logderiv":
-        value = _central_differences(f, xi, step_scale, richardson,
-                                     log=True)(alpha)
+        (value,) = _central_differences(f, xi, step_scale, richardson,
+                                        [alpha], log=True)
         label = "log-derivative"
     else:
         raise DomainError(f"unknown method {method!r}")
@@ -287,6 +350,7 @@ def _local_moments(f: DensityOracle, window: CubeWindow, k, nodes, method,
     else:
         raise DomainError(f"unknown method {method!r}")
     vals = _sample(f, np.asarray(center) + offsets)
+    _positive(vals)
     denom = float(weights @ vals)
     # prefix[i]: the product of x_j^nu_j over j < i for the last nu, built
     # from ones left to right as a fresh monomial would be.  _cumulants

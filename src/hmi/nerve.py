@@ -262,10 +262,15 @@ def enclosing_radius(cloud: PointCloud, indices: Iterable[int]) -> float:
 
 
 def _radius(r) -> float:
-    """A non-negative real number, or infinity."""
+    """A non-negative real number, or infinity; a finite one too large for
+    a float (an int such as 10**400) is refused."""
     if np.ndim(r) != 0:
         raise DomainError("equal radii only: r must be a scalar")
-    return float(_nonnegative_real(r, "radius must be a non-negative number"))
+    r = _nonnegative_real(r, "radius must be a non-negative number")
+    try:
+        return float(r)
+    except OverflowError:
+        raise DomainError(f"radius {r} is out of float range") from None
 
 
 def _max_dim(cloud: PointCloud, max_dim) -> int:

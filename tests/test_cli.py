@@ -98,6 +98,21 @@ def test_linear_resolution_and_ferrer(files, capsys):
     assert "{1,2,3,4,5,9}" in out and "{6,7,8,9}" in out
 
 
+@pytest.mark.parametrize("fmt, ferrer, model", [
+    ("text", "not Ferrer\n", "hierarchical\n"),
+    ("json", '{"ferrer": false}\n', '{"hierarchical": true}\n')])
+def test_not_ferrer_and_hierarchical_outputs(files, capsys, fmt, ferrer,
+                                             model):
+    # two disjoint edges are no Ferrers graph; every term of x1*x2 - x1
+    # has its support in the face {1,2}
+    two_edges = files("i.json", {"p": 4, "generators": [[1, 2], [3, 4]]})
+    assert run(capsys, ["ferrer", "--ideal", two_edges, "--format",
+                        fmt]) == (0, ferrer, "")
+    edge = files("c.json", {"p": 2, "facets": [[1, 2]]})
+    assert run(capsys, ["check-model", "--poly", "x1*x2 - x1", "--p", "2",
+                        "--complex", edge, "--format", fmt]) == (0, model, "")
+
+
 def test_network_commands(files, capsys):
     net = files("net.json", BRIDGE)
     code, out, _ = run(capsys, ["network-cuts", "--network", net])
@@ -323,6 +338,11 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
     (["parse-poly", "--p", "1", "--poly-file", "g.txt"], "x1 + 1/0"),
     (["nerve", "--points", "pts.csv", "--radius", "inf"],
      "1e308,0\n-1e308,0\n0,1\n"),
+    (["diff-moment", "--density", "d.json", "--xi", "0", "--k", "1"],
+     json.dumps([{"family": "gaussian", "mean": [0.0],
+                  "precision": [[1.0]]}])),
+    (["diff-moment", "--density", "d.json", "--xi", "0", "--k", "1"],
+     json.dumps({"family": "cauchy", "mean": [0.0], "precision": [[1.0]]})),
 ], ids=["missing-points", "csv-cell", "filtration-list",
         "radius-and-filtration", "neither-radius-nor-filtration",
         "missing-poly", "strip-list", "ci-list", "given-list", "gaussian-keys",
@@ -338,7 +358,8 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
         "product-variance-bool", "product-mean-string",
         "complex-and-ideal", "parse-poly-both", "check-model-poly-both",
         "artinian-poly-both", "ideal-p-zero", "ideal-p-70",
-        "poly-zero-denominator", "nerve-coordinate-overflow"])
+        "poly-zero-denominator", "nerve-coordinate-overflow",
+        "density-not-object", "density-unknown-family"])
 def test_bad_input_exits_one_with_one_error_line(argv, text, capsys,
                                                  tmp_path):
     # missing files, non-numeric CSV cells, bad number lists, a nerve
@@ -350,7 +371,8 @@ def test_bad_input_exits_one_with_one_error_line(argv, text, capsys,
     # are booleans, nan or out of float range where a float is needed),
     # density parameters that are booleans or strings, two inputs where one
     # belongs, a vertex count outside 1..64, a zero denominator, point
-    # coordinates whose squared distances overflow;
+    # coordinates whose squared distances overflow, a density file that is
+    # not an object or names no known family;
     # text goes to the first file named, or a tuple of texts to the files
     # in the order named
     files = [a for a in argv if a.endswith((".csv", ".txt", ".json"))]

@@ -18,6 +18,7 @@ from hmi import (DensityOracle, CubeWindow, parity_alpha, r_factor,
                  gaussian_log_poly, mec_polynomial, mec_support_complex,
                  make_complex, stanley_reisner, differentiate,
                  is_hierarchical)
+from hmi.diffcum import _stencil_table
 from hmi.errors import DomainError
 from hmi.partitions import _cumulants
 
@@ -353,6 +354,114 @@ def test_partition_cumulant_samples_density_at_xi_once(xi, k, classes):
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def reference_difference(f, xi, alpha, step_scale, richardson, log):
+    """D^alpha f / f (D^alpha log f with ``log``) at xi, built point by
+    point: one batch per stencil from ``stencil_points``, each sign row's
+    product as its weight, the divisor prod(2 h_i), and one Richardson step
+    (4 D(h/2) - D(h)) / 3."""
+    axes = [i for i, a in enumerate(alpha) if a]
+    at_xi = float(f.batch(np.array([xi]))[0])
+    if not axes:
+        return math.log(at_xi) if log else 1.0
+    weights = np.array([math.prod(s)
+                        for s in product((1.0, -1.0), repeat=len(axes))])
+
+    def difference(h):
+        vals = f.batch(stencil_points(xi, axes, h))
+        if log:
+            vals = np.log(vals)
+        return float(weights @ vals) / math.prod(2.0 * v for v in h)
+
+    h = [step_scale * max(1.0, abs(xi[i])) for i in axes]
+    est = difference(h)
+    if richardson:
+        est = (4.0 * difference([v / 2 for v in h]) - est) / 3.0
+    return est if log else est / at_xi
+
+
+def _spd(p, seed):
+    a = np.random.default_rng(seed).uniform(-1, 1, (p, p))
+    m = a @ a.T + p * np.eye(p)
+    return (m + m.T) / 2
+
+
+BIT_CASES = [
+    (gaussian_density((0.3,), [[1.5]]), (-0.7,), [(1,), (2,), (3,)]),
+    (gaussian_density((0.1, -0.4), _spd(2, 1)), (0.6, -0.0),
+     [(1, 1), (0, 1), (2, 1), (3, 2)]),
+    (gaussian_density((0.2, 0.0, -0.5), _spd(3, 2)), (1.3, -0.2, 0.4),
+     [(1, 1, 1), (1, 0, 1), (2, 1, 3), (0, 2, 0)]),
+    (gaussian_density((0.0, 0.1, 0.2, 0.3), _spd(4, 3)),
+     (0.2, -0.0, 1.5, -0.4), [(1, 1, 1, 1), (1, 2, 0, 1), (0, 0, 1, 1)]),
+    (mec_density({(1, 1, 0): 0.3, (0, 1, 1): -0.2, (1, 0, 0): 0.1,
+                  (1, 0, 1): 0.05}, 3), (0.3, -0.4, 0.5),
+     [(1, 1, 1), (2, 0, 1), (3, 1, 0)]),
+    (product_gaussian_density((0.5, -1.0), (2.0, 0.5)), (-2.5, 0.3),
+     [(1, 1), (2, 3), (1, 0)])]
+
+
+@pytest.mark.parametrize("f, xi, ks", BIT_CASES,
+                         ids=["gauss1", "gauss2", "gauss3", "gauss4", "mec3",
+                              "product2"])
+@pytest.mark.parametrize("richardson", [True, False])
+def test_estimates_equal_point_by_point_reference(f, xi, ks, richardson):
+    # every estimate is read off the stencil table bit for bit as the
+    # point-by-point central difference gives it
+    for step_scale in (1e-3, 1e-2):
+        options = {"step_scale": step_scale, "richardson": richardson}
+        for k in ks:
+            alpha = parity_alpha(k)
+            ratio = {nu: reference_difference(f, xi, parity_alpha(nu),
+                                              step_scale, richardson, False)
+                     for nu in product(*(range(v + 1) for v in k))}
+            assert differential_moment(f, xi, k, **options).value == \
+                ratio[k]
+            partition = differential_cumulant(f, xi, k, **options).value
+            assert partition == _cumulants(k, ratio.__getitem__)
+            assert partition == _cumulants(k, lambda nu: differential_moment(
+                f, xi, nu, **options).value)
+            assert differential_cumulant(f, xi, k, method="logderiv",
+                                         **options).value == \
+                reference_difference(f, xi, alpha, step_scale, richardson,
+                                     True)
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan])
+def test_bad_sample_in_last_fine_stencil_rejected(bad):
+    # k = (1,1,1) reads seven classes: 15 batches, the last one the fine
+    # stencil of the class (1,1,1); its last point must still be gated
+    base = gaussian_density((0.0,) * 3, np.eye(3) + 0.3)
+    batches = []
+
+    def spoiled(pts):
+        batches.append(len(pts))
+        vals = base.batch(pts)
+        if len(batches) == 15:
+            vals[-1] = bad
+        return vals
+
+    with pytest.raises(DomainError, match="non-positive"):
+        differential_cumulant(DensityOracle(3, spoiled), (0.3, -0.2, 0.1),
+                              (1, 1, 1))
+    assert batches == [2, 2, 1, 2, 2, 4, 4, 2, 2, 4, 4, 4, 4, 8, 8]
+
+
+def test_stencil_table_is_read_only_and_shared():
+    f = gaussian_density((0.0,) * 3, np.eye(3) + 0.3)
+    differential_cumulant(f, (0.3, -0.2, 0.1), (1, 1, 1))
+    table = _stencil_table(3, True, True)
+    before = _stencil_table.cache_info()
+    differential_cumulant(f, (1.5, 0.4, -2.0), (1, 1, 1), step_scale=1e-2)
+    after = _stencil_table.cache_info()
+    assert after.currsize == before.currsize and after.hits > before.hits
+    assert _stencil_table(3, True, True) is table
+    signs, mask, classes, _ = table
+    for array in (signs, mask, *(weights for _, weights, _ in classes)):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
 def test_dimension_and_method_validation():
     f = std_pair()
     with pytest.raises(DomainError):
@@ -433,12 +542,17 @@ def test_non_finite_point_rejected(bad):
                             method="mc", mc_samples=True), "mc_samples"),
     (lambda f: local_cumulant(f, CubeWindow((0.0, 0.0), 0.1), (1, 1),
                               method="mc", mc_samples=100.0), "mc_samples"),
+    (lambda f: parity_alpha((0.5, -1, True)), "multi-index"),
+    (lambda f: parity_alpha(3), "multi-index"),
+    (lambda f: same_moment_class(5, 1), "multi-index"),
+    (lambda f: same_moment_class((1, 2), (1.5, -2)), "multi-index"),
 ], ids=["moment-k-negative", "moment-k-float", "logderiv-k-negative",
         "partition-k-float", "local-k-negative", "xi-string", "xi-none",
         "xi-scalar", "xi-bool", "centre-string", "eps-string", "eps-inf",
         "eps-values-string", "eps-values-scalar", "step-zero", "step-nan",
         "step-negative", "nodes-bool", "nodes-string", "mc-samples-bool",
-        "mc-samples-float"])
+        "mc-samples-float", "parity-entries", "parity-scalar",
+        "class-scalars", "class-entries"])
 def test_bad_estimator_arguments_rejected(call, match):
     # each used to be read silently (k = (-1, 1) as (1, 1), an infinite
     # half-width) or to end in a TypeError, ValueError or ZeroDivisionError

@@ -6,6 +6,7 @@ algorithm on 3,000 points, and the ball-solve count in the plane and in
 space."""
 import math
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -434,6 +435,12 @@ def test_nerve_validation():
     for radii in (None, "0.5"):
         with pytest.raises(DomainError):
             filtration(cloud, radii)
+    # a radius beyond float range used to end in an OverflowError
+    for huge in (10 ** 400, Fraction(10 ** 400, 3)):
+        with pytest.raises(DomainError, match="out of float range"):
+            nerve_complex(cloud, huge)
+        with pytest.raises(DomainError, match="out of float range"):
+            filtration(cloud, [0.5, huge])
     for rows in (((0.0,), (1.0, 2.0)), ("ab", "cd"), ((True,), (False,))):
         with pytest.raises(DomainError):
             PointCloud(rows)
