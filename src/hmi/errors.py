@@ -16,6 +16,8 @@ itself, with the message its caller gives (or builds from ``what``):
 - ``_positive_int(value, what)``: an int of at least 1.
 - ``_finite_real(x)``: the predicate: a real number, not a boolean, not
   infinite or nan.
+- ``_fraction(value, message)``: a finite real as an exact ``Fraction``,
+  a float by its binary value; the polynomials' coefficient reader.
 - ``_reals(values, message, positive=False)``: a tuple of floats read from
   an iterable of finite reals (positive ones with ``positive``); an int
   too large for a float is refused.
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from fractions import Fraction
 
 
 class DomainError(ValueError):
@@ -95,6 +98,14 @@ def _positive_int(value, what: str) -> int:
 def _finite_real(x) -> bool:
     return (isinstance(x, numbers.Real) and not isinstance(x, bool)
             and abs(x) < math.inf)
+
+
+def _fraction(value, message: str) -> Fraction:
+    if not _finite_real(value):
+        raise DomainError(message)
+    # a numpy float32 is a Real but neither a float nor a Rational
+    return Fraction(value if isinstance(value, numbers.Rational)
+                    else float(value))
 
 
 def _reals(values, message: str, positive=False) -> tuple[float, ...]:

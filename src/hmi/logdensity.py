@@ -7,22 +7,26 @@ of positive order kills the normalization anyway.
 """
 from __future__ import annotations
 
+import math
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (DomainError, PolynomialSyntaxError, _finite_real,
-                     _index, _int, _json_int, _nonnegative_real,
+                     _fraction, _index, _int, _json_int, _nonnegative_real,
                      _positive_int)
 from .ideal import SquareFreeIdeal, make_ideal
-from .partitions import _validate
+from .partitions import _validate, unit_vector
 from .simplicial import SimplicialComplex, is_face, make_complex
 
 
 class SparsePolynomial:
     """Polynomial in x1..xp with Fraction coefficients, stored as a map from
-    exponent vector to coefficient.  Immutable by convention."""
+    exponent vector to coefficient.  Immutable by convention.  Only the
+    constructor reads its input; polynomials derived from polynomials are
+    built by ``_polynomial`` without being read again."""
 
     __slots__ = ("p", "terms")
 
@@ -36,12 +40,8 @@ class SparsePolynomial:
             exp = _validate(exp)
             if len(exp) != p:
                 raise DomainError(f"bad exponent vector {exp}")
-            try:
-                coeff = Fraction(coeff)
-            except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-                raise DomainError(f"bad coefficient {coeff!r}") from None
-            if coeff:
-                clean[exp] = clean.get(exp, Fraction(0)) + coeff
+            clean[exp] = clean.get(exp, Fraction(0)) + _fraction(
+                coeff, f"bad coefficient {coeff!r}")
         self.terms = {e: c for e, c in clean.items() if c}
 
     @classmethod
@@ -55,8 +55,8 @@ class SparsePolynomial:
     @classmethod
     def variable(cls, p, i):
         """x_i, 1-based."""
-        i = _index(i, p, "variable index")
-        return cls(p, {tuple(1 if j == i - 1 else 0 for j in range(p)): 1})
+        e = unit_vector(p, _index(i, p, "variable index"))
+        return _polynomial(len(e), {e: Fraction(1)})
 
     def is_zero(self):
         return not self.terms
@@ -69,35 +69,27 @@ class SparsePolynomial:
         return hash((self.p, frozenset(self.terms.items())))
 
     def __add__(self, other):
-        other = self._coerce(other)
         merged = dict(self.terms)
-        for e, c in other.terms.items():
+        for e, c in self._coerce(other).terms.items():
             merged[e] = merged.get(e, Fraction(0)) + c
-        return SparsePolynomial(self.p, merged)
-
-    def __radd__(self, other):
-        return self + other
+        return _polynomial(self.p, merged)
 
     def __neg__(self):
-        return SparsePolynomial(self.p, {e: -c for e, c in self.terms.items()})
+        return _polynomial(self.p, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
+        return self + -self._coerce(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return SparsePolynomial(
-                self.p, {e: c * other for e, c in self.terms.items()})
+        if not isinstance(other, SparsePolynomial):
+            return self * SparsePolynomial.constant(self.p, other)
         other = self._coerce(other)
         out: dict[tuple, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return SparsePolynomial(self.p, out)
+        return _polynomial(self.p, out)
 
     def __rmul__(self, other):
         return self * other
@@ -106,17 +98,16 @@ class SparsePolynomial:
         n = _int(n, f"power {n!r} is not an integer")
         if n < 0:
             raise DomainError("negative power")
-        out = SparsePolynomial.constant(self.p, 1)
+        out = _polynomial(self.p, {(0,) * self.p: Fraction(1)})
         for _ in range(n):
             out = out * self
         return out
 
     def _coerce(self, other):
-        if isinstance(other, SparsePolynomial):
-            if other.p != self.p:
-                raise DomainError("variable counts differ")
+        if isinstance(other, SparsePolynomial) and other.p == self.p:
             return other
-        return SparsePolynomial.constant(self.p, other)
+        raise DomainError(f"operand {other!r} is not a polynomial in the "
+                          f"same variables x1..x{self.p}")
 
     def degree_in(self, i: int) -> int:
         """Degree in x_i (1-based); -1 for the zero polynomial."""
@@ -127,8 +118,16 @@ class SparsePolynomial:
         return max(map(sum, self.terms), default=-1)
 
     def evaluate(self, point: Sequence):
+        """g at a point of finite reals: exact when every coordinate is an
+        integer or a Fraction, a float otherwise, and refused when that
+        float overflows."""
         if not hasattr(point, "__len__") or len(point) != self.p:
             raise DomainError(f"point must have {self.p} coordinates")
+        for x in point:
+            _fraction(x, f"point coordinate {x!r} is not a finite real")
+        # a numpy float would compute in its own precision, and warn
+        point = [x if isinstance(x, numbers.Rational) else float(x)
+                 for x in point]
         total = Fraction(0)
         for e, c in self.terms.items():
             val = c
@@ -136,6 +135,8 @@ class SparsePolynomial:
                 for _ in range(k):
                     val = val * x
             total = total + val
+        if isinstance(total, float) and not math.isfinite(total):
+            raise DomainError("polynomial value at the point is not finite")
         return total
 
     def __str__(self):
@@ -162,6 +163,15 @@ class SparsePolynomial:
 
     def __repr__(self):
         return f"SparsePolynomial({self.p}, {self})"
+
+
+def _polynomial(p: int, terms: Mapping[tuple, Fraction]) -> SparsePolynomial:
+    """A polynomial from terms that are already read: tuples of p ints
+    mapped to Fractions.  Only the zero coefficients are dropped."""
+    g = object.__new__(SparsePolynomial)
+    g.p = p
+    g.terms = {e: c for e, c in terms.items() if c}
+    return g
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>x\d+)|(?P<op>[-+*/^]))")
@@ -240,7 +250,7 @@ def parse_poly(text: str, p: int) -> SparsePolynomial:
         if not terms[exp]:
             del terms[exp]
         if tokens[idx][0] is None:
-            return SparsePolynomial(p, terms)
+            return _polynomial(p, terms)
         sign = take("op", "+-") or expected("'+' or '-'")
 
 
@@ -251,15 +261,11 @@ def differentiate(g: SparsePolynomial, k: Sequence[int]) -> SparsePolynomial:
         raise DomainError(f"bad derivative order {k}")
     out: dict[tuple, Fraction] = {}
     for exp, coeff in g.terms.items():
-        if any(e < d for e, d in zip(exp, k)):
-            continue
-        c = coeff
-        for e, d in zip(exp, k):
-            for step in range(d):
-                c *= e - step
-        # exponents that survive stay distinct after the shift
-        out[tuple(e - d for e, d in zip(exp, k))] = c
-    return SparsePolynomial(g.p, out)
+        # perm(e, d) = e! / (e - d)!, and 0 for d > e; exponents that
+        # survive stay distinct after the shift
+        if c := coeff * math.prod(map(math.perm, exp, k)):
+            out[tuple(e - d for e, d in zip(exp, k))] = c
+    return _polynomial(g.p, out)
 
 
 def hierarchy_violation(g: SparsePolynomial, S: SimplicialComplex):
@@ -333,15 +339,13 @@ def gaussian_log_poly(spec: GaussianSpec) -> SparsePolynomial:
     """-1/2 (x - mu)' Lambda (x - mu), exact in Fractions."""
     p = spec.p
     diffs = [SparsePolynomial.variable(p, i + 1)
-             - SparsePolynomial.constant(p, Fraction(spec.mean[i]))
-             for i in range(p)]
+             - SparsePolynomial.constant(p, spec.mean[i]) for i in range(p)]
     out = SparsePolynomial.zero(p)
     for i in range(p):
         for j in range(p):
-            lam = Fraction(spec.precision[i][j])
-            if lam:
-                out = out + diffs[i] * diffs[j] * (Fraction(-1, 2) * lam)
-    return out
+            if lam := spec.precision[i][j]:
+                out = out + diffs[i] * diffs[j] * lam
+    return out * Fraction(-1, 2)
 
 
 def gaussian_ideal(spec: GaussianSpec, tolerance=0) -> SquareFreeIdeal:
@@ -373,18 +377,17 @@ class MECSpec:
             raise DomainError("variable count must be at least 1")
         clean = {}
         for s, a in items:
-            if not (isinstance(s, Iterable) and len(s := tuple(s)) == p
-                    and all(v in (0, 1) for v in s)):
+            s = _validate(s)
+            if len(s) != p or any(v > 1 for v in s):
                 raise DomainError(f"non-binary index {s} in MEC spec")
-            if not _finite_real(a):
-                raise DomainError(f"MEC coefficient {a!r}: not a finite real")
-            clean[s] = Fraction(a)
+            clean[s] = _fraction(a, f"MEC coefficient {a!r}: not a finite "
+                                 "real")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "coeffs", clean)
 
 
 def mec_polynomial(spec: MECSpec) -> SparsePolynomial:
-    return SparsePolynomial(spec.p, dict(spec.coeffs))
+    return _polynomial(spec.p, spec.coeffs)
 
 
 def mec_support_complex(spec: MECSpec) -> SimplicialComplex:

@@ -51,12 +51,13 @@ def format_multiindex(k: Sequence[int]) -> str:
 
 
 def manhattan_norm(k: Sequence[int]) -> int:
-    return sum(k)
+    return sum(_validate(k))
 
 
 def plus_norm(k: Sequence[int]) -> int:
     """Manhattan norm plus one extra unit for every odd component."""
-    return sum(k) + sum(1 for v in k if v % 2 == 1)
+    k = _validate(k)
+    return sum(k) + sum(v % 2 for v in k)
 
 
 def unit_vector(p: int, i: int) -> MultiIndex:
@@ -211,8 +212,8 @@ def _cumulants(k, moment):
     every sub-index first; each of them is a block of some partition of k.
     Moments and cumulants live in two flat lists indexed by the rank of
     nu, so nu' - lambda and lambda + e_i are rank arithmetic.  Exact when
-    the moments are ints or Fractions."""
-    k = _validate(k)
+    the moments are ints or Fractions.  k is a multi-index its caller has
+    read by ``_validate``."""
     if not any(k):
         raise DomainError("empty multiset")
     strides = _strides(k)

@@ -219,16 +219,18 @@ def _clijobs():
             sys.modules["oracles"] = tests_oracles
 
 
-@pytest.mark.parametrize("cmd", ["local-moment", "diff-moment",
-                                 "diff-cumulant", "limit-probe"])
+CLIJOBS = _clijobs()
+
+
+@pytest.mark.parametrize("cmd", CLIJOBS.COMMANDS)
 def test_numeric_commands_reproduce_every_golden(cmd, capsys, tmp_path):
-    # every pool instance in both formats, byte for byte; the benchmark's
-    # own check runs only two instances per seed
-    clijobs = _clijobs()
-    goldens = json.loads(clijobs.GOLDENS.read_text())
-    for i in range(clijobs.POOL):
-        argv = clijobs.write_instance(cmd, i, tmp_path)
-        for fmt in clijobs.FORMATS:
+    # every subcommand on every pool instance in both formats, byte for
+    # byte; the benchmark's own check runs only two instances per seed.
+    # The name predates the non-numeric subcommands, and ids keep it.
+    goldens = json.loads(CLIJOBS.GOLDENS.read_text())
+    for i in range(CLIJOBS.POOL):
+        argv = CLIJOBS.write_instance(cmd, i, tmp_path)
+        for fmt in CLIJOBS.FORMATS:
             got = run(capsys, argv + ["--format", fmt])
             assert got == (0, goldens[f"{cmd}|{fmt}|{i}"], ""), (fmt, i)
 

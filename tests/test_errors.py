@@ -4,11 +4,12 @@ refused with ``DomainError`` and the site's own message, word for word."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from hmi import (CIStatement, CubeWindow, FerrerShape, PointCloud,
-                 SparsePolynomial, make_complex, make_ideal, nerve_complex,
-                 total_degree_cumulant_check)
+from hmi import (CIStatement, CubeWindow, FerrerShape, MECSpec, PointCloud,
+                 SparsePolynomial, make_complex, make_ideal, manhattan_norm,
+                 nerve_complex, plus_norm, total_degree_cumulant_check)
 from hmi.diffcum import local_cumulant, product_gaussian_density, r_factor
 from hmi.errors import DomainError
 from hmi.graphs import make_graph
@@ -18,6 +19,7 @@ from hmi.network import Network
 from hmi.partitions import unit_vector
 
 X1 = SparsePolynomial.variable(2, 1)
+SQUARES = X1 ** 2 - SparsePolynomial.variable(2, 2) ** 2
 CLOUD = PointCloud(((0.0,), (1.0,)))
 NORMAL = product_gaussian_density([0.0], [1.0])
 WINDOW = CubeWindow((0.0,), 0.1)
@@ -45,6 +47,8 @@ TOLERANCE = "tolerance must be non-negative"
 CENTRE = "the window centre: expected finite real numbers"
 HALF_WIDTH = "the window half-width: expected positive finite real numbers"
 EPS = "eps: expected positive finite real numbers"
+OPERAND = "is not a polynomial in the same variables x1..x2"
+NOT_FINITE = "polynomial value at the point is not finite"
 
 CASES = {
     "complex-p-bool": (lambda: make_complex(True, []), VERTEX_COUNT),
@@ -53,6 +57,53 @@ CASES = {
     "poly-p-bool": (lambda: SparsePolynomial(True), VARIABLE_COUNT),
     "poly-p-float": (lambda: SparsePolynomial(2.0), VARIABLE_COUNT),
     "poly-p-string": (lambda: SparsePolynomial("2"), VARIABLE_COUNT),
+    "coeff-bool": (lambda: SparsePolynomial(2, {(1, 0): True}),
+                   "bad coefficient True"),
+    "coeff-string": (lambda: SparsePolynomial(2, {(1, 0): "1/2"}),
+                     "bad coefficient '1/2'"),
+    "coeff-nan": (lambda: SparsePolynomial(2, {(1, 0): math.nan}),
+                  "bad coefficient nan"),
+    "constant-bool": (lambda: SparsePolynomial.constant(2, True),
+                      "bad coefficient True"),
+    "constant-string": (lambda: SparsePolynomial.constant(2, "1"),
+                        "bad coefficient '1'"),
+    "scalar-bool": (lambda: X1 * True, "bad coefficient True"),
+    "scalar-string": (lambda: "2" * X1, "bad coefficient '2'"),
+    "scalar-inf": (lambda: X1 * math.inf, "bad coefficient inf"),
+    "add-scalar": (lambda: X1 + 1, f"operand 1 {OPERAND}"),
+    "sub-scalar": (lambda: X1 - Fraction(1, 2),
+                   f"operand Fraction(1, 2) {OPERAND}"),
+    "add-other-p": (lambda: X1 + SparsePolynomial.variable(3, 1),
+                    f"operand SparsePolynomial(3, x1) {OPERAND}"),
+    "mul-other-p": (lambda: X1 * SparsePolynomial.zero(1),
+                    f"operand SparsePolynomial(1, 0) {OPERAND}"),
+    "point-coordinate-bool": (lambda: X1.evaluate((True, 2)),
+                              "point coordinate True is not a finite real"),
+    "point-coordinate-string": (lambda: X1.evaluate(("a", "b")),
+                                "point coordinate 'a' is not a finite real"),
+    "point-coordinate-nan": (lambda: X1.evaluate((0.5, math.nan)),
+                             "point coordinate nan is not a finite real"),
+    "value-nan": (lambda: SQUARES.evaluate((1e200, 1e200)), NOT_FINITE),
+    "value-inf": (lambda: SQUARES.evaluate((1e200, 1.0)), NOT_FINITE),
+    "value-inf-numpy": (lambda: SQUARES.evaluate((np.float64(1e200), 1)),
+                        NOT_FINITE),
+    "mec-index-bool": (lambda: MECSpec(2, {(True, False): 1}),
+                       "invalid multi-index (True, False)"),
+    "mec-index-float": (lambda: MECSpec(2, {(1.0, 1): 0.5}),
+                        "invalid multi-index (1.0, 1)"),
+    "mec-index-non-binary": (lambda: MECSpec(2, {(2, 0): 1}),
+                             "non-binary index (2, 0) in MEC spec"),
+    "mec-coeff-bool": (lambda: MECSpec(2, {(1, 0): True}),
+                       "MEC coefficient True: not a finite real"),
+    "manhattan-float": (lambda: manhattan_norm((0.5, 1)),
+                        "invalid multi-index (0.5, 1)"),
+    "manhattan-negative": (lambda: manhattan_norm((-1, 3)),
+                           "invalid multi-index (-1, 3)"),
+    "manhattan-string": (lambda: manhattan_norm("ab"),
+                         "invalid multi-index 'ab'"),
+    "plus-norm-bool": (lambda: plus_norm((True, 1)),
+                       "invalid multi-index (True, 1)"),
+    "plus-norm-scalar": (lambda: plus_norm(3), "invalid multi-index 3"),
     "power-bool": (lambda: X1 ** True, "power True is not an integer"),
     "power-float": (lambda: X1 ** 2.0, "power 2.0 is not an integer"),
     "power-string": (lambda: X1 ** "2", "power '2' is not an integer"),

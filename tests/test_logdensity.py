@@ -3,6 +3,7 @@ hierarchical verification and the Gaussian/MEC/BEC families.  The chain rule
 for exp(g) is cross-checked numerically against the partition expansion."""
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +27,18 @@ def test_basic_arithmetic():
     assert g == x1 ** 2 - x2 ** 2
     assert (g - g).is_zero()
     assert (Fraction(1, 2) * x1).evaluate((4, 0)) == 2
+    # exact points give exact values, a float coordinate a float
+    assert g.evaluate((Fraction(1, 3), 2)) == Fraction(-35, 9)
+    assert type(g.evaluate((0.5, 2))) is float
+    # numpy floats are read as floats, not computed in their own precision
+    assert (x1 * Fraction(1, 3)).evaluate((np.float16(2), 0)) == 2 / 3
+    assert_canonical(SparsePolynomial.variable(np.int64(2), np.int64(1)))
+    # scalars multiply but no longer add
+    assert 2 * x1 == x1 * Fraction(2) == x1 + x1
+    with pytest.raises(TypeError):
+        1 + x1
+    with pytest.raises(DomainError, match="not a polynomial"):
+        x1 - 1
     assert g.total_degree() == 2
     assert g.degree_in(1) == 2
     assert SparsePolynomial.zero(2).total_degree() == -1
@@ -90,8 +103,8 @@ def test_parse_errors_with_offsets():
 
 
 @st.composite
-def polynomials(draw):
-    p = draw(st.integers(min_value=1, max_value=3))
+def polynomials(draw, p=None):
+    p = p or draw(st.integers(min_value=1, max_value=3))
     n_terms = draw(st.integers(min_value=0, max_value=5))
     terms = {}
     for _ in range(n_terms):
@@ -106,6 +119,47 @@ def polynomials(draw):
 @given(polynomials())
 def test_parse_round_trips_str(g):
     assert parse_poly(str(g), g.p) == g
+
+
+def assert_canonical(g):
+    """What every polynomial holds however it was built: each exponent a
+    tuple of exactly p non-negative ints (never bools), each coefficient a
+    nonzero Fraction; and reading its terms again changes nothing."""
+    assert type(g.p) is int
+    for exp, coeff in g.terms.items():
+        assert type(exp) is tuple and len(exp) == g.p
+        assert all(type(v) is int and v >= 0 for v in exp)
+        assert type(coeff) is Fraction and coeff != 0
+    assert SparsePolynomial(g.p, g.terms) == g
+
+
+@settings(deadline=None)
+@given(polynomials().flatmap(lambda g: st.tuples(
+    st.just(g), polynomials(g.p),
+    st.tuples(*[st.integers(0, 3)] * g.p))), st.integers(0, 3))
+def test_derived_polynomials_hold_the_invariant(drawn, n):
+    g, h, k = drawn
+    for derived in (g + h, g - h, -g, g * h, g ** n, Fraction(-3, 2) * g,
+                    g * 0.25, g * 0, differentiate(g, k),
+                    parse_poly(str(g), g.p)):
+        assert_canonical(derived)
+
+
+VALUES = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=5),
+                   st.sampled_from((0.0, 0.5, -1.25)))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_family_polynomials_hold_the_invariant(p, data):
+    mean = data.draw(st.lists(VALUES, min_size=p, max_size=p))
+    upper = {(i, j): data.draw(VALUES) for i in range(p) for j in range(i, p)}
+    precision = [[upper[min(i, j), max(i, j)] for j in range(p)]
+                 for i in range(p)]
+    coeffs = data.draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 1)] * p), VALUES))
+    assert_canonical(gaussian_log_poly(GaussianSpec(mean, precision)))
+    assert_canonical(mec_polynomial(MECSpec(p, coeffs)))
 
 
 # every token the grammar knows, a few it does not, Unicode digits and
@@ -276,6 +330,14 @@ def test_mec_polynomial_and_support():
 def test_mec_rejects_non_binary():
     with pytest.raises(DomainError):
         MECSpec(2, {(2, 0): 1})
+
+
+def test_mec_reads_every_real_coefficient_exactly():
+    # a numpy float32 is neither a float nor a Rational; it used to end in
+    # a TypeError
+    spec = MECSpec(1, {(1,): np.float32(0.5), (0,): np.int64(-2)})
+    assert spec.coeffs == {(1,): Fraction(1, 2), (0,): Fraction(-2)}
+    assert all(type(c) is Fraction for c in spec.coeffs.values())
 
 
 def test_spec_json_parsing():
