@@ -316,7 +316,7 @@ def cmd_mec(args):
 def _report_out(args, report):
     _emit(args, repr(report.value),
           {"value": report.value, "method": report.method,
-           "metadata": {k: v for k, v in sorted(report.metadata.items())}})
+           "metadata": report.metadata})
 
 
 def cmd_local_moment(args):

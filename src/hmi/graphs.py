@@ -156,40 +156,6 @@ def make_graph(p: int, edges: Iterable[Iterable], labels=None) -> Graph:
     return Graph(p, tuple(_adjacency(p, masks)), labels)
 
 
-def max_clique_masks(adj: list[int], p: int) -> list[int]:
-    """Bron-Kerbosch with pivoting; returns facet masks (isolated vertices
-    appear as singleton cliques)."""
-    out = []
-
-    def expand(r, cand, excl):
-        if cand == 0 and excl == 0:
-            out.append(r)
-            return
-        pivot_pool = cand | excl
-        pivot = (pivot_pool & -pivot_pool).bit_length() - 1
-        best = pivot
-        best_cover = (cand & adj[pivot]).bit_count()
-        probe = pivot_pool
-        while probe:
-            v = (probe & -probe).bit_length() - 1
-            probe &= probe - 1
-            cover = (cand & adj[v]).bit_count()
-            if cover > best_cover:
-                best, best_cover = v, cover
-        ext = cand & ~adj[best]
-        while ext:
-            v = (ext & -ext).bit_length() - 1
-            bit = 1 << v
-            ext &= ext - 1
-            expand(r | bit, cand & adj[v], excl & adj[v])
-            cand &= ~bit
-            excl |= bit
-
-    if p:
-        expand(0, (1 << p) - 1, 0)
-    return sorted(out)
-
-
 class _Search(NamedTuple):
     order: list[int]        # positions in visit order
     rank: list[int]         # rank[v]: index of position v in order

@@ -13,7 +13,7 @@ from .graphs import (Graph, Labelled, _adjacency, _bits, _from_json,
                      _levels, encode_all, is_chordal)
 from .partitions import _validate
 from .simplicial import (SimplicialComplex, minimal_nonface_masks,
-                         minimal_transversals, _antichain, _sort_key)
+                         minimal_transversals, _antichain, _complements)
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,8 @@ def complex_of(I: SquareFreeIdeal) -> SimplicialComplex:
     no generator.  The facets are the complements of the minimal
     transversals of the generator supports, so the zero ideal gives the
     full simplex."""
-    full = (1 << I.p) - 1
-    facets = [full & ~t for t in minimal_transversals(I.generators, I.p)]
-    return SimplicialComplex(I.p, tuple(sorted(facets, key=_sort_key)),
-                             I.labels)
+    return SimplicialComplex(I.p, _complements(I.p, minimal_transversals(
+        I.generators, I.p)), I.labels)
 
 
 def contains(I: SquareFreeIdeal, m) -> bool:

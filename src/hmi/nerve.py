@@ -216,15 +216,10 @@ def _shuffle(n: int) -> tuple:
     return tuple(order)
 
 
-def _shuffled(points: Sequence[tuple]) -> list:
-    return [points[i] for i in _shuffle(len(points))]
-
-
-def _welzl(points: Sequence[tuple], d: int, boundary: tuple = ()):
+def _welzl(points: Sequence[tuple], d: int):
     """Welzl's randomized incremental algorithm on float tuples, with a
-    deterministic shuffle: the smallest ball enclosing ``points`` that has
-    every ``boundary`` point on its boundary."""
-    order = _shuffled(points)
+    deterministic shuffle: the smallest ball enclosing ``points``."""
+    order = [points[i] for i in _shuffle(len(points))]
 
     def welzl(n, bnd):
         # the loop form of "ball of the first i points, refit with order[i]
@@ -238,7 +233,7 @@ def _welzl(points: Sequence[tuple], d: int, boundary: tuple = ()):
                 ball = welzl(i, bnd + (order[i],))
         return ball
 
-    return welzl(len(order), tuple(boundary))
+    return welzl(len(order), ())
 
 
 def smallest_enclosing_ball(pts) -> tuple[np.ndarray, float]:
@@ -332,7 +327,8 @@ def _births(cloud: PointCloud, r: float, max_dim: int) -> tuple[dict, dict]:
                         break
                 else:
                     # every vertex lies on the boundary: the circumball, as
-                    # the last call of _welzl(f, d, (v,)) would solve it
+                    # the last call of _welzl's recursion over f's points,
+                    # with v held on the boundary, would solve it
                     ball = _circumball(
                         (pts[v], *[pts[verts[i]] for i in picks]), d)
                 birth = max(ball[1], facet_birth)

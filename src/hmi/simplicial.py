@@ -7,9 +7,10 @@ complexes can live on a sub-ring of variables without relabelling.  Labels
 go to and from masks through the one codec of ``graphs`` (``Labelled``);
 the 1-skeleton is a ``graphs.Graph`` of adjacency masks, on which
 decomposability runs one maximum cardinality search.  Minimal non-faces,
-Alexander duals, the Stanley-Reisner map in both directions and the
-cut/path duality of networks all reduce to ``minimal_transversals``, one
-depth-first MMCS search (Murakami and Uno 2014) on bit masks.
+Alexander duals, flag complexes, the Stanley-Reisner map in both directions
+and the cut/path duality of networks all reduce to
+``minimal_transversals``, one depth-first MMCS search (Murakami and Uno
+2014) on bit masks.
 
 Both the void complex (no faces at all, ``facets == ()``) and the empty
 complex (only the empty face) are representable; ``minimal_nonfaces`` of the
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .graphs import (Graph, Labelled, _adjacency, _bits, _from_json,
-                     encode_all, max_clique_masks)
+                     encode_all)
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,13 @@ class SimplicialComplex(Labelled):
 
 def _sort_key(mask: int):
     return (mask.bit_count(), mask)
+
+
+def _complements(p: int, masks: Iterable[int]) -> tuple[int, ...]:
+    """The complements of the masks within positions 0..p-1, in
+    ``_sort_key`` order."""
+    full = (1 << p) - 1
+    return tuple(sorted((full & ~m for m in masks), key=_sort_key))
 
 
 def _antichain(masks: Iterable[int], minimal=False) -> tuple[int, ...]:
@@ -145,9 +153,7 @@ def minimal_nonfaces(S: SimplicialComplex) -> list[frozenset[int]]:
 def alexander_dual(S: SimplicialComplex) -> SimplicialComplex:
     """S* = {complement of J : J not a face of S}; its facets are the
     complements of the minimal non-faces.  An involution."""
-    full = S.full_mask()
-    facets = [full & ~m for m in minimal_nonface_masks(S)]
-    return SimplicialComplex(S.p, tuple(sorted(facets, key=_sort_key)),
+    return SimplicialComplex(S.p, _complements(S.p, minimal_nonface_masks(S)),
                              S.labels)
 
 
@@ -156,11 +162,14 @@ def one_skeleton(S: SimplicialComplex) -> Graph:
 
 
 def flag_complex(graph: Graph) -> SimplicialComplex:
-    """Clique complex of a graph.  Bron-Kerbosch reports each maximal
-    clique exactly once, so its output is already the facet antichain."""
-    cliques = max_clique_masks(graph.adj, graph.p)
-    return SimplicialComplex(graph.p, tuple(sorted(cliques, key=_sort_key)),
-                             graph.labels)
+    """Clique complex of a graph, as the complex of its Stanley-Reisner
+    ideal, which the non-edges x_i x_j generate: the maximal cliques are
+    the complements of the minimal vertex covers of the complement graph."""
+    p, adj = graph.p, graph.adj
+    non_edges = [1 << i | 1 << j for i in range(p) for j in range(i + 1, p)
+                 if not adj[i] >> j & 1]
+    return SimplicialComplex(p, _complements(p, minimal_transversals(
+        non_edges, p)), graph.labels)
 
 
 def complex_to_json(S: SimplicialComplex) -> dict:

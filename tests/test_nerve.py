@@ -455,6 +455,8 @@ def test_nerve_validation():
         enclosing_radius(cloud, [True, 2])
     # an infinite radius joins every ball
     assert nerve_complex(cloud, inf).facet_sets() == [frozenset({1, 2})]
+    # no radii, no steps
+    assert filtration(cloud, []) == []
 
 
 def test_coordinates_are_bounded_so_squared_distances_stay_finite():

@@ -114,6 +114,9 @@ def test_network_validation():
             ("node ids must be integers", ([1.0, 2], [(1, 1, 2)], 1, 2))]:
         with pytest.raises(DomainError, match=match):
             make_network(*args)
+    # cut and path families are edge-id masks over at most 20 edges
+    with pytest.raises(DomainError, match="at most 20 edges supported"):
+        make_network([1, 2], [(i, 1, 2) for i in range(1, 22)], 1, 2)
 
 
 def test_json_parsing():

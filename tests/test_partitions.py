@@ -300,6 +300,9 @@ NORMAL = product_gaussian_density([0.0], [1.0])
     lambda: differential_moment(NORMAL, (0.0,), (True,)),
     lambda: differential_cumulant(NORMAL, (0.0,), (1.5,)),
     lambda: local_cumulant(NORMAL, CubeWindow((0.0,), 0.1), ("2",)),
+    lambda: cumulant_from_moments((0, 0), {}),
+    lambda: differential_cumulant(NORMAL, (0.0,), (0,)),
+    lambda: local_cumulant(NORMAL, CubeWindow((0.0,), 0.1), (0,)),
     lambda: r_factor(0.1, (1.5,)),
     lambda: r_factor(0.1, (-1,)),
     lambda: r_factor(0.1, ()),
@@ -317,7 +320,8 @@ NORMAL = product_gaussian_density([0.0], [1.0])
     lambda: SparsePolynomial(1, {(1,): "a"}),
 ], ids=["partitions-bool", "partitions-scalar", "chain-rule-float",
         "collapse-bool", "cumulant-bool", "diff-moment-bool",
-        "diff-cumulant-float", "local-cumulant-string", "r-factor-float",
+        "diff-cumulant-float", "local-cumulant-string", "cumulant-empty",
+        "diff-cumulant-empty", "local-cumulant-empty", "r-factor-float",
         "r-factor-negative", "r-factor-empty", "differentiate-float",
         "differentiate-negative", "artinian-float", "artinian-zero",
         "poly-p-float", "poly-p-bool", "poly-p-zero", "poly-exponent-float",
@@ -326,7 +330,8 @@ NORMAL = product_gaussian_density([0.0], [1.0])
 def test_multi_indices_and_coefficients_read_strictly(call):
     # every multi-index goes through partitions._validate, which reads each
     # entry as a JSON integer: booleans, floats and strings are refused, as
-    # are coefficients Fraction cannot read
+    # are coefficients Fraction cannot read and the empty multiset, which
+    # has no cumulant
     with pytest.raises(DomainError):
         call()
 

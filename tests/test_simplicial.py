@@ -147,6 +147,27 @@ def test_flag_complex_facets_are_the_maximal_cliques():
             assert list(S.facets) == sorted(S.facets, key=_sort_key)
 
 
+def test_flag_complex_is_the_complex_of_the_non_edge_ideal():
+    # every graph on p <= 5 vertices (1,099 graphs), on reversed labels so
+    # that no label equals its position plus one: the facets are the
+    # maximal cliques, and the Stanley-Reisner ideal is generated exactly
+    # by the non-edges
+    for p in range(1, 6):
+        labels = tuple(range(p, 0, -1))
+        pairs = list(combinations(range(1, p + 1), 2))
+        for bits in range(1 << len(pairs)):
+            edges = [e for i, e in enumerate(pairs) if bits >> i & 1]
+            S = flag_complex(make_graph(p, edges, labels=labels))
+            assert S.labels == labels
+            assert list(S.facets) == sorted(S.facets, key=_sort_key)
+            assert sorted(S.facet_sets(), key=lambda f: (len(f), sorted(f))) \
+                == brute_maximal_cliques(p, edges)
+            I = stanley_reisner(S)
+            assert I.labels == labels
+            assert sorted(I.generator_sets(), key=lambda g: sorted(g)) == [
+                frozenset(e) for e in pairs if e not in edges]
+
+
 def test_minimal_nonface_masks_golden():
     S = make_complex(5, [[1, 2, 3], [2, 3, 4], [3, 4, 5]])
     assert minimal_nonfaces(S) == [frozenset({1, 4}), frozenset({1, 5}),
