@@ -18,7 +18,11 @@ positive: a zero, negative or nan value anywhere on a stencil or grid raises
 as it comes (``_sample``), and all the samples of one estimate pass one
 positivity gate (``_positive``) before any of them is read.  A finite
 difference estimate reads all its stencils off one cached geometry table
-(``_stencil_table``) but still sends each stencil as its own batch.
+(``_stencil_table``) but still sends each stencil as its own batch, and
+reads each stencil's sum with one BLAS dot (``ndarray.dot``, the kernel
+``@`` calls too, at about half the dispatch cost).  A partition-sum or
+local cumulant runs the moment-cumulant transform on a schedule built once
+per k (``partitions._cumulants``).
 """
 from __future__ import annotations
 
@@ -217,10 +221,10 @@ def _central_differences(f: DensityOracle, xi, step_scale, richardson,
     for class_axes, weights, spans in table:
         h = [step[i] for i in class_axes]
         (a, b), *fine = spans
-        est = float(weights @ vals[a:b]) / math.prod(2.0 * v for v in h)
+        est = float(weights.dot(vals[a:b])) / math.prod(2.0 * v for v in h)
         for a, b in fine:
             half = [v / 2 for v in h]
-            est = (4.0 * (float(weights @ vals[a:b])
+            est = (4.0 * (float(weights.dot(vals[a:b]))
                           / math.prod(2.0 * v for v in half)) - est) / 3.0
         estimates.append(est if log else est / at_xi)
     zero = math.log(at_xi) if log and with_xi else 1.0
@@ -270,6 +274,8 @@ def differential_cumulant(f: DensityOracle, xi, k, *, method="partition",
     of 1e-2 for the partition sum, or 1e-1 for the log-derivative, brings
     it under 1e-6 for a density with small coefficients."""
     xi, k = _point_and_index(f, xi, k, step_scale)
+    if not any(k):
+        raise DomainError("empty multiset")
     alpha = _parity(k)
     if method == "partition":
         # differential moments depend on nu only through its parity, and
@@ -353,9 +359,11 @@ def _local_moments(f: DensityOracle, window: CubeWindow, k, nodes, method,
     _positive(vals)
     denom = float(weights @ vals)
     # prefix[i]: the product of x_j^nu_j over j < i for the last nu, built
-    # from ones left to right as a fresh monomial would be.  _cumulants
-    # asks in ``product`` order, so consecutive nu share a long prefix.
-    prefix, last = [np.ones(len(offsets))], ()
+    # left to right as a fresh monomial from ones would be, with None for
+    # ones: 1.0 * x and x ** 1 are x bit for bit, so neither is computed.
+    # _cumulants asks in ``product`` order, so consecutive nu share a long
+    # prefix.
+    prefix, last = [None], ()
 
     def moment(nu):
         nonlocal last
@@ -363,10 +371,16 @@ def _local_moments(f: DensityOracle, window: CubeWindow, k, nodes, method,
                     len(last))
         del prefix[same + 1:]
         for i in range(same, len(nu)):
-            prefix.append(prefix[i] * offsets[:, i] ** nu[i] if nu[i]
-                          else prefix[i])
+            head = prefix[i]
+            if nu[i]:
+                column = offsets[:, i]
+                if nu[i] > 1:
+                    column = column ** nu[i]
+                head = column if head is None else head * column
+            prefix.append(head)
         last = nu
-        return float(weights @ (prefix[-1] * vals)) / denom
+        mono = prefix[-1]
+        return float(weights @ (vals if mono is None else mono * vals)) / denom
 
     meta.update({"k": k, "eps": window.eps, "center": center,
                  "method": method})
@@ -463,18 +477,19 @@ def mec_density(coeffs, p: int) -> DensityOracle:
                  for s, a in spec.coeffs.items()]
     except OverflowError:
         raise DomainError("MEC coefficient out of float range") from None
-    # for short batches: row 0 is the zero the sum starts from, and
-    # factors[d][j] is the axis of term j's d-th factor, or p (a row of
-    # ones) past its degree, since x * 1.0 is x bit for bit
-    start = np.array([0.0] + [a for a, _ in terms])[:, None]
-    depth = max((len(axes) for _, axes in terms), default=0)
+    # for short batches: factors[d][j] is the axis of term j's d-th factor,
+    # or p (a row of ones) past its degree, since x * 1.0 is x bit for bit;
+    # an empty sum is the one term 0.0, and every term has one row or more
+    short = terms or [(0.0, [])]
+    start = np.array([a for a, _ in short])[:, None]
+    depth = max(len(axes) for _, axes in short) or 1
     factors = np.array([[axes[d] if d < len(axes) else p
-                         for _, axes in terms] for d in range(depth)],
+                         for _, axes in short] for d in range(depth)],
                        dtype=np.intp)
 
     def fn(pts):
         # either way each term is a_s * x_i * x_j * ... left to right and
-        # the terms are added to zero in order, so both give the same bits
+        # the terms are added in order, so both give the same bits
         if len(pts) > _MEC_SHORT_BATCH:
             g = np.zeros(pts.shape[0])
             for a, axes in terms:
@@ -483,13 +498,18 @@ def mec_density(coeffs, p: int) -> DensityOracle:
                     term = term * pts[:, i]
                 g += term
             return np.exp(g)
-        # a stencil: one array operation per factor depth rather than
-        # several per term, so its cost does not grow with the terms
+        # a stencil: one gather of every factor row and one array operation
+        # per factor depth rather than several per term, so its cost does
+        # not grow with the terms.  The running sum starts at the first
+        # term, not at zero as above: 0.0 + t differs from t only when t is
+        # -0.0, that sign of a zero is all it can pass on to the sum, and
+        # exp(-0.0) = exp(0.0) = 1.
         x = np.ones((p + 1, len(pts)))
         x[:p] = pts.T
-        term = np.repeat(start, len(pts), axis=1)
-        for axes in factors:
-            term[1:] *= x[axes]
+        rows = x[factors]
+        term = start * rows[0]
+        for row in rows[1:]:
+            term *= row
         return np.exp(np.add.accumulate(term)[-1])
 
     return DensityOracle(spec.p, fn)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from hmi import network
 from hmi.cli import main
 
 
@@ -124,6 +125,18 @@ def test_network_commands(files, capsys):
     assert "path ideal: x1*x2, x4*x5, x1*x3*x5, x2*x3*x4" in out
     code, out, _ = run(capsys, ["network-duality", "--network", net])
     assert code == 0 and out.count("PASS") == 4
+
+
+def test_network_duality_failure_exits_one(files, capsys, monkeypatch):
+    monkeypatch.setattr(network, "verify_cut_path_duality",
+                        lambda G: network.DualityReport(True, True, False,
+                                                        True))
+    with pytest.raises(SystemExit) as exc:
+        main(["network-duality", "--network", files("net.json", BRIDGE)])
+    assert exc.value.code == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[2] == "alexander dual of cuts is paths: FAIL"
+    assert out.count("PASS") == 3
 
 
 def test_nerve_command(files, capsys):
@@ -345,6 +358,9 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
                   "precision": [[1.0]]}])),
     (["diff-moment", "--density", "d.json", "--xi", "0", "--k", "1"],
      json.dumps({"family": "cauchy", "mean": [0.0], "precision": [[1.0]]})),
+    (["diff-cumulant", "--density", "d.json", "--xi", "0,0", "--k", "0,0",
+      "--method", "logderiv"],
+     json.dumps({"family": "product", "means": [0, 0], "variances": [1, 1]})),
 ], ids=["missing-points", "csv-cell", "filtration-list",
         "radius-and-filtration", "neither-radius-nor-filtration",
         "missing-poly", "strip-list", "ci-list", "given-list", "gaussian-keys",
@@ -361,7 +377,8 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
         "complex-and-ideal", "parse-poly-both", "check-model-poly-both",
         "artinian-poly-both", "ideal-p-zero", "ideal-p-70",
         "poly-zero-denominator", "nerve-coordinate-overflow",
-        "density-not-object", "density-unknown-family"])
+        "density-not-object", "density-unknown-family",
+        "logderiv-empty-multiset"])
 def test_bad_input_exits_one_with_one_error_line(argv, text, capsys,
                                                  tmp_path):
     # missing files, non-numeric CSV cells, bad number lists, a nerve

@@ -462,6 +462,22 @@ def test_stencil_table_is_read_only_and_shared():
             array[0] = 0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stencil_sum_dot_equals_matmul(n):
+    # each stencil sum is read with weights.dot, the BLAS dot that
+    # weights @ vals calls as well; a numpy that splits the two kernels
+    # fails here rather than in the numeric goldens
+    ((_, weights, _),) = _stencil_table(n, True, False)[2]
+    assert len(weights) == 2 ** n
+    rng = np.random.default_rng(n)
+    for spread in (1.0, 1e-6):
+        for _ in range(500):
+            vals = 1.0 + spread * rng.uniform(-0.9, 0.9, 3 * len(weights))
+            a = int(rng.integers(0, 2 * len(weights) + 1))
+            v = vals[a:a + len(weights)]
+            assert float(weights.dot(v)) == float(weights @ v)
+
+
 def test_dimension_and_method_validation():
     f = std_pair()
     with pytest.raises(DomainError):
@@ -492,6 +508,21 @@ def test_dimension_and_method_validation():
 def test_nan_half_width_rejected():
     with pytest.raises(DomainError, match="half-width"):
         CubeWindow((0.0, 0.0), float("nan"))
+
+
+def test_empty_multiset_refused_before_any_sample():
+    # the log-derivative used to return log f(xi) for k = 0
+    sizes = []
+
+    def fn(pts):
+        sizes.append(len(pts))
+        return np.ones(len(pts))
+
+    for method in ("partition", "logderiv"):
+        with pytest.raises(DomainError, match="empty multiset"):
+            differential_cumulant(DensityOracle(2, fn), (0.0, 0.0), (0, 0),
+                                  method=method)
+    assert sizes == []
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("nan")])

@@ -260,3 +260,21 @@ def test_witness_is_first_clique_shaped_minimal_nonface(case):
         assert witness == clique_nonfaces[0]
     else:
         assert witness is None
+
+
+def test_chordless_cycle_search_on_every_small_graph():
+    # every graph with at most 5 vertices: None exactly when chordal (the
+    # search's final return), otherwise an induced cycle of length >= 4
+    for p in range(1, 6):
+        pairs = list(combinations(range(1, p + 1), 2))
+        for picked in range(1 << len(pairs)):
+            edges = [e for j, e in enumerate(pairs) if picked >> j & 1]
+            cycle = graphs.find_chordless_cycle(graphs.make_graph(p, edges))
+            if brute_chordal(p, edges):
+                assert cycle is None
+                continue
+            assert len(cycle) >= 4 and len(set(cycle)) == len(cycle)
+            adjacent = {frozenset(e) for e in edges}
+            for (i, u), (j, v) in combinations(enumerate(cycle), 2):
+                assert ((frozenset((u, v)) in adjacent)
+                        == (j - i in (1, len(cycle) - 1)))

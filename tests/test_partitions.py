@@ -2,6 +2,7 @@
 transform, certified against labelled set partitions and the exact Isserlis
 recursion."""
 import gc
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -17,7 +18,7 @@ from hmi import (enumerate_partitions, collapse_number, chain_rule_terms,
                  differential_cumulant, differential_moment, local_cumulant,
                  product_gaussian_density, r_factor, CubeWindow)
 from hmi.errors import DomainError
-from hmi.partitions import moment_table_from_json
+from hmi.partitions import _cumulants, _schedule, moment_table_from_json
 
 from oracles import (bell, multiset_partition_counts, gaussian_moment_table,
                      isserlis_moment, cumulant_by_set_partitions)
@@ -238,6 +239,74 @@ def test_order_fourteen_gaussian_cumulant_vanishes():
     cov = ((Fraction(2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1)))
     table = gaussian_moment_table(mean, cov, 14)
     assert cumulant_from_moments((7, 7), table) == 0
+
+
+@pytest.mark.parametrize("k", [(1, 1, 1), (2, 0, 3), (3, 3, 2)])
+def test_transform_reads_each_moment_once_in_product_order(k):
+    # the first call builds k's schedule, the second reads it cached; the
+    # moments of a point mass at (1, ..., 1) are all 1 and its cumulants
+    # of order 2 and more vanish
+    _schedule.cache_clear()
+    lattice = [nu for nu in product(*(range(v + 1) for v in k)) if any(nu)]
+    for _ in range(2):
+        seen = []
+        assert _cumulants(k, lambda nu: seen.append(nu) or 1) == 0
+        assert seen == lattice
+
+
+def smith_by_dicts(k, moment):
+    """Smith's recursion term by term on multi-index keys, every sum in
+    ``product`` order: the order the transform must keep for float
+    moments."""
+    m, kappa = {}, {}
+    for nu in product(*(range(v + 1) for v in k)):
+        if not any(nu):
+            continue
+        i = next(j for j, v in enumerate(nu) if v)
+        prime = nu[:i] + (nu[i] - 1,) + nu[i + 1:]
+        total = m[nu] = moment(nu)
+        for lam in product(*(range(v + 1) for v in prime)):
+            if lam == prime:
+                continue
+            coeff = math.prod(math.comb(a, b) for a, b in zip(prime, lam))
+            up = lam[:i] + (lam[i] + 1,) + lam[i + 1:]
+            rest = tuple(a - b for a, b in zip(prime, lam))
+            total = total - coeff * kappa[up] * m[rest]
+        kappa[nu] = total
+    return kappa[k]
+
+
+@pytest.mark.parametrize("k", [(1, 1, 1), (2, 0, 3), (3, 3, 2), (1,) * 5,
+                               (7, 7)])
+def test_float_transform_keeps_smiths_order(k):
+    # float sums round by order, so the scheduled loop must add the terms
+    # exactly as the recursion lists them, cached ((7, 7) is not) or not
+    rng = np.random.default_rng(sum(k))
+    table = {nu: float(rng.uniform(-3, 3) * 10.0 ** rng.uniform(-3, 3))
+             for nu in product(*(range(v + 1) for v in k)) if any(nu)}
+    for _ in range(2):
+        assert (_cumulants(k, table.__getitem__)
+                == smith_by_dicts(k, table.__getitem__))
+
+
+def test_schedule_cached_once_per_multi_index_within_the_bound():
+    def ones(k):
+        return {nu: 1 for nu in product(*(range(v + 1) for v in k))
+                if any(nu)}
+
+    _schedule.cache_clear()
+    ks = [(1,), (2, 1), (1, 2), (1, 1, 1), (6, 6)]    # (6, 6) at the bound
+    for n, k in enumerate(ks, 1):
+        cumulant_from_moments(k, ones(k))
+        assert _schedule.cache_info().currsize == n
+    before = _schedule.cache_info()
+    for k in ks:
+        cumulant_from_moments(k, ones(k))
+    after = _schedule.cache_info()
+    assert after.currsize == len(ks) and after.hits == before.hits + len(ks)
+    # order 14 is beyond the bound: built on the call, never kept
+    assert cumulant_from_moments((7, 7), ones((7, 7))) == 0
+    assert _schedule.cache_info() == after
 
 
 def test_isserlis_oracle_self_check():
