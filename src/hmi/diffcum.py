@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, _floats, _positive_int
+from .errors import DomainError, _floats, _int, _positive_int
 from .logdensity import GaussianSpec, MECSpec
 from .partitions import _cumulants, _validate, plus_norm
 
@@ -92,12 +92,18 @@ def _parity(k) -> tuple[int, ...]:
 
 def r_factor(eps: float, k: Sequence[int]) -> float:
     """Leading-order window scale: eps^{|k|_1^+} times 1/(k_i+1) per even
-    and 1/(k_i+2) per odd component."""
+    and 1/(k_i+2) per odd component.  A scale that underflows to zero or
+    overflows float range is refused: no ratio could be read by it."""
     (eps,) = _floats((eps,), "eps", positive=True)
     k = _validate(k)
-    out = eps ** plus_norm(k)
+    try:
+        out = eps ** plus_norm(k)
+    except OverflowError:
+        out = math.inf
     for v in k:
         out /= (v + 1) if v % 2 == 0 else (v + 2)
+    if not 0.0 < out < math.inf:
+        raise DomainError(f"r(eps, k) is out of float range at eps={eps!r}")
     return out
 
 
@@ -130,21 +136,19 @@ def _positive(vals) -> None:
 
 
 @cache
-def _stencil_table(n, richardson, every):
-    """The geometry of the central tensor differences over n axes: for the
-    one class marking all of them or, with ``every``, for each nonzero
-    binary pattern on them in lexicographic order.  Read-only, shared by
-    every estimate; returns (signs, mask, classes, batches):
+def _stencil_table(n, every):
+    """The geometry of the Richardson-extrapolated central tensor
+    differences over n axes: for the one class marking all of them or, with
+    ``every``, for each nonzero binary pattern on them in lexicographic
+    order.  Read-only, shared by every estimate; returns (signs, mask,
+    classes, stencils):
 
-    - ``signs``: each class's coarse rows (+-1 on its axes in ``product``
-      order, 0 elsewhere), then with ``richardson`` its fine rows (+-0.5),
-      and last a zero row, the point xi itself; ``mask`` marks each row's
-      axes;
+    - ``signs``: per class, its coarse rows (+-1 on its axes in ``product``
+      order, 0 elsewhere) and then its fine rows (+-0.5), and last a zero
+      row, the point xi itself; ``mask`` marks each row's axes;
     - ``classes``: per class, its axes, its weights (each sign row's
-      product) and the row span of each of its stencils;
-    - ``batches``: the spans sampled, one batch per stencil in class order,
-      without and with f(xi), which comes after the first class's
-      stencils."""
+      product), and the row spans of its coarse and its fine stencil;
+    - ``stencils``: every stencil's span, in row order, one batch each."""
     patterns = [alpha for alpha in product((0, 1), repeat=n)
                 if any(alpha) and (every or all(alpha))]
     rows, classes = [], []
@@ -152,7 +156,7 @@ def _stencil_table(n, richardson, every):
         axes = [i for i, a in enumerate(alpha) if a]
         coarse = np.array(list(product((1.0, -1.0), repeat=len(axes))))
         spans = []
-        for scale in (1.0, 0.5)[:1 + richardson]:
+        for scale in (1.0, 0.5):
             spans.append((len(rows), len(rows) + len(coarse)))
             for signs in coarse:
                 row = [0.0] * n
@@ -161,31 +165,29 @@ def _stencil_table(n, richardson, every):
                 rows.append(row)
         weights = coarse.prod(axis=1)
         weights.flags.writeable = False
-        classes.append((axes, weights, tuple(spans)))
-    stencils = [span for *_, spans in classes for span in spans]
-    first = len(classes[0][2]) if classes else 0
-    at_xi = [(len(rows), len(rows) + 1)]
+        classes.append((axes, weights, *spans))
     signs = np.array(rows + [[0.0] * n])
     mask = signs != 0.0
     signs.flags.writeable = mask.flags.writeable = False
-    return signs, mask, tuple(classes), (
-        tuple(stencils), tuple(stencils[:first] + at_xi + stencils[first:]))
+    return signs, mask, tuple(classes), tuple(
+        span for _, _, *spans in classes for span in spans)
 
 
-def _central_differences(f: DensityOracle, xi, step_scale, richardson,
-                         classes, log=False) -> list[float]:
+def _central_differences(f: DensityOracle, xi, step_scale, classes,
+                         log=False) -> list[float]:
     """D^alpha f / f (or D^alpha log f with ``log``) at xi for each binary
     alpha in ``classes``: the central tensor difference over the axes alpha
-    marks, Richardson-extrapolated once.  ``classes`` is one class, or the
-    parity classes of every nu <= k in ``product`` order, which puts the
-    odd ones in the order the moment-cumulant transform first asks for
-    them.  The zero class is 1 (log f(xi) with ``log``).
+    marks, Richardson-extrapolated once, (4 D(h/2) - D(h)) / 3.
+    ``classes`` is one class, or the parity classes of every nu <= k in
+    ``product`` order, which puts the odd ones in the order the
+    moment-cumulant transform first asks for them.  The zero class is 1,
+    and a log-derivative never needs f(xi).
 
     Every stencil is read off one ``_stencil_table``: its offsets are the
     table's signs times the steps, in one array operation, and all its
     points are xi plus them, in one more.  Each stencil is still sent to
-    the density as its own batch, in the table's order, and f(xi) at most
-    once: a density may round differently by batch length (the Gaussian's
+    the density as its own batch, in the table's order, and f(xi) last:
+    a density may round differently by batch length (the Gaussian's
     ``einsum`` does at p = 2), so merging batches would move the estimates
     in the last digits.  That waits for numeric goldens that hold across
     such rounding (see ROADMAP.md); then it is one call on this table.
@@ -193,8 +195,7 @@ def _central_differences(f: DensityOracle, xi, step_scale, richardson,
     x = np.asarray(xi, dtype=float)
     axes = [i for i, marks in enumerate(zip(*classes)) if any(marks)]
     odd = sum(map(any, classes))
-    signs, mask, table, batches = _stencil_table(len(axes), richardson,
-                                                 odd > 1)
+    signs, mask, table, stencils = _stencil_table(len(axes), odd > 1)
     step = [step_scale * max(1.0, abs(xi[i])) for i in axes]
     # +-h on a class's axes and -0.0 elsewhere: x + -0.0 is x bit for bit
     # (a -0.0 coordinate included), and no step off the class, even an
@@ -207,29 +208,27 @@ def _central_differences(f: DensityOracle, xi, step_scale, richardson,
     else:   # off the table's axes every point is xi
         pts = np.repeat(x[None, :], len(offsets), axis=0)
         pts[:, axes] += offsets
-    stencil_rows = len(pts) - 1
-    with_xi = odd < len(classes) if log else odd > 0
-    vals = np.empty(stencil_rows + with_xi)
-    for a, b in batches[with_xi]:
+    with_xi = odd > 0 and not log
+    vals = np.empty(len(pts) - 1 + with_xi)
+    for a, b in stencils:
         vals[a:b] = _sample(f, pts[a:b])
+    if with_xi:
+        vals[-1:] = _sample(f, pts[-1:])
     if len(vals):
         _positive(vals)
     at_xi = float(vals[-1]) if with_xi else None
     if log:
-        vals = np.log(vals[:stencil_rows])
+        vals = np.log(vals)
     estimates = []
-    for class_axes, weights, spans in table:
+    for class_axes, weights, (a, b), (c, d) in table:
         h = [step[i] for i in class_axes]
-        (a, b), *fine = spans
         est = float(weights.dot(vals[a:b])) / math.prod(2.0 * v for v in h)
-        for a, b in fine:
-            half = [v / 2 for v in h]
-            est = (4.0 * (float(weights.dot(vals[a:b]))
-                          / math.prod(2.0 * v for v in half)) - est) / 3.0
+        fine = (float(weights.dot(vals[c:d]))
+                / math.prod(2.0 * (v / 2) for v in h))
+        est = (4.0 * fine - est) / 3.0
         estimates.append(est if log else est / at_xi)
-    zero = math.log(at_xi) if log and with_xi else 1.0
     estimates = iter(estimates)
-    return [next(estimates) if any(alpha) else zero for alpha in classes]
+    return [next(estimates) if any(alpha) else 1.0 for alpha in classes]
 
 
 def _point_and_index(f: DensityOracle, xi, k, step_scale=None):
@@ -245,8 +244,7 @@ def _point_and_index(f: DensityOracle, xi, k, step_scale=None):
 
 
 def differential_moment(f: DensityOracle, xi, k, *,
-                        step_scale=DEFAULT_STEP_SCALE,
-                        richardson=True) -> EstimateReport:
+                        step_scale=DEFAULT_STEP_SCALE) -> EstimateReport:
     """m^xi_k = D^alpha f / f with alpha the parity pattern of k.
 
     The step on axis i is step_scale * max(1, |xi_i|).  The default,
@@ -256,18 +254,18 @@ def differential_moment(f: DensityOracle, xi, k, *,
     ``step_scale=1e-2`` brings it under 1e-6 for small coefficients."""
     xi, k = _point_and_index(f, xi, k, step_scale)
     alpha = _parity(k)
-    (value,) = _central_differences(f, xi, step_scale, richardson, [alpha])
+    (value,) = _central_differences(f, xi, step_scale, [alpha])
     return EstimateReport(value, "finite-difference", {
         "k": k, "alpha": alpha, "xi": xi,
-        "step_scale": step_scale, "richardson": richardson})
+        "step_scale": step_scale, "richardson": True})
 
 
 def differential_cumulant(f: DensityOracle, xi, k, *, method="partition",
-                          step_scale=DEFAULT_STEP_SCALE,
-                          richardson=True) -> EstimateReport:
+                          step_scale=DEFAULT_STEP_SCALE) -> EstimateReport:
     """kappa^xi_k, either from the differential moments by the
-    moment-cumulant transform (the definition) or as D^alpha log f (the
-    square-free shortcut).
+    moment-cumulant transform (the definition, any k) or as D^k log f,
+    which is the cumulant only for a square-free k (every entry 0 or 1):
+    ``method="logderiv"`` refuses any other k before it samples f.
 
     ``DEFAULT_STEP_SCALE`` suits orders |alpha| up to 3.  At order 4
     rounding dominates: a vanishing cumulant can read about 3e-3.  A step
@@ -282,18 +280,21 @@ def differential_cumulant(f: DensityOracle, xi, k, *, method="partition",
         # the nu <= k take every parity on k's support
         classes = list(product(*((0, 1) if v else (0,) for v in k)))
         ratio = dict(zip(classes, _central_differences(
-            f, xi, step_scale, richardson, classes)))
+            f, xi, step_scale, classes)))
         value = _cumulants(k, lambda nu: ratio[_parity(nu)])
         label = "partition-sum"
     elif method == "logderiv":
-        (value,) = _central_differences(f, xi, step_scale, richardson,
-                                        [alpha], log=True)
+        if max(k) > 1:
+            raise DomainError("the log-derivative needs a square-free k; "
+                              "use method='partition'")
+        (value,) = _central_differences(f, xi, step_scale, [alpha],
+                                        log=True)
         label = "log-derivative"
     else:
         raise DomainError(f"unknown method {method!r}")
     return EstimateReport(value, label, {
         "k": k, "alpha": alpha, "xi": xi,
-        "step_scale": step_scale, "richardson": richardson})
+        "step_scale": step_scale, "richardson": True})
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +328,15 @@ def _quadrature_grid(window: CubeWindow, nodes: int):
 
 
 def _local_moments(f: DensityOracle, window: CubeWindow, k, nodes, method,
-                   mc_samples, seed):
+                   mc_samples, seed, cumulant=False):
     """Evaluate f once on the window's tensor Gauss-Legendre grid (or
     seeded Monte Carlo sample) and return the moment function
     nu -> (w . (x^nu f)) / (w . f), x the offset from the centre, with the
-    report's label and metadata."""
+    report's label and metadata.  For a ``cumulant`` an empty multiset is
+    refused before f is sampled."""
     center, k = _point_and_index(f, window.center, k)
+    if cumulant and not any(k):
+        raise DomainError("empty multiset")
     if method == "quadrature":
         if len(center) > TENSOR_GRID_MAX_DIM:
             raise DomainError(
@@ -349,6 +353,10 @@ def _local_moments(f: DensityOracle, window: CubeWindow, k, nodes, method,
                 raise DomainError("HMI_SEED must be a non-negative integer, "
                                   f"not {text!r}")
             seed = int(text)
+        else:
+            message = f"seed must be a non-negative integer, not {seed!r}"
+            if (seed := _int(seed, message)) < 0:
+                raise DomainError(message)
         offsets = np.random.default_rng(seed).uniform(
             -window.eps, window.eps, size=(mc_samples, len(center)))
         weights = np.ones(mc_samples)
@@ -405,7 +413,7 @@ def local_cumulant(f: DensityOracle, window: CubeWindow, k, *,
     """kappa^A_k from the local moments by the moment-cumulant transform,
     all of them from one evaluation of f on the grid."""
     moment, label, meta = _local_moments(f, window, k, nodes, method,
-                                         mc_samples, seed)
+                                         mc_samples, seed, cumulant=True)
     return EstimateReport(_cumulants(meta["k"], moment), label, meta)
 
 
@@ -421,27 +429,29 @@ class LimitProbeReport:
 
 
 def limit_matches_differential(f: DensityOracle, xi, k, eps_values, *,
-                               nodes=DEFAULT_NODES, rel_tol=0.05
-                               ) -> LimitProbeReport:
+                               nodes=DEFAULT_NODES) -> LimitProbeReport:
     """Evaluate kappa^A_k / r(eps, k) along a decreasing eps sequence and
     report whether it converges to the differential cumulant.  Convergence
     means monotone error decay over at least three levels with the final
-    scaled value within rel_tol of the target."""
+    scaled value within 5% of the target.  Every r(eps, k) is read before
+    f is sampled, so an eps whose scale leaves float range is refused
+    first."""
     xi, k = _point_and_index(f, xi, k)
     eps_values = _floats(eps_values, "eps values", positive=True)
     if len(eps_values) < 3 or any(b >= a for a, b in
                                   zip(eps_values, eps_values[1:])):
         raise DomainError("need at least three strictly decreasing eps")
+    scales = [r_factor(eps, k) for eps in eps_values]
     target = differential_cumulant(f, xi, k, method="partition").value
     scaled = []
-    for eps in eps_values:
+    for eps, scale in zip(eps_values, scales):
         window = CubeWindow(xi, eps)
         kappa = local_cumulant(f, window, k, nodes=nodes).value
-        scaled.append(kappa / r_factor(eps, k))
+        scaled.append(kappa / scale)
     errors = tuple(abs(s - target) for s in scaled)
     atol = 1e-9 * max(1.0, abs(target))
     decaying = all(b < a or b < atol for a, b in zip(errors, errors[1:]))
-    close = errors[-1] <= max(rel_tol * abs(target), atol)
+    close = errors[-1] <= max(0.05 * abs(target), atol)
     return LimitProbeReport(k, xi, eps_values, tuple(scaled), target,
                             errors, bool(decaying and close))
 

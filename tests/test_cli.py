@@ -361,6 +361,13 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
     (["diff-cumulant", "--density", "d.json", "--xi", "0,0", "--k", "0,0",
       "--method", "logderiv"],
      json.dumps({"family": "product", "means": [0, 0], "variances": [1, 1]})),
+    (["diff-cumulant", "--density", "d.json", "--xi", "0,0", "--k", "2,0",
+      "--method", "logderiv"],
+     json.dumps({"family": "product", "means": [0, 0], "variances": [1, 1]})),
+    (["limit-probe", "--density", "d.json", "--xi=0.1,0.2", "--k", "1,1",
+      "--eps-seq", "1e-100,1e-150,1e-200"],
+     json.dumps({"family": "gaussian", "mean": [0, 0],
+                 "precision": [[1, 0.3], [0.3, 1]]})),
 ], ids=["missing-points", "csv-cell", "filtration-list",
         "radius-and-filtration", "neither-radius-nor-filtration",
         "missing-poly", "strip-list", "ci-list", "given-list", "gaussian-keys",
@@ -378,7 +385,8 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
         "artinian-poly-both", "ideal-p-zero", "ideal-p-70",
         "poly-zero-denominator", "nerve-coordinate-overflow",
         "density-not-object", "density-unknown-family",
-        "logderiv-empty-multiset"])
+        "logderiv-empty-multiset", "logderiv-not-square-free",
+        "limit-probe-scale-underflow"])
 def test_bad_input_exits_one_with_one_error_line(argv, text, capsys,
                                                  tmp_path):
     # missing files, non-numeric CSV cells, bad number lists, a nerve
@@ -391,7 +399,8 @@ def test_bad_input_exits_one_with_one_error_line(argv, text, capsys,
     # density parameters that are booleans or strings, two inputs where one
     # belongs, a vertex count outside 1..64, a zero denominator, point
     # coordinates whose squared distances overflow, a density file that is
-    # not an object or names no known family;
+    # not an object or names no known family, a log-derivative at a k that
+    # is not square-free, a limit probe whose r(eps, k) underflows;
     # text goes to the first file named, or a tuple of texts to the files
     # in the order named
     files = [a for a in argv if a.endswith((".csv", ".txt", ".json"))]

@@ -47,6 +47,29 @@ def test_r_factor_golden():
         r_factor(0.0, (1,))
 
 
+@pytest.mark.parametrize("eps, k", [
+    (1e-200, (1, 1)), (1e-100, (1, 1, 1, 1)), (1e10, (40,)),
+    (1e300, (2,)), (1e-162, (2,))])
+def test_r_factor_out_of_float_range_refused(eps, k):
+    # r(1e-200, (1,1)) underflows to 0.0, which the limit probe would
+    # divide by, and r(1e10, (40,)) overflows
+    with pytest.raises(DomainError, match="float range"):
+        r_factor(eps, k)
+
+
+def test_limit_probe_refuses_a_scale_out_of_range_before_any_sample():
+    sizes = []
+
+    def fn(pts):
+        sizes.append(len(pts))
+        return np.ones(len(pts))
+
+    with pytest.raises(DomainError, match="float range"):
+        limit_matches_differential(DensityOracle(2, fn), (0.1, 0.2), (1, 1),
+                                   [1e-100, 1e-150, 1e-200])
+    assert sizes == []
+
+
 def test_parity_and_moment_classes():
     assert parity_alpha((1, 2, 3)) == (1, 0, 1)
     assert same_moment_class((1, 2), (3, 0))
@@ -99,6 +122,49 @@ def test_differential_cumulant_20_is_one_minus_score_squared():
     score = gaussian_derivative_ratio((0, 0), PREC, (1, 0), xi)
     got = differential_cumulant(f, xi, (2, 0), method="partition").value
     assert got == pytest.approx(1.0 - score ** 2, abs=1e-6)
+
+
+def _dominant_precision(rng, p):
+    lam = [[0.0] * p for _ in range(p)]
+    for i in range(p):
+        for j in range(i):
+            lam[i][j] = lam[j][i] = round(rng.uniform(-0.5, 0.5), 3)
+    for i in range(p):
+        lam[i][i] = 1.0 + sum(abs(v) for v in lam[i])
+    return lam
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_logderiv_is_the_cumulant_only_at_square_free_k(seed):
+    # D^k log f is the cumulant at a square-free k, where it must agree
+    # with the partition sum; at any other k it is not, and the
+    # log-derivative refuses before it samples the density
+    rng = random.Random(seed)
+    for p in (1, 2, 3):
+        gauss = gaussian_density([rng.uniform(-1, 1) for _ in range(p)],
+                                 _dominant_precision(rng, p))
+        mec = mec_density({s: round(rng.uniform(-0.5, 0.5), 3)
+                           for s in product((0, 1), repeat=p)
+                           if any(s) and rng.random() < 0.7}, p)
+        xi = tuple(round(rng.uniform(-1, 1), 3) for _ in range(p))
+        for f in (gauss, mec):
+            for k in product((0, 1), repeat=p):
+                if any(k):
+                    part = differential_cumulant(f, xi, k).value
+                    logd = differential_cumulant(f, xi, k,
+                                                 method="logderiv").value
+                    assert abs(part - logd) <= 1e-6, (p, k)
+    sizes = []
+
+    def fn(pts):
+        sizes.append(len(pts))
+        return np.ones(len(pts))
+
+    for k in [(2, 0), (3, 0), (2, 1), (1, 2, 0)]:
+        f = DensityOracle(len(k), fn)
+        with pytest.raises(DomainError, match="square-free"):
+            differential_cumulant(f, (0.1,) * len(k), k, method="logderiv")
+    assert sizes == []
 
 
 def test_unknown_method_rejected():
@@ -222,6 +288,24 @@ def test_local_moments_bit_identical_to_fresh_monomials(kind, options):
                         == _cumulants(k, moment))
 
 
+def test_local_cumulant_refuses_empty_multiset_before_any_sample():
+    # the refusal comes before the 65,536 grid points are sampled; the
+    # local moment at k = 0 is m_0 = 1 and still samples the grid
+    sizes = []
+
+    def fn(pts):
+        sizes.append(len(pts))
+        return np.ones(len(pts))
+
+    f, w = DensityOracle(4, fn), CubeWindow((0.0,) * 4, 0.1)
+    for options in ({}, {"method": "mc", "mc_samples": 100}):
+        with pytest.raises(DomainError, match="empty multiset"):
+            local_cumulant(f, w, (0, 0, 0, 0), **options)
+    assert sizes == []
+    assert local_moment(f, w, (0, 0, 0, 0)).value == 1.0
+    assert sizes == [16 ** 4]
+
+
 def test_local_cumulant_centered_window():
     # kappa^A_(1,1) = m_(1,1) - m_(1,0) m_(0,1); at the symmetric origin the
     # odd moments are tiny, so the cumulant is close to the moment
@@ -264,22 +348,20 @@ def stencil_points(xi, axes, h):
     return np.array(rows)
 
 
-def expected_batches(xi, alphas, step_scale, richardson, log):
+def expected_batches(xi, alphas, step_scale, log):
     """The batches the finite differences send for the parity classes
-    alphas, in the order they are first asked for: a coarse stencil, then
-    (with Richardson) the half-step one, and f(xi) once, after the first
-    stencils of a ratio D^alpha f / f or for a log-derivative of order 0."""
-    batches, at_xi = [], []
+    alphas, in the order they are first asked for: per class a coarse
+    stencil, then the half-step one, and last, for a ratio D^alpha f / f
+    with an odd class, f(xi) once; a log-derivative never asks for it."""
+    batches = []
     for alpha in alphas:
         axes = [i for i, a in enumerate(alpha) if a]
         if axes:
             h = [step_scale * max(1.0, abs(xi[i])) for i in axes]
             batches.append(stencil_points(xi, axes, h))
-            if richardson:
-                batches.append(stencil_points(xi, axes, [v / 2 for v in h]))
-        if (not axes if log else axes) and not at_xi:
-            at_xi.append(np.array([xi]))
-            batches.append(at_xi[0])
+            batches.append(stencil_points(xi, axes, [v / 2 for v in h]))
+    if batches and not log:
+        batches.append(np.array([xi]))
     return batches
 
 
@@ -303,10 +385,12 @@ def first_parity_classes(k):
     # the step on axis 0 overflows to inf: off alpha it must leave 1e308 as
     # it is, on alpha it puts +-inf on the stencil
     ((1e308, 0.5), (0, 1), 2.0), ((1e308, -0.0), (1, 1), 2.0)])
-@pytest.mark.parametrize("richardson", [True, False])
-def test_stencil_points_pinned(xi, k, step_scale, richardson):
+@pytest.mark.parametrize("log", [True, False])
+def test_stencil_points_pinned(xi, k, step_scale, log):
     # every batch the finite differences send to the density, bit for bit
-    # and in order, against stencils built point by point
+    # and in order, against stencils built point by point: for the ratios
+    # (the moment and the partition sum) or for the log-derivative, which
+    # refuses a k that is not square-free before any sample
     p = len(xi)
     batches = []
 
@@ -316,17 +400,24 @@ def test_stencil_points_pinned(xi, k, step_scale, richardson):
 
     f = DensityOracle(p, counted)
     alpha = parity_alpha(k)
-    options = {"step_scale": step_scale, "richardson": richardson}
-    calls = [
-        (lambda: differential_moment(f, xi, k, **options), [alpha], False),
-        (lambda: differential_cumulant(f, xi, k, **options),
-         first_parity_classes(k), False),
-        (lambda: differential_cumulant(f, xi, k, method="logderiv",
-                                       **options), [alpha], True)]
-    for call, alphas, log in calls:
+    if log:
+        calls = [(lambda: differential_cumulant(
+            f, xi, k, method="logderiv", step_scale=step_scale), [alpha])]
+    else:
+        calls = [
+            (lambda: differential_moment(f, xi, k, step_scale=step_scale),
+             [alpha]),
+            (lambda: differential_cumulant(f, xi, k, step_scale=step_scale),
+             first_parity_classes(k))]
+    for call, alphas in calls:
         batches.clear()
+        if log and max(k) > 1:
+            with pytest.raises(DomainError, match="square-free"):
+                call()
+            assert batches == []
+            continue
         call()
-        want = expected_batches(xi, alphas, step_scale, richardson, log)
+        want = expected_batches(xi, alphas, step_scale, log)
         assert [b.shape for b in batches] == [w.shape for w in want]
         for got, w in zip(batches, want):
             assert got.tobytes() == w.tobytes()
@@ -336,8 +427,8 @@ def test_stencil_points_pinned(xi, k, step_scale, richardson):
     ((0.3, -0.2, 0.1), (1, 1, 1), 7), ((0.3, -0.2), (2, 1), 3)])
 def test_partition_cumulant_samples_density_at_xi_once(xi, k, classes):
     # each odd parity class of the nu <= k is estimated once, by a coarse
-    # and a fine stencil, and all share one sample of f(xi): for (1,1,1)
-    # that is 7 * 2 + 1 = 15 batches
+    # and a fine stencil, and all share one sample of f(xi), the last
+    # batch: for (1,1,1) that is 7 * 2 + 1 = 15 batches
     p = len(xi)
     base = gaussian_density((0.0,) * p, np.eye(p) + 0.3)
     batches = []
@@ -349,20 +440,20 @@ def test_partition_cumulant_samples_density_at_xi_once(xi, k, classes):
     got = differential_cumulant(DensityOracle(p, counted), xi, k).value
     assert len(batches) == 2 * classes + 1
     assert sum(len(b) == 1 and tuple(b[0]) == xi for b in batches) == 1
+    assert tuple(batches[-1][0]) == xi
     want = cumulant_by_set_partitions(
         k, lambda nu: differential_moment(base, xi, nu).value)
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def reference_difference(f, xi, alpha, step_scale, richardson, log):
-    """D^alpha f / f (D^alpha log f with ``log``) at xi, built point by
-    point: one batch per stencil from ``stencil_points``, each sign row's
-    product as its weight, the divisor prod(2 h_i), and one Richardson step
-    (4 D(h/2) - D(h)) / 3."""
+def reference_difference(f, xi, alpha, step_scale, log):
+    """D^alpha f / f (D^alpha log f with ``log``, alpha nonzero) at xi,
+    built point by point: one batch per stencil from ``stencil_points``,
+    each sign row's product as its weight, the divisor prod(2 h_i), and one
+    Richardson step (4 D(h/2) - D(h)) / 3."""
     axes = [i for i, a in enumerate(alpha) if a]
-    at_xi = float(f.batch(np.array([xi]))[0])
     if not axes:
-        return math.log(at_xi) if log else 1.0
+        return 1.0
     weights = np.array([math.prod(s)
                         for s in product((1.0, -1.0), repeat=len(axes))])
 
@@ -373,10 +464,8 @@ def reference_difference(f, xi, alpha, step_scale, richardson, log):
         return float(weights @ vals) / math.prod(2.0 * v for v in h)
 
     h = [step_scale * max(1.0, abs(xi[i])) for i in axes]
-    est = difference(h)
-    if richardson:
-        est = (4.0 * difference([v / 2 for v in h]) - est) / 3.0
-    return est if log else est / at_xi
+    est = (4.0 * difference([v / 2 for v in h]) - difference(h)) / 3.0
+    return est if log else est / float(f.batch(np.array([xi]))[0])
 
 
 def _spd(p, seed):
@@ -403,60 +492,68 @@ BIT_CASES = [
 @pytest.mark.parametrize("f, xi, ks", BIT_CASES,
                          ids=["gauss1", "gauss2", "gauss3", "gauss4", "mec3",
                               "product2"])
-@pytest.mark.parametrize("richardson", [True, False])
-def test_estimates_equal_point_by_point_reference(f, xi, ks, richardson):
+@pytest.mark.parametrize("log", [True, False])
+def test_estimates_equal_point_by_point_reference(f, xi, ks, log):
     # every estimate is read off the stencil table bit for bit as the
-    # point-by-point central difference gives it
+    # point-by-point central difference gives it: the ratios (the moment
+    # and the partition sum) or the log-derivative, which refuses a k that
+    # is not square-free
     for step_scale in (1e-3, 1e-2):
-        options = {"step_scale": step_scale, "richardson": richardson}
+        options = {"step_scale": step_scale}
         for k in ks:
-            alpha = parity_alpha(k)
-            ratio = {nu: reference_difference(f, xi, parity_alpha(nu),
-                                              step_scale, richardson, False)
-                     for nu in product(*(range(v + 1) for v in k))}
-            assert differential_moment(f, xi, k, **options).value == \
-                ratio[k]
-            partition = differential_cumulant(f, xi, k, **options).value
-            assert partition == _cumulants(k, ratio.__getitem__)
-            assert partition == _cumulants(k, lambda nu: differential_moment(
-                f, xi, nu, **options).value)
-            assert differential_cumulant(f, xi, k, method="logderiv",
-                                         **options).value == \
-                reference_difference(f, xi, alpha, step_scale, richardson,
-                                     True)
+            if log and max(k) > 1:
+                with pytest.raises(DomainError, match="square-free"):
+                    differential_cumulant(f, xi, k, method="logderiv",
+                                          **options)
+            elif log:
+                assert differential_cumulant(f, xi, k, method="logderiv",
+                                             **options).value == \
+                    reference_difference(f, xi, k, step_scale, True)
+            else:
+                ratio = {nu: reference_difference(f, xi, parity_alpha(nu),
+                                                  step_scale, False)
+                         for nu in product(*(range(v + 1) for v in k))}
+                assert differential_moment(f, xi, k, **options).value == \
+                    ratio[k]
+                partition = differential_cumulant(f, xi, k, **options).value
+                assert partition == _cumulants(k, ratio.__getitem__)
+                assert partition == _cumulants(
+                    k, lambda nu: differential_moment(f, xi, nu,
+                                                      **options).value)
 
 
 @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan])
 def test_bad_sample_in_last_fine_stencil_rejected(bad):
-    # k = (1,1,1) reads seven classes: 15 batches, the last one the fine
-    # stencil of the class (1,1,1); its last point must still be gated
+    # k = (1,1,1) reads seven classes: 14 stencils in table order, the
+    # last one the fine stencil of the class (1,1,1), and then f(xi); the
+    # stencil's last point must still be gated
     base = gaussian_density((0.0,) * 3, np.eye(3) + 0.3)
     batches = []
 
     def spoiled(pts):
         batches.append(len(pts))
         vals = base.batch(pts)
-        if len(batches) == 15:
+        if len(batches) == 14:
             vals[-1] = bad
         return vals
 
     with pytest.raises(DomainError, match="non-positive"):
         differential_cumulant(DensityOracle(3, spoiled), (0.3, -0.2, 0.1),
                               (1, 1, 1))
-    assert batches == [2, 2, 1, 2, 2, 4, 4, 2, 2, 4, 4, 4, 4, 8, 8]
+    assert batches == [2, 2, 2, 2, 4, 4, 2, 2, 4, 4, 4, 4, 8, 8, 1]
 
 
 def test_stencil_table_is_read_only_and_shared():
     f = gaussian_density((0.0,) * 3, np.eye(3) + 0.3)
     differential_cumulant(f, (0.3, -0.2, 0.1), (1, 1, 1))
-    table = _stencil_table(3, True, True)
+    table = _stencil_table(3, True)
     before = _stencil_table.cache_info()
     differential_cumulant(f, (1.5, 0.4, -2.0), (1, 1, 1), step_scale=1e-2)
     after = _stencil_table.cache_info()
     assert after.currsize == before.currsize and after.hits > before.hits
-    assert _stencil_table(3, True, True) is table
+    assert _stencil_table(3, True) is table
     signs, mask, classes, _ = table
-    for array in (signs, mask, *(weights for _, weights, _ in classes)):
+    for array in (signs, mask, *(weights for _, weights, *_ in classes)):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
@@ -467,7 +564,7 @@ def test_stencil_sum_dot_equals_matmul(n):
     # each stencil sum is read with weights.dot, the BLAS dot that
     # weights @ vals calls as well; a numpy that splits the two kernels
     # fails here rather than in the numeric goldens
-    ((_, weights, _),) = _stencil_table(n, True, False)[2]
+    ((_, weights, *_),) = _stencil_table(n, False)[2]
     assert len(weights) == 2 ** n
     rng = np.random.default_rng(n)
     for spread in (1.0, 1e-6):
@@ -573,6 +670,14 @@ def test_non_finite_point_rejected(bad):
                             method="mc", mc_samples=True), "mc_samples"),
     (lambda f: local_cumulant(f, CubeWindow((0.0, 0.0), 0.1), (1, 1),
                               method="mc", mc_samples=100.0), "mc_samples"),
+    (lambda f: local_moment(f, CubeWindow((0.0, 0.0), 0.1), (1, 1),
+                            method="mc", seed=-1), "seed"),
+    (lambda f: local_moment(f, CubeWindow((0.0, 0.0), 0.1), (1, 1),
+                            method="mc", seed=1.5), "seed"),
+    (lambda f: local_cumulant(f, CubeWindow((0.0, 0.0), 0.1), (1, 1),
+                              method="mc", seed="x"), "seed"),
+    (lambda f: local_cumulant(f, CubeWindow((0.0, 0.0), 0.1), (1, 1),
+                              method="mc", seed=True), "seed"),
     (lambda f: parity_alpha((0.5, -1, True)), "multi-index"),
     (lambda f: parity_alpha(3), "multi-index"),
     (lambda f: same_moment_class(5, 1), "multi-index"),
@@ -582,7 +687,8 @@ def test_non_finite_point_rejected(bad):
         "xi-scalar", "xi-bool", "centre-string", "eps-string", "eps-inf",
         "eps-values-string", "eps-values-scalar", "step-zero", "step-nan",
         "step-negative", "nodes-bool", "nodes-string", "mc-samples-bool",
-        "mc-samples-float", "parity-entries", "parity-scalar",
+        "mc-samples-float", "seed-negative", "seed-float", "seed-string",
+        "seed-bool", "parity-entries", "parity-scalar",
         "class-scalars", "class-entries"])
 def test_bad_estimator_arguments_rejected(call, match):
     # each used to be read silently (k = (-1, 1) as (1, 1), an infinite
