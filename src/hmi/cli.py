@@ -8,6 +8,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import diffcum, hierarchy, ideal, logdensity, nerve, network
@@ -371,6 +372,9 @@ def cmd_ci_generators(args):
 
 # --------------------------------------------------------------------------
 
+# one parser per process: parse_args keeps no state between calls, so
+# every main call shares it
+@cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hmi",

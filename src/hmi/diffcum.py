@@ -332,31 +332,37 @@ def _local_moments(f: DensityOracle, window: CubeWindow, k, nodes, method,
     """Evaluate f once on the window's tensor Gauss-Legendre grid (or
     seeded Monte Carlo sample) and return the moment function
     nu -> (w . (x^nu f)) / (w . f), x the offset from the centre, with the
-    report's label and metadata.  For a ``cumulant`` an empty multiset is
-    refused before f is sampled."""
+    report's label and metadata.  ``nodes``, ``mc_samples`` and ``seed``
+    are read whichever method runs, and for a ``cumulant`` an empty
+    multiset is refused, all before f is sampled.  x^nu is a product of
+    power-table entries x_i ** nu_i taken left to right over the nonzero
+    nu_i, the same float operations as a fresh monomial from ones: 1.0 * x
+    and x ** 1 are x bit for bit, so the table reads x_i ** 1 as the offset
+    column itself and holds each x_i ** e, 2 <= e <= k_i, once per
+    estimate."""
     center, k = _point_and_index(f, window.center, k)
     if cumulant and not any(k):
         raise DomainError("empty multiset")
+    nodes = _positive_int(nodes, "nodes")
+    mc_samples = _positive_int(mc_samples, "mc_samples")
+    if seed is not None:
+        message = f"seed must be a non-negative integer, not {seed!r}"
+        if (seed := _int(seed, message)) < 0:
+            raise DomainError(message)
     if method == "quadrature":
         if len(center) > TENSOR_GRID_MAX_DIM:
             raise DomainError(
                 f"tensor quadrature supports p <= {TENSOR_GRID_MAX_DIM}; "
                 "use method='mc'")
-        nodes = _positive_int(nodes, "nodes")
         offsets, weights = _quadrature_grid(window, nodes)
         meta = {"nodes": nodes}
     elif method == "mc":
-        mc_samples = _positive_int(mc_samples, "mc_samples")
         if seed is None:
             text = os.environ.get("HMI_SEED", "0")
             if not text.isdecimal():
                 raise DomainError("HMI_SEED must be a non-negative integer, "
                                   f"not {text!r}")
             seed = int(text)
-        else:
-            message = f"seed must be a non-negative integer, not {seed!r}"
-            if (seed := _int(seed, message)) < 0:
-                raise DomainError(message)
         offsets = np.random.default_rng(seed).uniform(
             -window.eps, window.eps, size=(mc_samples, len(center)))
         weights = np.ones(mc_samples)
@@ -366,28 +372,15 @@ def _local_moments(f: DensityOracle, window: CubeWindow, k, nodes, method,
     vals = _sample(f, np.asarray(center) + offsets)
     _positive(vals)
     denom = float(weights @ vals)
-    # prefix[i]: the product of x_j^nu_j over j < i for the last nu, built
-    # left to right as a fresh monomial from ones would be, with None for
-    # ones: 1.0 * x and x ** 1 are x bit for bit, so neither is computed.
-    # _cumulants asks in ``product`` order, so consecutive nu share a long
-    # prefix.
-    prefix, last = [None], ()
+    powers = [[None, offsets[:, i]] + [offsets[:, i] ** e
+                                       for e in range(2, v + 1)]
+              for i, v in enumerate(k)]
 
     def moment(nu):
-        nonlocal last
-        same = next((i for i, (a, b) in enumerate(zip(nu, last)) if a != b),
-                    len(last))
-        del prefix[same + 1:]
-        for i in range(same, len(nu)):
-            head = prefix[i]
-            if nu[i]:
-                column = offsets[:, i]
-                if nu[i] > 1:
-                    column = column ** nu[i]
-                head = column if head is None else head * column
-            prefix.append(head)
-        last = nu
-        mono = prefix[-1]
+        mono = None
+        for i, e in enumerate(nu):
+            if e:
+                mono = powers[i][e] if mono is None else mono * powers[i][e]
         return float(weights @ (vals if mono is None else mono * vals)) / denom
 
     meta.update({"k": k, "eps": window.eps, "center": center,
@@ -400,8 +393,9 @@ def local_moment(f: DensityOracle, window: CubeWindow, k, *,
                  nodes=DEFAULT_NODES, method="quadrature",
                  mc_samples=200_000, seed=None) -> EstimateReport:
     """m^A_k: conditional moment of X - xi over the window, by
-    tensor-product Gauss-Legendre quadrature (seeded Monte Carlo above
-    dimension 4)."""
+    tensor-product Gauss-Legendre quadrature, or by seeded Monte Carlo with
+    ``method="mc"``; above dimension 4 quadrature is refused, so only
+    ``method="mc"`` runs there."""
     moment, label, meta = _local_moments(f, window, k, nodes, method,
                                          mc_samples, seed)
     return EstimateReport(moment(meta["k"]), label, meta)
@@ -433,15 +427,16 @@ def limit_matches_differential(f: DensityOracle, xi, k, eps_values, *,
     """Evaluate kappa^A_k / r(eps, k) along a decreasing eps sequence and
     report whether it converges to the differential cumulant.  Convergence
     means monotone error decay over at least three levels with the final
-    scaled value within 5% of the target.  Every r(eps, k) is read before
-    f is sampled, so an eps whose scale leaves float range is refused
-    first."""
+    scaled value within 5% of the target.  ``nodes`` and every r(eps, k)
+    are read before f is sampled, so a bad node count or an eps whose scale
+    leaves float range is refused first."""
     xi, k = _point_and_index(f, xi, k)
     eps_values = _floats(eps_values, "eps values", positive=True)
     if len(eps_values) < 3 or any(b >= a for a, b in
                                   zip(eps_values, eps_values[1:])):
         raise DomainError("need at least three strictly decreasing eps")
     scales = [r_factor(eps, k) for eps in eps_values]
+    nodes = _positive_int(nodes, "nodes")
     target = differential_cumulant(f, xi, k, method="partition").value
     scaled = []
     for eps, scale in zip(eps_values, scales):

@@ -236,10 +236,7 @@ def _shortest_path(adj, src, dst, blocked):
     while frontier:
         nxt = []
         for u in frontier:
-            nb = adj[u] & ~blocked
-            while nb:
-                w = (nb & -nb).bit_length() - 1
-                nb &= nb - 1
+            for w in _bits(adj[u] & ~blocked):
                 if w not in prev:
                     prev[w] = u
                     if w == dst:

@@ -368,6 +368,10 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
       "--eps-seq", "1e-100,1e-150,1e-200"],
      json.dumps({"family": "gaussian", "mean": [0, 0],
                  "precision": [[1, 0.3], [0.3, 1]]})),
+    (["local-moment", "--density", "d.json", "--xi=0,0", "--eps", "0.1",
+      "--k", "1,1", "--method", "mc", "--nodes", "0"], json.dumps(GAUSS)),
+    (["limit-probe", "--density", "d.json", "--xi=0.1,0.2", "--k", "1,1",
+      "--eps-seq", "0.4,0.2,0.1", "--nodes", "0"], json.dumps(GAUSS)),
 ], ids=["missing-points", "csv-cell", "filtration-list",
         "radius-and-filtration", "neither-radius-nor-filtration",
         "missing-poly", "strip-list", "ci-list", "given-list", "gaussian-keys",
@@ -386,7 +390,8 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
         "poly-zero-denominator", "nerve-coordinate-overflow",
         "density-not-object", "density-unknown-family",
         "logderiv-empty-multiset", "logderiv-not-square-free",
-        "limit-probe-scale-underflow"])
+        "limit-probe-scale-underflow", "mc-nodes-zero",
+        "limit-probe-nodes-zero"])
 def test_bad_input_exits_one_with_one_error_line(argv, text, capsys,
                                                  tmp_path):
     # missing files, non-numeric CSV cells, bad number lists, a nerve
@@ -400,7 +405,8 @@ def test_bad_input_exits_one_with_one_error_line(argv, text, capsys,
     # belongs, a vertex count outside 1..64, a zero denominator, point
     # coordinates whose squared distances overflow, a density file that is
     # not an object or names no known family, a log-derivative at a k that
-    # is not square-free, a limit probe whose r(eps, k) underflows;
+    # is not square-free, a limit probe whose r(eps, k) underflows, a node
+    # count of 0 (read under Monte Carlo too, where no grid is built);
     # text goes to the first file named, or a tuple of texts to the files
     # in the order named
     files = [a for a in argv if a.endswith((".csv", ".txt", ".json"))]
@@ -421,6 +427,30 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_repeated_calls_print_the_same_bytes(files, capsys):
+    # main reuses one parser per process: help, a missing or unknown
+    # subcommand and a usage error, each between two valid calls, print the
+    # same bytes and exit codes on every pass
+    chain = files("chain.json", CHAIN)
+    valid = ["factorize", "--complex", chain]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    calls = [valid, ["--help"], valid, [], valid, ["no-such-command"], valid,
+             ["sr", "--complex", chain, "--format", "xml"], valid]
+    first = [outcome(argv) for argv in calls]
+    assert [code for code, _, _ in first] == [0, 0, 0, 2, 0, 2, 0, 2, 0]
+    assert len({first[i] for i in range(0, len(calls), 2)}) == 1
+    for _ in range(2):
+        assert [outcome(argv) for argv in calls] == first
 
 
 def test_entry_point_and_determinism(files, tmp_path):

@@ -274,9 +274,9 @@ def local_density(kind, p):
     {"nodes": 6}, {"method": "mc", "mc_samples": 3000, "seed": 5}],
     ids=["quadrature", "mc"])
 def test_local_moments_bit_identical_to_fresh_monomials(kind, options):
-    # the estimators share monomial prefixes between moments and lay the
-    # grid out column by column; every value must still equal the one built
-    # from scratch on a C-order grid, to the last bit
+    # the estimators read each monomial off a per-axis power table and lay
+    # the grid out column by column; every value must still equal the one
+    # built from scratch on a C-order grid, to the last bit
     for p in range(1, 5):
         f = local_density(kind, p)
         w = CubeWindow((0.1, -0.2, 0.3, -0.15)[:p], 0.4)
@@ -678,6 +678,14 @@ def test_non_finite_point_rejected(bad):
                               method="mc", seed="x"), "seed"),
     (lambda f: local_cumulant(f, CubeWindow((0.0, 0.0), 0.1), (1, 1),
                               method="mc", seed=True), "seed"),
+    (lambda f: local_moment(f, CubeWindow((0.0, 0.0), 0.1), (1, 1),
+                            nodes=4, mc_samples=-5), "mc_samples"),
+    (lambda f: local_moment(f, CubeWindow((0.0, 0.0), 0.1), (1, 1),
+                            seed="x"), "seed"),
+    (lambda f: local_moment(f, CubeWindow((0.0, 0.0), 0.1), (1, 1),
+                            method="mc", nodes="abc"), "nodes"),
+    (lambda f: limit_matches_differential(f, (0.1, 0.2), (1, 1),
+                                          (0.4, 0.2, 0.1), nodes=0), "nodes"),
     (lambda f: parity_alpha((0.5, -1, True)), "multi-index"),
     (lambda f: parity_alpha(3), "multi-index"),
     (lambda f: same_moment_class(5, 1), "multi-index"),
@@ -688,13 +696,24 @@ def test_non_finite_point_rejected(bad):
         "eps-values-string", "eps-values-scalar", "step-zero", "step-nan",
         "step-negative", "nodes-bool", "nodes-string", "mc-samples-bool",
         "mc-samples-float", "seed-negative", "seed-float", "seed-string",
-        "seed-bool", "parity-entries", "parity-scalar",
+        "seed-bool", "quadrature-mc-samples-negative",
+        "quadrature-seed-string", "mc-nodes-string", "limit-nodes-zero",
+        "parity-entries", "parity-scalar",
         "class-scalars", "class-entries"])
 def test_bad_estimator_arguments_rejected(call, match):
     # each used to be read silently (k = (-1, 1) as (1, 1), an infinite
-    # half-width) or to end in a TypeError, ValueError or ZeroDivisionError
+    # half-width, an argument of the method not chosen), to be read after
+    # the density was sampled, or to end in a TypeError, ValueError or
+    # ZeroDivisionError; each is refused before any batch is drawn
+    base, batches = std_pair(), []
+
+    def counted(pts):
+        batches.append(len(pts))
+        return base.batch(pts)
+
     with pytest.raises(DomainError, match=match):
-        call(std_pair())
+        call(DensityOracle(2, counted))
+    assert batches == []
 
 
 @pytest.mark.parametrize("fn", [
