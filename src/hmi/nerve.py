@@ -17,7 +17,15 @@ The simplices grow level by level.  Each face carries its ball, its
 vertex list and the mask of the vertices above its highest one that are
 joined to all of its vertices in the 1-skeleton; a face grown by v gets its
 parent's list plus v and the parent's remaining mask cut to v's upward
-neighbours, so no face's bits are read again.
+neighbours, so no face's bits are read again.  The edges come from one pass
+over the point pairs, which also sets every vertex's upward neighbours and
+every edge's common ones.  It takes one distance per pair: held against
+``_inside``'s slack at a zero radius, it decides whether the pair inherits
+a vertex ball, and a pair whose half-distance exceeds r + FACE_TOLERANCE
+by a relative 1e-9 is never solved.  That is safe: a solved two-point
+radius is the larger of its centre's distances to the two points, so by
+the triangle inequality it is at least half their distance up to a few
+ulps of ``math.dist``, and such a pair is never born.
 
 Each simplex J inherits a ball or else solves one.  If a vertex w of J lies
 in the smallest enclosing ball of J minus w, that ball encloses J too and
@@ -284,28 +292,60 @@ def _max_dim(cloud: PointCloud, max_dim) -> int:
 def _births(cloud: PointCloud, r: float, max_dim: int) -> tuple[dict, dict]:
     """Birth radius of every simplex (a bit mask over point positions) of
     the nerve at radius r, up to max_dim, and the cover radius of each one
-    with a born one-vertex extension: the smallest birth among those.  A
-    face f grows only by the vertices above its highest one that are joined
-    to every vertex of f in the nerve's 1-skeleton, so each candidate
-    arises once; it is kept when all its facets were kept and its birth is
-    within tolerance of r.  Each kept face carries its ball, its vertex
-    list and its mask of common upward neighbours to the next level: the
-    child by v takes the list plus v and the mask of the neighbours left
-    after v, cut to v's own.  The edge level sets those masks once, when
-    the 1-skeleton is known."""
+    with a born one-vertex extension: the smallest birth among those.
+
+    The edges come from one pass over the pairs i < j, from the highest i
+    and j down, so that at the pair (i, j) the upward neighbours of j and
+    those of i above j are known and the edge's common upward neighbours
+    are their intersection.  One distance per pair decides it: a pair
+    within ``_inside``'s slack of a vertex ball inherits j's vertex ball,
+    as the test against j's ball and then i's would decide; a pair whose
+    half-distance exceeds the limit by the relative margin 1e-9 is never
+    solved; every other pair solves its two-point circumball.  No born pair
+    is skipped: a solved radius is the larger of the centre's distances to
+    the two points, at least half their distance by the triangle
+    inequality, up to the rounding of ``math.dist``, which is a few ulps
+    and far below the margin.
+
+    Above the edges a face f grows only by the vertices above its highest
+    one that are joined to every vertex of f in the nerve's 1-skeleton, so
+    each candidate arises once; it is kept when all its facets were kept
+    and its birth is within tolerance of r.  Each kept face carries its
+    ball, its vertex list and its mask of common upward neighbours to the
+    next level: the child by v takes the list plus v and the mask of the
+    neighbours left after v, cut to v's own."""
     pts = cloud.points
     limit = r + FACE_TOLERANCE
+    far = limit * (1 + 1e-9)
     p, d = cloud.p, cloud.d
     births = {1 << i: 0.0 for i in range(p)}
     cover: dict = {}
-    full = (1 << p) - 1
-    # upward neighbour masks; every later vertex until the edges are known
-    up = [full ^ ((2 << i) - 1) for i in range(p)]
-    # each simplex of the previous size (every facet of a candidate has
-    # that size) with its smallest enclosing ball, its vertices in
-    # ascending order and the mask of its common upward neighbours
-    level = {1 << i: ((pts[i], 0.0), [i], up[i]) for i in range(p)}
-    for size in range(2, max_dim + 2):
+    # upward neighbour masks, and each born edge (none at max_dim 0) with
+    # its smallest enclosing ball, its vertices in ascending order and the
+    # mask of its common upward neighbours
+    up = [0] * p
+    level = {}
+    for i in reversed(range(p if max_dim else 0)):
+        for j in reversed(range(i + 1, p)):
+            gap = math.dist(pts[i], pts[j])
+            if gap <= 1e-14:
+                ball = pts[j], 0.0      # within _inside's slack of j's ball
+            elif 0.5 * gap > far:
+                continue
+            else:
+                ball = _circumball((pts[j], pts[i]), d)
+            birth = ball[1]
+            if birth <= limit:
+                edge = 1 << i | 1 << j
+                births[edge] = birth
+                up[i] |= 1 << j
+                level[edge] = ball, [i, j], up[i] & up[j]
+                for g in (1 << j, 1 << i):
+                    if birth <= cover.get(g, math.inf):
+                        cover[g] = birth
+    for size in range(3, max_dim + 2):
+        if not level:
+            break
         # positions in a face's vertex list of the points that a solve puts
         # on the boundary after the new vertex, as _welzl would list them
         picks = tuple(reversed(_shuffle(size - 1)))[:d]
@@ -318,7 +358,7 @@ def _births(cloud: PointCloud, r: float, max_dim: int) -> tuple[dict, dict]:
                 simplex, corners = f | low, verts + [v]
                 facets = [simplex ^ 1 << w for w in corners]
                 try:
-                    facet_birth = max([births[g] for g in facets])
+                    facet_birth = max(map(births.__getitem__, facets))
                 except KeyError:
                     continue            # a facet is not in the nerve
                 for w, g in zip(corners, facets):
@@ -338,18 +378,7 @@ def _births(cloud: PointCloud, r: float, max_dim: int) -> tuple[dict, dict]:
                     for g in facets:
                         if birth <= cover.get(g, math.inf):
                             cover[g] = birth
-        if size == 2:
-            # the edges are known: set the upward neighbour masks, and each
-            # edge's common ones, once
-            up = [0] * p
-            for edge in grown:
-                low = edge & -edge
-                up[low.bit_length() - 1] |= edge ^ low
-            for edge, (ball, verts, _) in grown.items():
-                grown[edge] = ball, verts, up[verts[0]] & up[verts[1]]
         level = grown
-        if not level:
-            break
     return births, cover
 
 
@@ -416,6 +445,8 @@ def points_from_csv(text: str) -> PointCloud:
         except ValueError:
             raise DomainError(f"CSV line {n}: not a number: {line!r}") \
                 from None
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
+    if not rows:
+        raise DomainError("CSV holds no points")
+    if any(len(r) != len(rows[0]) for r in rows):
         raise DomainError("CSV rows must all have the same dimension")
     return PointCloud(tuple(tuple(r) for r in rows))

@@ -372,6 +372,7 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
       "--k", "1,1", "--method", "mc", "--nodes", "0"], json.dumps(GAUSS)),
     (["limit-probe", "--density", "d.json", "--xi=0.1,0.2", "--k", "1,1",
       "--eps-seq", "0.4,0.2,0.1", "--nodes", "0"], json.dumps(GAUSS)),
+    (["nerve", "--points", "pts.csv", "--radius", "0"], ""),
 ], ids=["missing-points", "csv-cell", "filtration-list",
         "radius-and-filtration", "neither-radius-nor-filtration",
         "missing-poly", "strip-list", "ci-list", "given-list", "gaussian-keys",
@@ -391,7 +392,7 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
         "density-not-object", "density-unknown-family",
         "logderiv-empty-multiset", "logderiv-not-square-free",
         "limit-probe-scale-underflow", "mc-nodes-zero",
-        "limit-probe-nodes-zero"])
+        "limit-probe-nodes-zero", "nerve-empty-csv"])
 def test_bad_input_exits_one_with_one_error_line(argv, text, capsys,
                                                  tmp_path):
     # missing files, non-numeric CSV cells, bad number lists, a nerve
@@ -406,7 +407,8 @@ def test_bad_input_exits_one_with_one_error_line(argv, text, capsys,
     # coordinates whose squared distances overflow, a density file that is
     # not an object or names no known family, a log-derivative at a k that
     # is not square-free, a limit probe whose r(eps, k) underflows, a node
-    # count of 0 (read under Monte Carlo too, where no grid is built);
+    # count of 0 (read under Monte Carlo too, where no grid is built), a
+    # points CSV with no points;
     # text goes to the first file named, or a tuple of texts to the files
     # in the order named
     files = [a for a in argv if a.endswith((".csv", ".txt", ".json"))]

@@ -2,8 +2,9 @@
 collinear filtration, nesting and edge-before-face ordering, the brute Čech
 comparison on random and lattice clouds, facets against the maximal born
 simplices, two- and three-point balls against the Gram elimination, Welzl's
-algorithm on 3,000 points, and the ball-solve count in the plane and in
-space."""
+algorithm on 3,000 points, the ball-solve count in the plane and in space,
+far pairs never solved, and the births at a radius as those at infinity cut
+at it."""
 import math
 from collections import Counter
 from fractions import Fraction
@@ -237,6 +238,31 @@ def test_filtration_solves_each_simplex_at_most_once_in_space(monkeypatch):
     assert {len(b) for b in solved} == {2, 3, 4}
 
 
+def test_far_pairs_are_never_solved(monkeypatch):
+    # the grid above: a pair whose half-distance exceeds the largest radius
+    # is skipped unsolved, so every two-point boundary solved is an edge of
+    # the nerve at 1.1, which has fewer edges than the 190 pairs
+    rng = np.random.default_rng(12)
+    pts = [(0.9 * i + rng.uniform(-0.018, 0.018),
+            0.9 * j + rng.uniform(-0.018, 0.018))
+           for i in range(5) for j in range(4)]
+    edges = {f for f in _faces(nerve_complex(PointCloud(pts), 1.1))
+             if len(f) == 2}
+    solved = _solves(monkeypatch, pts, [0.35, 0.55, 0.75, 0.95, 1.1])
+    pairs = {frozenset(pts.index(q) + 1 for q in b) for b in solved
+             if len(b) == 2}
+    assert pairs and pairs <= edges < set(map(frozenset,
+                                              combinations(range(1, 21), 2)))
+    # a pair whose half-distance is the limit itself is born, at r = 1 and
+    # at the radius whose limit r + FACE_TOLERANCE is exactly 1
+    cloud = PointCloud(((0.0, 0.0), (2.0, 0.0)))
+    for r in (1.0, 1.0 - FACE_TOLERANCE):
+        assert r + FACE_TOLERANCE >= 1.0
+        births, _ = nerve._births(cloud, r, 1)
+        assert births[0b11] == 1.0
+        assert nerve_complex(cloud, r).facet_sets() == [frozenset({1, 2})]
+
+
 def _clouds(rng, trials):
     """Random clouds, half-integer clouds with a duplicated point, and
     integer points in a 3^d box, with d = 1..3."""
@@ -280,6 +306,28 @@ def test_facets_are_the_maximal_born_simplices(max_dim):
             if r >= 0 and r + FACE_TOLERANCE == b:
                 assert nerve._threshold(cloud.p, births, cover, r).facets \
                     == maximal_born(r)
+
+
+@pytest.mark.parametrize("max_dim", [0, 1, 2, None])
+def test_births_at_a_radius_are_the_infinite_ones_cut_at_it(max_dim):
+    # every pruning, the far pairs skipped unsolved among them, must leave
+    # the births and cover radii at r exactly those at r = inf that lie
+    # within tolerance of r, hex for hex
+    def hexes(table, limit=math.inf):
+        return {s: b.hex() for s, b in table.items() if b <= limit}
+    rng = np.random.default_rng(83)
+    for cloud in _clouds(rng, 60):
+        cap = nerve._max_dim(cloud, max_dim)
+        births, cover = nerve._births(cloud, math.inf, cap)
+        # random radii, and radii whose limit falls on or next to a birth
+        radii = [0.0, *map(float, rng.uniform(0.05, 2.0, 3))]
+        radii += [b - FACE_TOLERANCE for b in sorted(set(births.values()))
+                  if b >= FACE_TOLERANCE][:4]
+        for r in radii:
+            at_r = nerve._births(cloud, r, cap)
+            limit = r + FACE_TOLERANCE
+            assert [hexes(table) for table in at_r] == \
+                [hexes(births, limit), hexes(cover, limit)]
 
 
 def _hex_ball(ball):
@@ -489,7 +537,8 @@ def test_points_from_csv():
     assert cloud.p == 3 and cloud.d == 2
     with pytest.raises(DomainError):
         points_from_csv("1,2\n3\n")
-    with pytest.raises(DomainError):
-        points_from_csv("")
+    for text in ("", "\n \n"):
+        with pytest.raises(DomainError, match="CSV holds no points"):
+            points_from_csv(text)
     with pytest.raises(DomainError):
         points_from_csv("0,0\n1,x\n")
