@@ -10,7 +10,10 @@ decomposability runs one maximum cardinality search.  Minimal non-faces,
 Alexander duals, flag complexes, the Stanley-Reisner map in both directions
 and the cut/path duality of networks all reduce to
 ``minimal_transversals``, one depth-first MMCS search (Murakami and Uno
-2014) on bit masks.
+2014) on bit masks.  Each search node counts every uncovered edge's
+candidates from the smaller side (a scan of the edges, or a bit-sliced fold
+of the candidates' edge masks), prunes a dead end, adds every forced vertex
+at once and branches on the first edge with the fewest candidates.
 
 Both the void complex (no faces at all, ``facets == ()``) and the empty
 complex (only the empty face) are representable; ``minimal_nonfaces`` of the
@@ -21,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import (Graph, Labelled, _adjacency, _bits, _from_json,
-                     encode_all)
+from .graphs import Graph, Labelled, _adjacency, _from_json, encode_all
 
 
 @dataclass(frozen=True)
@@ -71,55 +73,133 @@ def minimal_transversals(edge_masks: Iterable[int], p: int) -> tuple[int, ...]:
     A depth-first search grows one chosen set and keeps, as masks over edge
     ids, the edges it leaves uncovered and each chosen vertex's critical
     edges (those no other chosen vertex hits).  The set is minimal exactly
-    when no critical mask is empty, so a child that empties one is pruned.
-    Each node branches on an uncovered edge with the fewest candidate
-    vertices; the scan stops early at an edge with one candidate (it is
-    forced) or none (a dead end).  The i-th branch may still add the edge's
-    first i - 1 vertices, so every transversal is found exactly once.  Only
-    one root-to-leaf path is held, at most p deep."""
-    edges = sorted(set(edge_masks), key=int.bit_count)
+    when no critical mask is empty, so a step that empties one is pruned.
+    Edges are numbered in ``_sort_key`` order, so the search does not
+    depend on the order they are given in.
+
+    Each node first reads how many candidate vertices every uncovered edge
+    has (0, 1, 2 or more) from the smaller side: it scans the edges when
+    they are no more than the candidates, and otherwise folds the
+    candidates' edge masks into three bit-sliced masks (edges hit at least
+    once, twice, three times).  An edge with no candidate is a dead end;
+    a branch keeps at least one candidate of every edge it leaves
+    uncovered, so that happens only at the root, for an empty edge.  Every
+    vertex that is some edge's last candidate is forced, and all are added
+    in one step with one critical-edge update; the edges they leave
+    uncovered keep their counts, so none becomes forced.  A forced vertex
+    keeps no critical mask: no other vertex of its forced edge can join
+    below, so it never becomes redundant.  The node then branches on the
+    first uncovered edge with the fewest candidates.  The i-th branch may
+    still add the edge's first i - 1 vertices, so every transversal is
+    found exactly once.  Only one root-to-leaf path is held, at most p
+    deep."""
+    edges = sorted(set(edge_masks), key=_sort_key)
     if not edges:
         return (0,)
-    if not edges[0]:
-        return ()
     occ = [0] * p                       # ids of the edges through a vertex
     for i, e in enumerate(edges):
-        for v in _bits(e):
-            occ[v] |= 1 << i
+        bit = 1 << i
+        while e:
+            low = e & -e
+            occ[low.bit_length() - 1] |= bit
+            e ^= low
+    every = (1 << len(edges)) - 1
+    miss = [every ^ o for o in occ]     # ids of the edges missing a vertex
     out: list[int] = []
 
     def search(chosen, cand, uncov, crit):
-        fewest, branch, rest = p + 1, 0, uncov
-        while rest:                     # smaller edges have lower ids
-            low = rest & -rest
-            rest ^= low
-            c = edges[low.bit_length() - 1] & cand
-            n = c.bit_count()
-            if n < fewest:
-                fewest, branch = n, c
-                if n <= 1:
-                    break
-        cand &= ~branch
+        # forced: the last candidates; two: the edges with two candidates;
+        # first: the first edge with the fewest (at least three), if known
+        if uncov.bit_count() <= cand.bit_count():
+            forced = two = first = 0
+            fewest, rest = p + 1, uncov
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                c = edges[low.bit_length() - 1] & cand
+                n = c.bit_count()
+                if n > 2:
+                    if n < fewest:
+                        fewest, first = n, low
+                elif n == 2:
+                    two |= low
+                elif n:
+                    forced |= c
+                else:
+                    return              # a dead end
+        else:
+            once = twice = more = 0
+            rest = cand
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                o = occ[low.bit_length() - 1]
+                more |= twice & o
+                twice |= once & o
+                once |= o
+            if uncov & ~once:
+                return              # a dead end
+            two = uncov & twice & ~more
+            forced = first = 0
+            rest = uncov & ~twice
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                forced |= edges[low.bit_length() - 1] & cand
+        if forced:
+            keep, rest = every, forced
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                keep &= miss[low.bit_length() - 1]
+            kept = []
+            for c in crit:
+                c &= keep
+                if not c:
+                    return              # a chosen vertex became redundant
+                kept.append(c)
+            chosen |= forced
+            cand ^= forced
+            uncov &= keep
+            if not uncov:
+                out.append(chosen)
+                return
+            crit = kept
+            two &= uncov
+        if two:
+            first = two & -two
+        elif not first & uncov:         # the fold, or a forced vertex hit it
+            fewest, rest = p + 1, uncov
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                n = (edges[low.bit_length() - 1] & cand).bit_count()
+                if n < fewest:
+                    fewest, first = n, low
+                    if n == 3:          # none has fewer now
+                        break
+        branch = edges[first.bit_length() - 1] & cand
+        cand ^= branch
         while branch:
             bit = branch & -branch
             branch ^= bit
-            hit = occ[bit.bit_length() - 1]
+            keep = miss[bit.bit_length() - 1]
             kept = []
             for c in crit:
-                c &= ~hit
+                c &= keep
                 if not c:
                     break               # a chosen vertex became redundant
                 kept.append(c)
             else:
-                left = uncov & ~hit
+                left = uncov & keep
                 if left:
-                    kept.append(uncov & hit)
+                    kept.append(uncov ^ left)
                     search(chosen | bit, cand, left, kept)
                 else:
                     out.append(chosen | bit)
             cand |= bit
 
-    search(0, (1 << p) - 1, (1 << len(edges)) - 1, [])
+    search(0, (1 << p) - 1, every, [])
     return tuple(sorted(out, key=_sort_key))
 
 

@@ -1,6 +1,7 @@
 """Simplicial complex core: facets, minimal non-faces, Alexander duality and
 JSON round trips, exhaustively on p <= 4 and randomized on p <= 6."""
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -265,6 +266,94 @@ def test_minimal_transversals_larger_families():
             assert list(minimal_transversals(edges, p)) == \
                 brute_minimal_transversals(p, edges)
     assert minimal_transversals(edges + [0], 14) == ()
+
+
+SEARCH = next(c for c in minimal_transversals.__code__.co_consts
+              if getattr(c, "co_name", None) == "search")
+
+
+def counted(edges, p):
+    """minimal_transversals(edges, p) and the number of calls of its nested
+    search, counted by a profile hook from outside the library."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is SEARCH
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        out = minimal_transversals(edges, p)
+    finally:
+        sys.setprofile(previous)
+    return out, calls
+
+
+def test_search_work_does_not_depend_on_edge_order():
+    # edges are numbered by (size, mask), so shuffling a family changes
+    # neither the transversals nor the nodes searched; the families are the
+    # minimal non-faces of the benchmark's sparse complexes (p = 26, four
+    # facets of 15), searched again by complex_of.  The call counts are
+    # those of branching on the first edge with the fewest candidates,
+    # whichever side counted them
+    rng = random.Random(28)
+    for calls in (271, 165):
+        S = make_complex(26, [rng.sample(range(1, 27), 15) for _ in range(4)])
+        edges = list(minimal_nonface_masks(S))
+        want = counted(edges, 26)
+        assert want[1] == calls
+        for _ in range(4):
+            rng.shuffle(edges)
+            assert counted(edges, 26) == want
+        assert counted(edges[::-1], 26) == want
+
+
+def test_forced_vertices_are_added_in_one_search_call():
+    # every singleton's vertex is forced, and together they cover the
+    # supersets, so the root node finds the one transversal without branching
+    edges = [1 << v for v in range(10)] + [0b11, 0b1110000, 0b1111111111,
+                                           0b1000000001]
+    assert counted(edges, 10) == (((1 << 10) - 1,), 1)
+
+
+def test_edge_without_candidates_is_pruned_without_branching():
+    # an empty edge has no candidate, so the root node returns at once,
+    # whether it scans the edges (few) or folds the vertices' edge masks
+    # (more edges than vertices)
+    assert counted([0b0110, 0, 0b1001], 4) == ((), 1)
+    assert counted([0, 1, 2, 4, 8, 3, 5, 6, 9, 12], 4) == ((), 1)
+
+
+def test_minimal_transversals_of_many_word_families():
+    # generator-like families of 98-118 edges, 77-97 of them distinct, on
+    # p = 11..13, so the edge masks span several machine words
+    # and nodes count candidates from both sides: mostly pairs and triples,
+    # with singletons, duplicates and nested edges mixed in, each family
+    # searched in two orders
+    rng = random.Random(2014)
+    for p in (11, 12, 13):
+        for _ in range(2):
+            sizes = [rng.choice((1, 2, 2, 2, 3, 3, 3, 3))
+                     for _ in range(rng.randint(80, 110))]
+            edges = [sum(1 << v for v in rng.sample(range(p), k))
+                     for k in sizes]
+            edges += [rng.choice(edges) for _ in range(5)]
+            edges += [rng.choice(edges) | 1 << rng.randrange(p)
+                      for _ in range(5)]
+            want = brute_minimal_transversals(p, edges)
+            assert list(minimal_transversals(edges, p)) == want
+            assert list(minimal_transversals(edges[::-1], p)) == want
+
+
+@pytest.mark.parametrize("p, n_facets, size", [(22, 30, 4), (26, 4, 15)])
+def test_round_trips_on_benchmark_shapes(p, n_facets, size):
+    rng = random.Random(p)
+    for _ in range(3):
+        S = make_complex(p, [rng.sample(range(1, p + 1), size)
+                             for _ in range(n_facets)])
+        assert complex_of(stanley_reisner(S)) == S
+        assert alexander_dual(alexander_dual(S)) == S
 
 
 def test_complemented_transversals_stay_sorted_antichains():
