@@ -15,6 +15,7 @@ from . import diffcum, hierarchy, ideal, logdensity, nerve, network
 from . import partitions as parts
 from . import simplicial
 from .errors import DomainError
+from .graphs import _label_set_key
 
 
 def _read_text(path):
@@ -44,7 +45,7 @@ def _fmt_set(s):
 
 
 def _fmt_facets(S):
-    facets = sorted(S.facet_sets(), key=lambda f: (len(f), sorted(f)))
+    facets = sorted(S.facet_sets(), key=_label_set_key)
     return ", ".join(_fmt_set(f) for f in facets)
 
 

@@ -3,7 +3,8 @@
 The one label codec: ``Labelled``, the base of complexes, ideals and graphs,
 normalises their labels with ``normalize_labels`` (default 1..p), turns
 label sets into bit masks over positions with ``encode_all`` and back with
-``vertices_of``; bad labels raise ``DomainError``.  The one maximum
+``vertices_of``; bad labels raise ``DomainError``; label sets are listed
+in ``_label_set_key`` order (size, then sorted labels).  The one maximum
 cardinality search, ``_mcs``, yields the visit order, ranks and
 earlier-neighbour masks from which zero fill-in chordality and the maximal
 cliques of a chordal graph are read (Tarjan-Yannakakis 1984).  A graph is
@@ -67,6 +68,12 @@ def encode(position: dict, vertices: Iterable) -> int:
     except TypeError:
         raise DomainError(f"not a list of labels: {vertices!r}") from None
     return mask
+
+
+def _label_set_key(labels):
+    """The one order of label sets in output: by size, then by the sorted
+    labels."""
+    return len(labels), sorted(labels)
 
 
 class Labelled:

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError, NotDecomposableError, _int, _ints
-from .graphs import (Labelled, _Search, _bits, _mcs, _zero_fill_in,
-                     find_chordless_cycle)
+from .graphs import (Labelled, _Search, _bits, _label_set_key, _mcs,
+                     _zero_fill_in, find_chordless_cycle)
 from .ideal import SquareFreeIdeal, complex_of
 from .simplicial import (SimplicialComplex, _antichain, _sort_key,
                          minimal_transversals, one_skeleton)
@@ -36,11 +36,13 @@ class CIStatement:
         p = _int(self.p, message)
         parts = [frozenset(_ints(s, message))
                  for s in (self.i_set, self.j_set, self.k_set)]
-        universe = set(range(1, p + 1))
         if not parts[0] or not parts[1]:
             raise DomainError("I and J must be non-empty")
-        if sum(len(s) for s in parts) != len(universe) \
-                or set().union(*parts) != universe:
+        # decided from the parts alone, never by building {1..p}: p indices
+        # in 1..p, none repeated across the parts
+        union = set().union(*parts)
+        if sum(len(s) for s in parts) != p or len(union) != p \
+                or not all(1 <= v <= p for v in union):
             raise DomainError("I, J, K must partition {1..p}")
 
 
@@ -64,8 +66,7 @@ def _nonflag_witness(S: SimplicialComplex,
         found += minimal_transversals([clique & ~f for f in S.facets], S.p)
     if not found:
         return None
-    return min((S.vertices_of(m) for m in found),
-               key=lambda f: (len(f), sorted(f)))
+    return min((S.vertices_of(m) for m in found), key=_label_set_key)
 
 
 def _witness(S: SimplicialComplex):

@@ -10,7 +10,7 @@ from typing import Iterable
 
 from .errors import DomainError, _ints
 from .graphs import (Graph, Labelled, _adjacency, _bits, _from_json,
-                     _levels, encode_all, is_chordal)
+                     _label_set_key, _levels, encode_all, is_chordal)
 from .partitions import _validate
 from .simplicial import (SimplicialComplex, minimal_nonface_masks,
                          minimal_transversals, _antichain, _complements)
@@ -168,6 +168,6 @@ def ideal_from_json(obj: dict) -> SquareFreeIdeal:
 def format_generators(I: SquareFreeIdeal) -> str:
     """Printable generator list, e.g. ``x1*x4, x1*x5, x2*x5``."""
     parts = []
-    for g in sorted(I.generator_sets(), key=lambda s: (len(s), sorted(s))):
+    for g in sorted(I.generator_sets(), key=_label_set_key):
         parts.append("*".join(f"x{v}" for v in sorted(g)))
     return ", ".join(parts)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import DomainError, _ints, _json_int
-from .graphs import _adjacency, _bits, _levels
+from .graphs import _adjacency, _bits, _label_set_key, _levels
 from .ideal import SquareFreeIdeal, complex_of, make_ideal
 from .simplicial import _antichain, alexander_dual
 
@@ -65,7 +65,7 @@ def _edge_sets(masks) -> list[frozenset[int]]:
     """Edge-id masks as edge-id sets, in (size, lexicographic) order; bit i
     of a mask is edge i + 1."""
     sets = [frozenset(i + 1 for i in _bits(m)) for m in masks]
-    return sorted(sets, key=lambda s: (len(s), sorted(s)))
+    return sorted(sets, key=_label_set_key)
 
 
 def minimal_paths(G: Network) -> list[frozenset[int]]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, islice, product
@@ -169,16 +170,18 @@ def _collapse(blocks, fact, top, block_den, fraction) -> Fraction:
 
 def collapse_number(pi: Iterable[Sequence[int]]) -> Fraction:
     """c(pi) = nu_M! / (prod_j nu_{M_j}! * nu_pi!) with componentwise
-    factorials; always a positive integer-valued rational."""
+    factorials; always a positive integer-valued rational.  The first
+    quotient is, axis by axis, the multinomial of the block entries, built
+    as a product of binomials, so no factorial of an entry is formed."""
     blocks = tuple(_validate(b) for b in pi)
     if not blocks or any(not any(b) for b in blocks):
         raise DomainError("partition must consist of nonzero blocks")
     if len({len(b) for b in blocks}) != 1:
         raise DomainError("partition blocks differ in length")
-    total = [sum(col) for col in zip(*blocks)]
-    fact = _factorials(max(total))
-    top = math.prod(fact[x] for x in total)
-    return _collapse(sorted(blocks, reverse=True), fact, top, {}, {})
+    top = math.prod(math.comb(t, x) for col in zip(*blocks)
+                    for t, x in zip(accumulate(col), col))
+    runs = math.prod(math.factorial(n) for n in Counter(blocks).values())
+    return Fraction(top, runs)
 
 
 def chain_rule_terms(k: Sequence[int]) -> list[tuple[Fraction, int, list[MultiIndex]]]:

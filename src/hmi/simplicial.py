@@ -10,10 +10,11 @@ decomposability runs one maximum cardinality search.  Minimal non-faces,
 Alexander duals, flag complexes, the Stanley-Reisner map in both directions
 and the cut/path duality of networks all reduce to
 ``minimal_transversals``, one depth-first MMCS search (Murakami and Uno
-2014) on bit masks.  Each search node counts every uncovered edge's
-candidates from the smaller side (a scan of the edges, or a bit-sliced fold
-of the candidates' edge masks), prunes a dead end, adds every forced vertex
-at once and branches on the first edge with the fewest candidates.
+2014) on bit masks.  An empty edge is refused before the search, and
+every search node keeps a candidate for every uncovered edge.  Each node
+counts those candidates from the smaller side (a scan of the edges, or a
+bit-sliced fold of the candidates' edge masks), adds every forced vertex at
+once and branches on the first edge with the fewest candidates.
 
 Both the void complex (no faces at all, ``facets == ()``) and the empty
 complex (only the empty face) are representable; ``minimal_nonfaces`` of the
@@ -24,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import Graph, Labelled, _adjacency, _from_json, encode_all
+from .graphs import (Graph, Labelled, _adjacency, _from_json, _label_set_key,
+                     encode_all)
 
 
 @dataclass(frozen=True)
@@ -77,25 +79,28 @@ def minimal_transversals(edge_masks: Iterable[int], p: int) -> tuple[int, ...]:
     Edges are numbered in ``_sort_key`` order, so the search does not
     depend on the order they are given in.
 
-    Each node first reads how many candidate vertices every uncovered edge
-    has (0, 1, 2 or more) from the smaller side: it scans the edges when
-    they are no more than the candidates, and otherwise folds the
-    candidates' edge masks into three bit-sliced masks (edges hit at least
-    once, twice, three times).  An edge with no candidate is a dead end;
-    a branch keeps at least one candidate of every edge it leaves
-    uncovered, so that happens only at the root, for an empty edge.  Every
-    vertex that is some edge's last candidate is forced, and all are added
-    in one step with one critical-edge update; the edges they leave
-    uncovered keep their counts, so none becomes forced.  A forced vertex
-    keeps no critical mask: no other vertex of its forced edge can join
-    below, so it never becomes redundant.  The node then branches on the
-    first uncovered edge with the fewest candidates.  The i-th branch may
-    still add the edge's first i - 1 vertices, so every transversal is
-    found exactly once.  Only one root-to-leaf path is held, at most p
-    deep."""
+    An empty edge is refused before the search.  Every node keeps a
+    candidate vertex for every uncovered edge: the root has them all, and a
+    branch on an edge with k fewest candidates leaves every edge it does
+    not cover at least one.  Each node first reads how many candidates
+    every uncovered edge has (1, 2 or more) from the smaller side: it scans
+    the edges when they are no more than the candidates, and otherwise
+    folds the candidates' edge masks into three bit-sliced masks (edges hit
+    at least once, twice, three times).  Every vertex that is some edge's
+    last candidate is forced, and all are added in one step with one
+    critical-edge update; the edges they leave uncovered keep their counts,
+    so none becomes forced.  A forced vertex keeps no critical mask: no
+    other vertex of its forced edge can join below, so it never becomes
+    redundant.  The node then branches on the first uncovered edge with the
+    fewest candidates: the first with two, else the first found by one
+    scan.  The i-th branch may still add the edge's first i - 1 vertices,
+    so every transversal is found exactly once.  Only one root-to-leaf path
+    is held, at most p deep."""
     edges = sorted(set(edge_masks), key=_sort_key)
     if not edges:
         return (0,)
+    if not edges[0]:                    # an empty edge sorts first
+        return ()
     occ = [0] * p                       # ids of the edges through a vertex
     for i, e in enumerate(edges):
         bit = 1 << i
@@ -108,25 +113,19 @@ def minimal_transversals(edge_masks: Iterable[int], p: int) -> tuple[int, ...]:
     out: list[int] = []
 
     def search(chosen, cand, uncov, crit):
-        # forced: the last candidates; two: the edges with two candidates;
-        # first: the first edge with the fewest (at least three), if known
+        # forced: the last candidates; two: the edges with two candidates
         if uncov.bit_count() <= cand.bit_count():
-            forced = two = first = 0
-            fewest, rest = p + 1, uncov
+            forced = two = 0
+            rest = uncov
             while rest:
                 low = rest & -rest
                 rest ^= low
                 c = edges[low.bit_length() - 1] & cand
                 n = c.bit_count()
-                if n > 2:
-                    if n < fewest:
-                        fewest, first = n, low
-                elif n == 2:
+                if n == 2:
                     two |= low
-                elif n:
+                elif n == 1:
                     forced |= c
-                else:
-                    return              # a dead end
         else:
             once = twice = more = 0
             rest = cand
@@ -137,10 +136,8 @@ def minimal_transversals(edge_masks: Iterable[int], p: int) -> tuple[int, ...]:
                 more |= twice & o
                 twice |= once & o
                 once |= o
-            if uncov & ~once:
-                return              # a dead end
             two = uncov & twice & ~more
-            forced = first = 0
+            forced = 0
             rest = uncov & ~twice
             while rest:
                 low = rest & -rest
@@ -168,7 +165,7 @@ def minimal_transversals(edge_masks: Iterable[int], p: int) -> tuple[int, ...]:
             two &= uncov
         if two:
             first = two & -two
-        elif not first & uncov:         # the fold, or a forced vertex hit it
+        else:                           # each uncovered edge has three or more
             fewest, rest = p + 1, uncov
             while rest:
                 low = rest & -rest
@@ -227,7 +224,7 @@ def minimal_nonface_masks(S: SimplicialComplex) -> tuple[int, ...]:
 def minimal_nonfaces(S: SimplicialComplex) -> list[frozenset[int]]:
     """The inclusion-minimal index sets that are not faces of S."""
     out = [S.vertices_of(m) for m in minimal_nonface_masks(S)]
-    return sorted(out, key=lambda f: (len(f), sorted(f)))
+    return sorted(out, key=_label_set_key)
 
 
 def alexander_dual(S: SimplicialComplex) -> SimplicialComplex:

@@ -159,6 +159,9 @@ def test_partition_commands(files, capsys):
     code, out, _ = run(capsys, ["collapse", "--partition",
                                 "1,0,1|0,0,1"])
     assert out.strip() == "2"
+    # binomials, not a factorial table up to the largest entry
+    code, out, _ = run(capsys, ["collapse", "--partition", "1000000000|1"])
+    assert code == 0 and out == "1000000001\n"
     code, out, _ = run(capsys, ["chain-rule", "--k", "1,0,2"])
     assert "c=2 outer=2 inner=1,0,1;0,0,1" in out
     moments = files("m.json", {"1,0,2": "7/3", "1,0,1": "5/2",
@@ -279,6 +282,7 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
     (["ci-generators", "--p", "3", "--i", "a", "--j", "2"], None),
     (["ci-generators", "--p", "3", "--i", "1", "--j", "2", "--given", "x"],
      None),
+    (["ci-generators", "--p", "100000000", "--i", "1", "--j", "2"], None),
     (["diff-moment", "--density", "g.json", "--xi", "0,0", "--k", "1,1"],
      json.dumps({"family": "gaussian", "mean": [0.0, 0.0]})),
     (["diff-moment", "--density", "g.json", "--xi", "0,0", "--k", "1,1"],
@@ -375,8 +379,8 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
     (["nerve", "--points", "pts.csv", "--radius", "0"], ""),
 ], ids=["missing-points", "csv-cell", "filtration-list",
         "radius-and-filtration", "neither-radius-nor-filtration",
-        "missing-poly", "strip-list", "ci-list", "given-list", "gaussian-keys",
-        "product-keys", "moments-list", "collapse-lengths",
+        "missing-poly", "strip-list", "ci-list", "given-list", "ci-huge-p",
+        "gaussian-keys", "product-keys", "moments-list", "collapse-lengths",
         "complex-duplicate-labels", "ideal-duplicate-labels",
         "facet-not-list", "generator-not-list", "gaussian-mean-string",
         "gaussian-precision-string", "complex-p-float", "complex-p-string",
@@ -395,8 +399,9 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
         "limit-probe-nodes-zero", "nerve-empty-csv"])
 def test_bad_input_exits_one_with_one_error_line(argv, text, capsys,
                                                  tmp_path):
-    # missing files, non-numeric CSV cells, bad number lists, a nerve
-    # asked for both or neither of a radius and a filtration, density
+    # missing files, non-numeric CSV cells, bad number lists, a CI
+    # statement on 10^8 variables naming two (refused from its parts), a
+    # nerve asked for both or neither of a radius and a filtration, density
     # files without their parameters, a moment table that is not an object,
     # partition blocks of unequal length, duplicate labels, faces that are
     # not lists, non-numeric Gaussian entries, a vertex count, node or edge

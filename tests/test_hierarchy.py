@@ -3,6 +3,7 @@ check that the Gaussian density really factors), marginalization and
 conditional-independence generators."""
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -193,6 +194,27 @@ def test_ci_generators():
                  (3, {1}, {2}, {True}), (3, 1, {2}, {3})]:
         with pytest.raises(DomainError, match="integer"):
             CIStatement(*args)
+
+
+def test_ci_statement_refused_without_building_the_index_range():
+    # the parts alone decide: a statement on 10^6 variables naming two of
+    # them is refused without a set of 10^6 indices
+    with pytest.raises(DomainError, match="partition"):
+        CIStatement(10**6, {1}, {2}, set())
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="partition"):
+            CIStatement(10**6, {1}, {2}, set())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # every way to miss a partition, with the sizes summing to p
+    for args in [(3, {1}, {2}, {4}), (3, {0}, {2}, {3}), (3, {1}, {1}, {3}),
+                 (3, {1}, {2}, {2}), (3, {1, 2}, {2}, set())]:
+        with pytest.raises(DomainError, match="partition"):
+            CIStatement(*args)
+    assert CIStatement(3, {3}, {1}, {2}).p == 3
 
 
 def test_ci_generators_are_the_sr_generators():

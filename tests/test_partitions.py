@@ -3,6 +3,8 @@ transform, certified against labelled set partitions and the exact Isserlis
 recursion."""
 import gc
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -409,6 +411,43 @@ def test_collapse_rejects_blocks_of_different_lengths():
     # zip would silently drop the second component and answer 2
     with pytest.raises(DomainError, match="differ in length"):
         collapse_number(((1, 0), (1,)))
+
+
+def test_collapse_numbers_equal_the_factorial_quotient():
+    # seeded partitions of order <= 12, repeated blocks among them, against
+    # nu_M! / (prod_j nu_{M_j}! * nu_pi!) written out in factorials
+    rng = random.Random(29)
+    for _ in range(400):
+        d = rng.randint(1, 4)
+        blocks = []
+        while True:
+            b = tuple(rng.randint(0, 3) for _ in range(d))
+            if not any(b):
+                continue
+            copies = rng.choice((1, 1, 1, 2, 3))
+            if sum(map(sum, blocks)) + copies * sum(b) > 12:
+                break
+            blocks += [b] * copies
+        if not blocks:
+            continue
+        rng.shuffle(blocks)
+        top = math.prod(math.factorial(sum(col)) for col in zip(*blocks))
+        den = math.prod(math.factorial(x) for b in blocks for x in b)
+        den *= math.prod(math.factorial(blocks.count(b)) for b in set(blocks))
+        assert collapse_number(blocks) == Fraction(top, den)
+
+
+def test_collapse_number_of_a_large_entry_builds_no_factorial_table():
+    # c({(n,), (1,)}) = n + 1; a table of factorials up to n would hold
+    # O(n^2) digits
+    collapse_number([(5000,), (1,)])
+    tracemalloc.start()
+    try:
+        assert collapse_number([(5000,), (1,)]) == 5001
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_numpy_integer_entries_accepted():

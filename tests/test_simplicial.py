@@ -318,11 +318,11 @@ def test_forced_vertices_are_added_in_one_search_call():
 
 
 def test_edge_without_candidates_is_pruned_without_branching():
-    # an empty edge has no candidate, so the root node returns at once,
-    # whether it scans the edges (few) or folds the vertices' edge masks
-    # (more edges than vertices)
-    assert counted([0b0110, 0, 0b1001], 4) == ((), 1)
-    assert counted([0, 1, 2, 4, 8, 3, 5, 6, 9, 12], 4) == ((), 1)
+    # an empty edge has no candidate, so it is refused before the search,
+    # among few edges (which a root node would scan) or more edges than
+    # vertices (which it would fold)
+    assert counted([0b0110, 0, 0b1001], 4) == ((), 0)
+    assert counted([0, 1, 2, 4, 8, 3, 5, 6, 9, 12], 4) == ((), 0)
 
 
 def test_minimal_transversals_of_many_word_families():
