@@ -4,12 +4,12 @@ The one label codec: ``Labelled``, the base of complexes, ideals and graphs,
 normalises their labels with ``normalize_labels`` (default 1..p), turns
 label sets into bit masks over positions with ``encode_all`` and back with
 ``vertices_of``; bad labels raise ``DomainError``; label sets are listed
-in ``_label_set_key`` order (size, then sorted labels).  The one maximum
-cardinality search, ``_mcs``, yields the visit order, ranks and
-earlier-neighbour masks from which zero fill-in chordality and the maximal
-cliques of a chordal graph are read (Tarjan-Yannakakis 1984).  A graph is
+in ``_label_set_key`` order (size, then sorted labels).  A graph is
 one adjacency mask per position, built by ``_adjacency`` from any family of
-masks, so ``encode_all`` refuses more than ``MAX_VERTICES`` vertices.
+masks, so ``encode_all`` refuses more than ``MAX_VERTICES`` vertices.  The
+one maximum cardinality search, ``_mcs``, runs on those masks and reads
+chordality (zero fill-in, Tarjan-Yannakakis 1984) and, on a chordal graph,
+the maximal cliques in visit order (Blair-Peyton 1993) off one pass.
 
 The one JSON codec for label families (complexes and ideals):
 ``Labelled._to_json`` writes ``p``, the sorted label sets of one mask field
@@ -164,48 +164,55 @@ def make_graph(p: int, edges: Iterable[Iterable], labels=None) -> Graph:
 
 
 class _Search(NamedTuple):
-    order: list[int]        # positions in visit order
-    rank: list[int]         # rank[v]: index of position v in order
-    earlier: list[int]      # earlier[v]: v's neighbours visited before v
+    chordal: bool
+    cliques: list[int]      # maximal cliques in visit order; [] if not chordal
 
 
-def _mcs(graph: Graph) -> _Search:
+def _mcs(p: int, adj: list[int], labels: tuple) -> _Search:
     """Maximum cardinality search: visit next the unvisited vertex with the
-    most visited neighbours, the lowest label on ties."""
-    adj = graph.adj
-    weight = [0] * graph.p
-    rank = [0] * graph.p
-    earlier = [0] * graph.p
-    unvisited = sorted(range(graph.p), key=graph.labels.__getitem__)
-    order = []
-    visited = 0
-    for r in range(graph.p):
-        v = max(unvisited, key=weight.__getitem__)   # first max: lowest label
-        unvisited.remove(v)
-        order.append(v)
-        rank[v] = r
-        earlier[v] = adj[v] & visited
+    most visited neighbours, the lowest label on ties.
+
+    The unvisited vertices sit in one mask per weight over their label
+    ranks, so the lowest bit of the top mask is the next vertex.  The graph
+    is chordal iff it has zero fill-in (Tarjan-Yannakakis 1984): each
+    vertex's earlier neighbours lie in the closed neighbourhood of its
+    parent, the latest visited of them.  If so, {v} plus its earlier
+    neighbours is a maximal clique exactly when v is last or the next
+    vertex has no more earlier neighbours than v (Blair-Peyton 1993), and
+    every maximal clique arises so once."""
+    by_rank = sorted(range(p), key=labels.__getitem__)
+    bit = [0] * p
+    for r, v in enumerate(by_rank):
+        bit[v] = 1 << r
+    buckets = [(1 << p) - 1] + [0] * p      # unvisited, by weight
+    weight = [0] * p
+    parent = [0] * p   # closed neighbourhood of the latest visited neighbour
+    cliques = []
+    visited = top = 0
+    clique, size = 0, -1
+    for _ in range(p):
+        while not buckets[top]:
+            top -= 1
+        low = buckets[top] & -buckets[top]
+        buckets[top] ^= low
+        v = by_rank[low.bit_length() - 1]
+        earlier = adj[v] & visited
+        if earlier & ~parent[v]:
+            return _Search(False, [])
+        if weight[v] <= size:
+            cliques.append(clique)
+        clique, size = earlier | 1 << v, weight[v]
         visited |= 1 << v
+        closed = adj[v] | 1 << v
         for w in _bits(adj[v] & ~visited):
-            weight[w] += 1
-    return _Search(order, rank, earlier)
-
-
-def _zero_fill_in(graph: Graph, search: _Search) -> bool:
-    """Tarjan-Yannakakis: the graph is chordal iff, for every vertex, its
-    earlier neighbours other than the latest one, its parent, are all
-    neighbours of that parent."""
-    for v in search.order:
-        earlier = search.earlier[v]
-        if earlier:
-            parent = max(_bits(earlier), key=search.rank.__getitem__)
-            if earlier & ~(1 << parent) & ~graph.adj[parent]:
-                return False
-    return True
-
-
-def is_chordal(graph: Graph) -> bool:
-    return _zero_fill_in(graph, _mcs(graph))
+            k = weight[w]
+            buckets[k] ^= bit[w]
+            buckets[k + 1] |= bit[w]
+            weight[w] = k + 1
+            parent[w] = closed
+        top += 1
+    cliques.append(clique)
+    return _Search(True, cliques)
 
 
 def _bits(mask: int):

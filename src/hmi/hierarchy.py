@@ -7,11 +7,11 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError, NotDecomposableError, _int, _ints
-from .graphs import (Labelled, _Search, _bits, _label_set_key, _mcs,
-                     _zero_fill_in, find_chordless_cycle)
+from .graphs import (Graph, Labelled, _Search, _adjacency, _label_set_key,
+                     _mcs, find_chordless_cycle)
 from .ideal import SquareFreeIdeal, complex_of
 from .simplicial import (SimplicialComplex, _antichain, _sort_key,
-                         minimal_transversals, one_skeleton)
+                         minimal_transversals)
 
 
 @dataclass(frozen=True)
@@ -52,16 +52,16 @@ def _nonflag_witness(S: SimplicialComplex,
     chordal 1-skeleton, if any.  S equals the flag complex of its skeleton
     iff there is none.
 
-    On a chordal graph every maximal clique is {v} plus the neighbours
-    visited before v in the MCS order.  Any clique-shaped minimal non-face
-    lies in one of them, C, which is then not a face; the minimal
-    non-faces inside C are the minimal transversals of {C & ~f : f facet}.
-    Only those cliques are searched."""
-    candidates = [1 << v | earlier for v, earlier in enumerate(search.earlier)]
+    The search emits the maximal cliques of the chordal skeleton.  Any
+    clique-shaped minimal non-face lies in one of them, C, which is then
+    not a face; the minimal non-faces inside C are the minimal transversals
+    of {C & ~f : f facet}.  Only those cliques are searched.  Every facet
+    is a clique, so a maximal clique inside a facet is that facet, and C
+    is a face exactly when it is a facet."""
+    facets = set(S.facets)
     found = []
-    for clique in _antichain(candidates):
-        if clique.bit_count() < 3 or any(clique & f == clique
-                                         for f in S.facets):
+    for clique in search.cliques:
+        if clique.bit_count() < 3 or clique in facets:
             continue
         found += minimal_transversals([clique & ~f for f in S.facets], S.p)
     if not found:
@@ -72,10 +72,10 @@ def _nonflag_witness(S: SimplicialComplex,
 def _witness(S: SimplicialComplex):
     """The decomposability witness of S and the one MCS pass over its
     1-skeleton that found it."""
-    skeleton = one_skeleton(S)
-    search = _mcs(skeleton)
-    if not _zero_fill_in(skeleton, search):
-        return find_chordless_cycle(skeleton), search
+    adj = _adjacency(S.p, S.facets)
+    search = _mcs(S.p, adj, S.labels)
+    if not search.chordal:
+        return find_chordless_cycle(Graph(S.p, tuple(adj), S.labels)), search
     return _nonflag_witness(S, search), search
 
 
@@ -98,8 +98,10 @@ def is_decomposable(S: SimplicialComplex) -> bool:
 
 def factorize(S: SimplicialComplex) -> Factorization:
     """Perfect ordering of the maximal cliques with separators, derived from
-    a maximum cardinality search with lowest-label tie-break: the cliques
-    go by the rank of their last-visited vertex."""
+    a maximum cardinality search with lowest-label tie-break: the facets
+    go in the order the search emits them as maximal cliques of the
+    skeleton, which is the visit order of their last-visited vertices.
+    The empty facet, the one facet of the empty complex, goes first."""
     witness, search = _witness(S)
     if witness is not None:
         kind = "chordless cycle" if isinstance(witness, list) \
@@ -107,10 +109,8 @@ def factorize(S: SimplicialComplex) -> Factorization:
         raise NotDecomposableError(
             f"complex is not decomposable ({kind}: {sorted(witness)})",
             witness=witness)
-    rank = search.rank
-    cliques = sorted(S.facets, key=lambda c: (
-        max((rank[v] for v in _bits(c)), default=-1),
-        sorted(S.vertices_of(c))))
+    index = {c: i for i, c in enumerate(search.cliques)}
+    cliques = sorted(S.facets, key=lambda c: index.get(c, -1))
     separators = []
     covered = 0
     for j, c in enumerate(cliques):

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError, _ints
-from .graphs import (Graph, Labelled, _adjacency, _bits, _from_json,
-                     _label_set_key, _levels, encode_all, is_chordal)
+from .graphs import (Labelled, _adjacency, _bits, _from_json,
+                     _label_set_key, _levels, _mcs, encode_all)
 from .partitions import _validate
 from .simplicial import (SimplicialComplex, minimal_nonface_masks,
                          minimal_transversals, _antichain, _complements)
@@ -94,7 +94,7 @@ def has_2linear_resolution(I: SquareFreeIdeal) -> bool:
     full = (1 << I.p) - 1
     adj = [full & ~(a | 1 << v)
            for v, a in enumerate(_adjacency(I.p, I.generators))]
-    return is_chordal(Graph(I.p, tuple(adj), I.labels))
+    return _mcs(I.p, adj, I.labels).chordal
 
 
 def recognize_ferrer(I: SquareFreeIdeal) -> FerrerShape | None:

@@ -5,8 +5,8 @@ masks over vertex positions; the complex itself is the downward closure of
 the facets.  Vertices carry labels, by default 1..p, so that marginal
 complexes can live on a sub-ring of variables without relabelling.  Labels
 go to and from masks through the one codec of ``graphs`` (``Labelled``);
-the 1-skeleton is a ``graphs.Graph`` of adjacency masks, on which
-decomposability runs one maximum cardinality search.  Minimal non-faces,
+the 1-skeleton is a ``graphs.Graph`` of adjacency masks; decomposability
+runs one maximum cardinality search on those masks.  Minimal non-faces,
 Alexander duals, flag complexes, the Stanley-Reisner map in both directions
 and the cut/path duality of networks all reduce to
 ``minimal_transversals``, one depth-first MMCS search (Murakami and Uno

@@ -6,19 +6,22 @@ import random
 import tracemalloc
 from itertools import combinations
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from hmi import (CIStatement, NotDecomposableError, make_complex, make_ideal,
                  is_decomposable, factorize, marginalize, ideal_marginalize,
-                 ci_to_generators, stanley_reisner)
-from hmi import graphs, hierarchy
+                 ci_to_generators, stanley_reisner, has_2linear_resolution,
+                 PointCloud, filtration)
+from hmi import graphs, hierarchy, ideal
 from hmi.errors import DomainError
 from hmi.hierarchy import decomposability_witness, format_factorization
 from hmi.ideal import format_generators
 
-from oracles import brute_chordal, brute_minimal_nonfaces
+from oracles import (brute_chordal, brute_maximal_cliques,
+                     brute_minimal_nonfaces)
 
 
 CHAIN = [[1, 2, 3], [2, 3, 4], [3, 4, 5]]
@@ -51,11 +54,11 @@ def test_one_mcs_pass_per_call(monkeypatch):
     calls = []
     real = graphs._mcs
 
-    def counting(graph):
-        calls.append(graph)
-        return real(graph)
+    def counting(p, adj, labels):
+        calls.append(p)
+        return real(p, adj, labels)
 
-    for module in (graphs, hierarchy):
+    for module in (graphs, hierarchy, ideal):
         monkeypatch.setattr(module, "_mcs", counting)
     for facets in (CHAIN, [[1, 2], [2, 3], [1, 3]],
                    [[1, 2], [2, 3], [3, 4], [1, 4]]):
@@ -68,6 +71,17 @@ def test_one_mcs_pass_per_call(monkeypatch):
             except NotDecomposableError:
                 pass
             assert len(calls) == 1
+    # a generator of degree 3 answers before any search
+    for gens, passes in (([[1, 3], [2, 4]], 1),
+                         ([[1, 3], [1, 4], [2, 4]], 1), ([[1, 2, 3]], 0)):
+        calls.clear()
+        has_2linear_resolution(make_ideal(4, gens))
+        assert len(calls) == passes
+    # the unit square's steps: four points, a 4-cycle, then the full simplex
+    cloud = PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    calls.clear()
+    steps = filtration(cloud, [0.4, 0.6, 0.75, 1.0])
+    assert len(calls) == len(steps) == 4
 
 
 def test_four_cycle_not_decomposable():
@@ -91,8 +105,25 @@ def test_hollow_triangle_not_decomposable():
 def test_filled_triangle_decomposable():
     assert is_decomposable(make_complex(3, [[1, 2, 3]]))
     assert is_decomposable(make_complex(3, [[1], [2], [3]]))
-    # only the empty face: one empty clique, no separators
+    # only the empty face: one empty clique, no separators; the empty facet
+    # is in no clique the search emits and goes first
     assert format_factorization(factorize(make_complex(3, [[]]))) == "f{}"
+    # the void complex: no facets, so no cliques and an empty line
+    void = factorize(make_complex(3, []))
+    assert void.cliques == void.separators == ()
+    assert format_factorization(void) == ""
+
+
+def test_factorize_refuses_an_order_without_running_intersection(
+        monkeypatch):
+    # the path 1-2-3-4 is decomposable, but its cliques in the order
+    # {1,2}, {3,4}, {2,3} give {2,3} a separator inside no earlier clique
+    S = make_complex(4, [[1, 2], [2, 3], [3, 4]])
+    cliques = [S.mask_of(c) for c in ([1, 2], [3, 4], [2, 3])]
+    monkeypatch.setattr(hierarchy, "_mcs",
+                        lambda p, adj, labels: graphs._Search(True, cliques))
+    with pytest.raises(AssertionError, match="running intersection"):
+        factorize(S)
 
 
 def test_separator_multiset_is_order_invariant():
@@ -282,6 +313,72 @@ def test_witness_is_first_clique_shaped_minimal_nonface(case):
         assert witness == clique_nonfaces[0]
     else:
         assert witness is None
+
+
+def _mcs_answer(p, edges, labels):
+    """Chordality and the emitted cliques, as label sets, of one MCS pass
+    over the graph with the given position edges (1..p) under labels."""
+    graph = graphs.make_graph(p, [[labels[u - 1], labels[v - 1]]
+                                  for u, v in edges], labels=labels)
+    search = graphs._mcs(p, list(graph.adj), graph.labels)
+    return search.chordal, [graph.vertices_of(c) for c in search.cliques]
+
+
+def _by_size(sets):
+    return sorted(sets, key=lambda c: (len(c), sorted(map(str, c))))
+
+
+def test_one_pass_mcs_on_every_small_graph():
+    # every graph with at most 5 vertices, under a shuffled integer
+    # labelling and under string labels: zero fill-in is chordality, and
+    # on a chordal graph each maximal clique is emitted exactly once
+    rng = random.Random(4031)
+    for p in range(1, 6):
+        pairs = list(combinations(range(1, p + 1), 2))
+        shuffled = rng.sample(range(1, p + 1), p)
+        names = [f"v{chr(ord('a') + i)}" for i in rng.sample(range(p), p)]
+        for picked in range(1 << len(pairs)):
+            edges = [e for j, e in enumerate(pairs) if picked >> j & 1]
+            chordal = brute_chordal(p, edges)
+            cliques = brute_maximal_cliques(p, edges)
+            for labels in (shuffled, names):
+                got, emitted = _mcs_answer(p, edges, labels)
+                assert got == chordal
+                if chordal:
+                    assert _by_size(emitted) == _by_size(
+                        frozenset(labels[v - 1] for v in c) for c in cliques)
+
+
+def test_one_pass_mcs_on_random_chordal_graphs():
+    # seeded random 2-trees and interval graphs on 6..12 vertices, and each
+    # with one added non-edge, against networkx as the oracle
+    rng = random.Random(1984)
+    for trial in range(300):
+        p = rng.randint(6, 12)
+        if trial % 2:
+            edges = {(1, 2)}
+            for v in range(3, p + 1):
+                a, b = rng.choice(sorted(edges))
+                edges |= {(a, v), (b, v)}
+        else:
+            spans = [sorted(rng.sample(range(3 * p), 2)) for _ in range(p)]
+            edges = {(u + 1, v + 1) for u, v in combinations(range(p), 2)
+                     if spans[u][0] <= spans[v][1]
+                     and spans[v][0] <= spans[u][1]}
+        labels = rng.sample(range(1, 100), p)
+        for extra in (False, True):
+            missing = [e for e in combinations(range(1, p + 1), 2)
+                       if e not in edges]
+            if extra and missing:
+                edges = edges | {rng.choice(missing)}
+            g = nx.Graph(list(edges))
+            g.add_nodes_from(range(1, p + 1))
+            got, emitted = _mcs_answer(p, sorted(edges), labels)
+            assert got == nx.is_chordal(g)
+            if got:
+                assert _by_size(emitted) == _by_size(
+                    frozenset(labels[v - 1] for v in c)
+                    for c in nx.find_cliques(g))
 
 
 def test_chordless_cycle_search_on_every_small_graph():
