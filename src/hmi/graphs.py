@@ -9,7 +9,8 @@ one adjacency mask per position, built by ``_adjacency`` from any family of
 masks, so ``encode_all`` refuses more than ``MAX_VERTICES`` vertices.  The
 one maximum cardinality search, ``_mcs``, runs on those masks and reads
 chordality (zero fill-in, Tarjan-Yannakakis 1984) and, on a chordal graph,
-the maximal cliques in visit order (Blair-Peyton 1993) off one pass.
+the maximal cliques in visit order with a clique tree (Blair-Peyton 1993)
+off one pass.
 
 The one JSON codec for label families (complexes and ideals):
 ``Labelled._to_json`` writes ``p``, the sorted label sets of one mask field
@@ -166,6 +167,8 @@ def make_graph(p: int, edges: Iterable[Iterable], labels=None) -> Graph:
 class _Search(NamedTuple):
     chordal: bool
     cliques: list[int]      # maximal cliques in visit order; [] if not chordal
+    separators: list[int]   # per clique, its vertices visited before it began
+    parents: list[int]      # per clique, an earlier one holding its separator
 
 
 def _mcs(p: int, adj: list[int], labels: tuple) -> _Search:
@@ -179,15 +182,24 @@ def _mcs(p: int, adj: list[int], labels: tuple) -> _Search:
     parent, the latest visited of them.  If so, {v} plus its earlier
     neighbours is a maximal clique exactly when v is last or the next
     vertex has no more earlier neighbours than v (Blair-Peyton 1993), and
-    every maximal clique arises so once."""
+    every maximal clique arises so once.
+
+    The cliques come with a clique tree (Blair-Peyton 1993, section 4).
+    A clique that starts at u is separated from the earlier ones by
+    earlier(u), and its parent is the clique that u's parent x first joined:
+    that clique holds x and earlier(x), so zero fill-in puts earlier(u)
+    inside it.  A clique that starts a component, the first one included,
+    has the empty separator, which any clique holds."""
     by_rank = sorted(range(p), key=labels.__getitem__)
     bit = [0] * p
     for r, v in enumerate(by_rank):
         bit[v] = 1 << r
     buckets = [(1 << p) - 1] + [0] * p      # unvisited, by weight
     weight = [0] * p
-    parent = [0] * p   # closed neighbourhood of the latest visited neighbour
-    cliques = []
+    parent = [0] * p        # the latest visited neighbour
+    closed = [0] * p        # per visited vertex, its closed neighbourhood
+    home = [0] * p          # per visited vertex, the first clique it joined
+    cliques, separators, parents = [], [0], [0]
     visited = top = 0
     clique, size = 0, -1
     for _ in range(p):
@@ -197,22 +209,26 @@ def _mcs(p: int, adj: list[int], labels: tuple) -> _Search:
         buckets[top] ^= low
         v = by_rank[low.bit_length() - 1]
         earlier = adj[v] & visited
-        if earlier & ~parent[v]:
-            return _Search(False, [])
+        x = parent[v]
+        if earlier & ~closed[x]:
+            return _Search(False, [], [], [])
         if weight[v] <= size:
             cliques.append(clique)
+            separators.append(earlier)
+            parents.append(home[x])
         clique, size = earlier | 1 << v, weight[v]
+        home[v] = len(cliques)
         visited |= 1 << v
-        closed = adj[v] | 1 << v
+        closed[v] = adj[v] | 1 << v
         for w in _bits(adj[v] & ~visited):
             k = weight[w]
             buckets[k] ^= bit[w]
             buckets[k + 1] |= bit[w]
             weight[w] = k + 1
-            parent[w] = closed
+            parent[w] = v
         top += 1
     cliques.append(clique)
-    return _Search(True, cliques)
+    return _Search(True, cliques, separators, parents)
 
 
 def _bits(mask: int):

@@ -10,7 +10,7 @@ from .errors import DomainError, NotDecomposableError, _int, _ints
 from .graphs import (Graph, Labelled, _Search, _adjacency, _label_set_key,
                      _mcs, find_chordless_cycle)
 from .ideal import SquareFreeIdeal, complex_of
-from .simplicial import (SimplicialComplex, _antichain, _sort_key,
+from .simplicial import (SimplicialComplex, _antichain, _mask_order,
                          minimal_transversals)
 
 
@@ -101,7 +101,13 @@ def factorize(S: SimplicialComplex) -> Factorization:
     a maximum cardinality search with lowest-label tie-break: the facets
     go in the order the search emits them as maximal cliques of the
     skeleton, which is the visit order of their last-visited vertices.
-    The empty facet, the one facet of the empty complex, goes first."""
+    The empty facet, the one facet of the empty complex, goes first.
+
+    The separators come from the search's clique tree: each clique's
+    vertices visited before it, which lie in its parent clique.  That
+    containment, the running intersection property, is checked with one
+    mask test per clique.  A clique the search emits that is no facet is
+    a vertex in no face; it meets no other clique and gets no factor."""
     witness, search = _witness(S)
     if witness is not None:
         kind = "chordless cycle" if isinstance(witness, list) \
@@ -109,18 +115,18 @@ def factorize(S: SimplicialComplex) -> Factorization:
         raise NotDecomposableError(
             f"complex is not decomposable ({kind}: {sorted(witness)})",
             witness=witness)
-    index = {c: i for i, c in enumerate(search.cliques)}
-    cliques = sorted(S.facets, key=lambda c: index.get(c, -1))
+    facets = set(S.facets)
+    cliques = [0] if 0 in facets else []
     separators = []
-    covered = 0
-    for j, c in enumerate(cliques):
-        if j:
-            sep = c & covered
-            if not any(sep & ~earlier == 0 for earlier in cliques[:j]):
-                raise AssertionError(
-                    "running intersection property violated")
+    for c, sep, parent in zip(search.cliques, search.separators,
+                              search.parents):
+        if c not in facets:
+            continue
+        if sep & ~search.cliques[parent]:
+            raise AssertionError("running intersection property violated")
+        if cliques:
             separators.append(sep)
-        covered |= c
+        cliques.append(c)
     return Factorization(tuple(map(S.vertices_of, cliques)),
                          tuple(map(S.vertices_of, separators)))
 
@@ -159,8 +165,7 @@ def ideal_marginalize(I: SquareFreeIdeal, J: Iterable[int]) -> SquareFreeIdeal:
     marginalize(complex_of(I), J)   # enforces the unique-maximal-clique rule
     mask = I.mask_of(J)
     labels, gens = _strip(I, mask, [g for g in I.generators if not g & mask])
-    return SquareFreeIdeal(len(labels), tuple(sorted(gens, key=_sort_key)),
-                           labels)
+    return SquareFreeIdeal(len(labels), tuple(_mask_order(gens)), labels)
 
 
 def ci_to_generators(stmt: CIStatement) -> list[tuple[int, ...]]:

@@ -67,7 +67,7 @@ import numpy as np
 from .errors import DomainError, _int, _ints, _nonnegative_real, _reals
 from .graphs import MAX_VERTICES
 from .hierarchy import is_decomposable
-from .simplicial import SimplicialComplex, _sort_key
+from .simplicial import SimplicialComplex, _mask_order
 
 #: slack on the ball-intersection test, stabilizes boundary cases
 FACE_TOLERANCE = 1e-9
@@ -388,10 +388,9 @@ def _threshold(p: int, births: dict, cover: dict, r: float
     the facets are those born by r with no one-vertex extension born by r.
     """
     limit = r + FACE_TOLERANCE
-    return SimplicialComplex(p, tuple(sorted(
-        (s for s, b in births.items()
-         if b <= limit and (s not in cover or cover[s] > limit)),
-        key=_sort_key)))
+    return SimplicialComplex(p, tuple(_mask_order(
+        s for s, b in births.items()
+        if b <= limit and (s not in cover or cover[s] > limit))))
 
 
 def nerve_complex(cloud: PointCloud, r, max_dim: int | None = None

@@ -42,20 +42,22 @@ class SimplicialComplex(Labelled):
         return (1 << self.p) - 1
 
 
-def _sort_key(mask: int):
-    return (mask.bit_count(), mask)
+def _mask_order(masks: Iterable[int]) -> list[int]:
+    """The masks in the one mask order, by size and then by value; the
+    stable sort by size keeps the value order, so both keys are builtins."""
+    return sorted(sorted(masks), key=int.bit_count)
 
 
 def _complements(p: int, masks: Iterable[int]) -> tuple[int, ...]:
     """The complements of the masks within positions 0..p-1, in
-    ``_sort_key`` order."""
+    ``_mask_order``."""
     full = (1 << p) - 1
-    return tuple(sorted((full & ~m for m in masks), key=_sort_key))
+    return tuple(_mask_order(full & ~m for m in masks))
 
 
 def _antichain(masks: Iterable[int], minimal=False) -> tuple[int, ...]:
     """The maximal masks, or the minimal ones with ``minimal``, in
-    ``_sort_key`` order.  Masks are visited largest first (smallest first
+    ``_mask_order``.  Masks are visited largest first (smallest first
     with ``minimal``) and kept unless they lie inside (contain) a kept
     one."""
     masks = sorted(set(masks), key=int.bit_count, reverse=not minimal)
@@ -64,7 +66,7 @@ def _antichain(masks: Iterable[int], minimal=False) -> tuple[int, ...]:
         if not (any(m & k == k for k in keep) if minimal
                 else any(m & k == m for k in keep)):
             keep.append(m)
-    return tuple(sorted(keep, key=_sort_key))
+    return tuple(_mask_order(keep))
 
 
 def minimal_transversals(edge_masks: Iterable[int], p: int) -> tuple[int, ...]:
@@ -76,7 +78,7 @@ def minimal_transversals(edge_masks: Iterable[int], p: int) -> tuple[int, ...]:
     ids, the edges it leaves uncovered and each chosen vertex's critical
     edges (those no other chosen vertex hits).  The set is minimal exactly
     when no critical mask is empty, so a step that empties one is pruned.
-    Edges are numbered in ``_sort_key`` order, so the search does not
+    Edges are numbered in ``_mask_order``, so the search does not
     depend on the order they are given in.
 
     An empty edge is refused before the search.  Every node keeps a
@@ -92,11 +94,13 @@ def minimal_transversals(edge_masks: Iterable[int], p: int) -> tuple[int, ...]:
     so none becomes forced.  A forced vertex keeps no critical mask: no
     other vertex of its forced edge can join below, so it never becomes
     redundant.  The node then branches on the first uncovered edge with the
-    fewest candidates: the first with two, else the first found by one
-    scan.  The i-th branch may still add the edge's first i - 1 vertices,
-    so every transversal is found exactly once.  Only one root-to-leaf path
-    is held, at most p deep."""
-    edges = sorted(set(edge_masks), key=_sort_key)
+    fewest candidates: the first with two, else the first with the fewest
+    of three or more.  A counting scan records that edge as it goes, and
+    it stays the right one unless the forced step covers it; only then, or
+    after a fold, one more scan looks for it.  The i-th branch may still
+    add the edge's first i - 1 vertices, so every transversal is found
+    exactly once.  Only one root-to-leaf path is held, at most p deep."""
+    edges = _mask_order(set(edge_masks))
     if not edges:
         return (0,)
     if not edges[0]:                    # an empty edge sorts first
@@ -113,10 +117,12 @@ def minimal_transversals(edge_masks: Iterable[int], p: int) -> tuple[int, ...]:
     out: list[int] = []
 
     def search(chosen, cand, uncov, crit):
-        # forced: the last candidates; two: the edges with two candidates
+        # forced: the last candidates; two: the edges with two candidates;
+        # first: the first edge with the fewest candidates, three or more,
+        # if the scan found it
         if uncov.bit_count() <= cand.bit_count():
-            forced = two = 0
-            rest = uncov
+            forced = two = first = 0
+            fewest, rest = p + 1, uncov
             while rest:
                 low = rest & -rest
                 rest ^= low
@@ -126,7 +132,10 @@ def minimal_transversals(edge_masks: Iterable[int], p: int) -> tuple[int, ...]:
                     two |= low
                 elif n == 1:
                     forced |= c
+                elif n < fewest:
+                    fewest, first = n, low
         else:
+            first = 0
             once = twice = more = 0
             rest = cand
             while rest:
@@ -163,9 +172,10 @@ def minimal_transversals(edge_masks: Iterable[int], p: int) -> tuple[int, ...]:
                 return
             crit = kept
             two &= uncov
+            first &= uncov              # the forced step may cover it
         if two:
             first = two & -two
-        else:                           # each uncovered edge has three or more
+        elif not first:                 # each uncovered edge has three or more
             fewest, rest = p + 1, uncov
             while rest:
                 low = rest & -rest
@@ -197,7 +207,7 @@ def minimal_transversals(edge_masks: Iterable[int], p: int) -> tuple[int, ...]:
             cand |= bit
 
     search(0, (1 << p) - 1, every, [])
-    return tuple(sorted(out, key=_sort_key))
+    return tuple(_mask_order(out))
 
 
 def make_complex(p: int, faces: Iterable[Iterable[int]],

@@ -308,6 +308,29 @@ def brute_meb_radius(points):
 
 
 # ---------------------------------------------------------------------------
+# exact linear algebra
+
+def fraction_inverse(matrix):
+    """The inverse of a non-singular square matrix, by Gauss-Jordan
+    elimination over Fractions; any non-zero pivot will do, since nothing
+    is rounded."""
+    n = len(matrix)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j))
+                                          for j in range(n)]
+            for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [x / lead for x in rows[col]]
+        for r in range(n):
+            factor = rows[r][col]
+            if r != col and factor:
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+# ---------------------------------------------------------------------------
 # Gaussian differential quantities in closed form
 
 def gaussian_log_derivative(mean, precision, alpha, point):

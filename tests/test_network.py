@@ -6,6 +6,7 @@ import pytest
 
 from hmi import (make_network, minimal_paths, minimal_cuts, cut_ideal,
                  path_ideal, verify_cut_path_duality)
+from hmi import ideal, network, simplicial
 from hmi.errors import DomainError
 from hmi.ideal import format_generators
 from hmi.network import network_from_json
@@ -18,6 +19,19 @@ def bridge():
     return make_network([1, 2, 3, 4],
                         [(1, 1, 2), (2, 2, 4), (3, 2, 3), (4, 1, 3),
                          (5, 3, 4)], 1, 4)
+
+
+def grid(rows, cols):
+    """The rows x cols grid between opposite corners, edges numbered along
+    the rows first, then down the columns."""
+    node = {(i, j): i * cols + j + 1 for i in range(rows) for j in range(cols)}
+    pairs = [((i, j), (i, j + 1)) for i in range(rows)
+             for j in range(cols - 1)]
+    pairs += [((i, j), (i + 1, j)) for i in range(rows - 1)
+              for j in range(cols)]
+    return make_network(node.values(), [(e + 1, node[a], node[b])
+                                        for e, (a, b) in enumerate(pairs)],
+                        1, rows * cols)
 
 
 def sets(family):
@@ -46,6 +60,50 @@ def test_bridge_complex_facets_golden():
 def test_bridge_duality():
     report = verify_cut_path_duality(bridge())
     assert report.all_pass
+
+
+def counted_searches(monkeypatch):
+    """The list that every minimal-transversal search appends to, by a
+    wrapper put in each module that calls the search."""
+    calls = []
+    real = simplicial.minimal_transversals
+
+    def counting(edge_masks, p):
+        out = real(edge_masks, p)
+        calls.append(len(out))
+        return out
+    for module in (simplicial, ideal, network):
+        monkeypatch.setattr(module, "minimal_transversals", counting)
+    return calls
+
+
+def test_duality_check_searches_each_family_once(monkeypatch):
+    # the cuts' and the paths' transversals, one search each: the duals'
+    # families are the paths and the cuts again, searched earlier in the
+    # same call; nothing is kept from one call to the next
+    calls = counted_searches(monkeypatch)
+    G = grid(3, 4)
+    assert (len(minimal_cuts(G)), len(minimal_paths(G))) == (81, 38)
+    for G in (bridge(), G, G):
+        calls.clear()
+        assert verify_cut_path_duality(G).all_pass
+        # the cuts' transversals are the paths, and the other way round
+        assert calls == [len(minimal_paths(G)), len(minimal_cuts(G))]
+
+
+def test_duality_check_sees_a_dropped_path(monkeypatch):
+    # with one minimal path missing, the family of the cut complex's dual
+    # is no longer one searched before, so it is searched afresh and the
+    # report fails instead of reading a remembered answer
+    calls = counted_searches(monkeypatch)
+    real = network.minimal_paths
+    monkeypatch.setattr(network, "minimal_paths", lambda G: real(G)[1:])
+    for G in (bridge(), grid(3, 4)):
+        calls.clear()
+        report = verify_cut_path_duality(G)
+        assert not report.all_pass
+        assert not report.cut_facets_are_path_complements
+        assert len(calls) == 3
 
 
 def test_series_network():

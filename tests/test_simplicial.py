@@ -14,10 +14,15 @@ from hmi.graphs import make_graph
 from hmi.ideal import complex_of, make_ideal, stanley_reisner
 from hmi.simplicial import (complex_to_json, complex_from_json,
                             minimal_nonface_masks, minimal_transversals,
-                            _antichain, _sort_key)
+                            _antichain, _mask_order)
 
 from oracles import (brute_maximal_cliques, brute_minimal_nonfaces,
                      brute_minimal_transversals)
+
+
+def size_then_value(mask):
+    """The mask order by its definition: by size, then by value."""
+    return mask.bit_count(), mask
 
 
 def all_complexes(p):
@@ -145,7 +150,7 @@ def test_flag_complex_facets_are_the_maximal_cliques():
             S = flag_complex(make_graph(p, edges))
             assert sorted(S.facet_sets(), key=lambda f: (len(f), sorted(f))) \
                 == brute_maximal_cliques(p, edges)
-            assert list(S.facets) == sorted(S.facets, key=_sort_key)
+            assert list(S.facets) == sorted(S.facets, key=size_then_value)
 
 
 def test_flag_complex_is_the_complex_of_the_non_edge_ideal():
@@ -160,7 +165,7 @@ def test_flag_complex_is_the_complex_of_the_non_edge_ideal():
             edges = [e for i, e in enumerate(pairs) if bits >> i & 1]
             S = flag_complex(make_graph(p, edges, labels=labels))
             assert S.labels == labels
-            assert list(S.facets) == sorted(S.facets, key=_sort_key)
+            assert list(S.facets) == sorted(S.facets, key=size_then_value)
             assert sorted(S.facet_sets(), key=lambda f: (len(f), sorted(f))) \
                 == brute_maximal_cliques(p, edges)
             I = stanley_reisner(S)
@@ -309,6 +314,30 @@ def test_search_work_does_not_depend_on_edge_order():
         assert counted(edges[::-1], 26) == want
 
 
+@pytest.mark.parametrize("p, n_facets, size, calls", [
+    (22, 30, 4, [(94, 162), (104, 194), (99, 177)]),
+    (26, 4, 15, [(45, 101), (51, 104), (59, 168)]),
+    (14, 26, 3, [(43, 75), (41, 63), (45, 74)]),
+    (9, 5, 3, [(8, 13), (6, 9), (6, 8)]),
+    (30, 40, 5, [(211, 486), (219, 478), (204, 453)])])
+def test_search_calls_on_benchmark_shapes(p, n_facets, size, calls):
+    # the benchmark's complex shapes, both Stanley-Reisner directions: the
+    # minimal non-faces, then the transversals of those, which complement
+    # the facets again.  The calls are those of the search that rescanned
+    # the edges for every branch edge of three or more candidates; reading
+    # that edge off the counting scan leaves them as they were
+    rng = random.Random(p * 100 + n_facets)
+    full = (1 << p) - 1
+    for want in calls:
+        S = make_complex(p, [rng.sample(range(1, p + 1), size)
+                             for _ in range(n_facets)])
+        nonfaces, there = counted([full & ~f for f in S.facets], p)
+        facets, back = counted(nonfaces, p)
+        assert (there, back) == want
+        assert facets == tuple(sorted((full & ~f for f in S.facets),
+                                      key=size_then_value))
+
+
 def test_forced_vertices_are_added_in_one_search_call():
     # every singleton's vertex is forced, and together they cover the
     # supersets, so the root node finds the one transversal without branching
@@ -366,9 +395,21 @@ def test_complemented_transversals_stay_sorted_antichains():
                              for _ in range(rng.randint(1, 12))])
         for facets in (complex_of(stanley_reisner(S)).facets,
                        alexander_dual(S).facets):
-            assert list(facets) == sorted(facets, key=_sort_key)
+            assert list(facets) == sorted(facets, key=size_then_value)
             assert facets == _antichain(facets)
         assert complex_of(stanley_reisner(S)) == S
+
+
+masks_64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
+
+
+@given(st.lists(masks_64, max_size=40).flatmap(
+    lambda masks: st.permutations(masks + masks[:len(masks) // 3])))
+@example([0, 0, 1 << 63, (1 << 64) - 1, 3, 5, 0])
+def test_mask_order_is_size_then_value(masks):
+    # repeated masks and 0 included; the order the library sorts every
+    # mask family into, with builtin keys only
+    assert _mask_order(masks) == sorted(masks, key=size_then_value)
 
 
 def test_antichain_keeps_maximal_or_minimal_masks():
@@ -381,5 +422,5 @@ def test_antichain_keeps_maximal_or_minimal_masks():
         for minimal in (False, True):
             want = sorted({m for m in masks if not any(
                 k != m and (k & m == (k if minimal else m))
-                for k in masks)}, key=_sort_key)
+                for k in masks)}, key=size_then_value)
             assert list(_antichain(masks, minimal=minimal)) == want
