@@ -141,14 +141,14 @@ def _stencil_table(n, every):
     differences over n axes: for the one class marking all of them or, with
     ``every``, for each nonzero binary pattern on them in lexicographic
     order.  Read-only, shared by every estimate; returns (signs, mask,
-    classes, stencils):
+    classes):
 
     - ``signs``: per class, its coarse rows (+-1 on its axes in ``product``
       order, 0 elsewhere) and then its fine rows (+-0.5), and last a zero
       row, the point xi itself; ``mask`` marks each row's axes;
     - ``classes``: per class, its axes, its weights (each sign row's
-      product), and the row spans of its coarse and its fine stencil;
-    - ``stencils``: every stencil's span, in row order, one batch each."""
+      product), and the row spans of its coarse and its fine stencil; the
+      classes' spans, in order, run through the rows in order."""
     patterns = [alpha for alpha in product((0, 1), repeat=n)
                 if any(alpha) and (every or all(alpha))]
     rows, classes = [], []
@@ -169,8 +169,7 @@ def _stencil_table(n, every):
     signs = np.array(rows + [[0.0] * n])
     mask = signs != 0.0
     signs.flags.writeable = mask.flags.writeable = False
-    return signs, mask, tuple(classes), tuple(
-        span for _, _, *spans in classes for span in spans)
+    return signs, mask, tuple(classes)
 
 
 def _central_differences(f: DensityOracle, xi, step_scale, classes,
@@ -195,7 +194,7 @@ def _central_differences(f: DensityOracle, xi, step_scale, classes,
     x = np.asarray(xi, dtype=float)
     axes = [i for i, marks in enumerate(zip(*classes)) if any(marks)]
     odd = sum(map(any, classes))
-    signs, mask, table, stencils = _stencil_table(len(axes), odd > 1)
+    signs, mask, table = _stencil_table(len(axes), odd > 1)
     step = [step_scale * max(1.0, abs(xi[i])) for i in axes]
     # +-h on a class's axes and -0.0 elsewhere: x + -0.0 is x bit for bit
     # (a -0.0 coordinate included), and no step off the class, even an
@@ -210,8 +209,9 @@ def _central_differences(f: DensityOracle, xi, step_scale, classes,
         pts[:, axes] += offsets
     with_xi = odd > 0 and not log
     vals = np.empty(len(pts) - 1 + with_xi)
-    for a, b in stencils:
-        vals[a:b] = _sample(f, pts[a:b])
+    for _, _, *stencils in table:
+        for a, b in stencils:
+            vals[a:b] = _sample(f, pts[a:b])
     if with_xi:
         vals[-1:] = _sample(f, pts[-1:])
     if len(vals):

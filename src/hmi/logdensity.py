@@ -174,7 +174,9 @@ def _polynomial(p: int, terms: Mapping[tuple, Fraction]) -> SparsePolynomial:
     return g
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<var>x\d+)|(?P<op>[-+*/^]))")
+# every non-blank character starts a token, so ``finditer`` skips blanks
+# only; one that starts no other token is ``bad``
+_TOKEN = re.compile(r"(?P<int>\d+)|(?P<var>x\d+)|(?P<op>[-+*/^])|(?P<bad>\S)")
 
 
 def parse_poly(text: str, p: int) -> SparsePolynomial:
@@ -188,17 +190,11 @@ def parse_poly(text: str, p: int) -> SparsePolynomial:
     Each term's coefficient is added to the sum for its exponent as it is
     read, and one polynomial is built from the sums at the end."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
-                raise PolynomialSyntaxError(
-                    f"unexpected character {text[bad]!r}", bad)
-            break
-        tokens.append((kind := m.lastgroup, m.group(kind), m.start(kind)))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "bad":
+            raise PolynomialSyntaxError(
+                f"unexpected character {m.group()!r}", m.start())
+        tokens.append((m.lastgroup, m.group(), m.start()))
     tokens.append((None, None, len(text)))          # end of text
     # an invalid p is reported before any error in the terms
     p = SparsePolynomial.zero(p).p

@@ -8,8 +8,7 @@ from typing import Iterable, Mapping
 from .errors import DomainError, _ints, _json_int
 from .graphs import _adjacency, _bits, _label_set_key, _levels
 from .ideal import SquareFreeIdeal, make_ideal
-from .simplicial import (SimplicialComplex, _antichain, _complements,
-                         minimal_transversals)
+from .simplicial import _antichain, minimal_transversals
 
 MAX_EDGES = 20
 
@@ -136,54 +135,48 @@ class DualityReport:
 
 
 def verify_cut_path_duality(G: Network) -> DualityReport:
-    """Checks the cut/path Alexander duality on a concrete network.
+    """Checks the cut/path blocker duality (Edmonds and Fulkerson 1970) on
+    a concrete network, as four identities between families of edge masks.
 
-    The cut complex and the path complex are the complexes of the cut and
-    path ideals (``ideal.complex_of``).  The four fields check:
+    Let b be the minimal transversals, C and P the cut and path ideals'
+    generators, and cuts and paths the masks of ``minimal_cuts`` and
+    ``minimal_paths`` as they come.  The cut complex (``ideal.complex_of``
+    of the cut ideal) has the complements of b(C) as facets, and its
+    Alexander dual the complements of b(b(C)); so, with the complements
+    cancelled on both sides, the four fields check:
 
-    - ``cut_facets_are_path_complements``: the cut complex's facets are
-      the complements of the minimal paths;
-    - ``path_facets_are_cut_complements``: the path complex's facets are
-      the complements of the minimal cuts;
-    - ``dual_of_cuts_is_paths``: the Alexander dual of the cut complex has
-      the path complex's facets;
-    - ``involution_holds``: the dual of that dual is the cut complex.
+    - ``cut_facets_are_path_complements``: b(C) = paths;
+    - ``path_facets_are_cut_complements``: b(P) = cuts;
+    - ``dual_of_cuts_is_paths``: b(b(C)) = b(P);
+    - ``involution_holds``: b(b(b(C))) = b(C).
 
-    Each complex's facets are the complements of the minimal transversals
-    of one family of edge masks: the cut or path ideal's generators, or
-    the complements of the facets of the complex being dualized.  When
-    the duality holds, the families searched for the two duals are the
-    paths and the cuts again (the blocker involution, Edmonds and
-    Fulkerson 1970), so one search per distinct family, kept for this
-    call only, does all four checks with two searches.  A family not
-    searched before in the call is searched afresh, so a fault in the
-    families or the search still shows in the report."""
-    all_edges = frozenset(range(1, G.p + 1))
-    full = (1 << G.p) - 1
-    searched: dict[frozenset, tuple[int, ...]] = {}
+    The first two state the duality from both sides.  They compare with the
+    families as enumerated, not with the generators, whose antichain would
+    drop a non-minimal path.  The last two run the transversal search on
+    its own output.  When the duality holds, the families searched there
+    are the paths and the cuts again, so one search per distinct family,
+    kept for this call only, does all four checks with two searches.  A
+    family not searched before in the call is searched afresh, so a fault
+    in the families or the search still shows in the report."""
+    searched: dict[frozenset, frozenset] = {}
 
-    def complex_of_family(masks) -> SimplicialComplex:
+    def b(masks) -> frozenset:
         family = frozenset(masks)
         if family not in searched:
-            searched[family] = minimal_transversals(family, G.p)
-        return SimplicialComplex(G.p, _complements(G.p, searched[family]))
-
-    def dual_of(S: SimplicialComplex) -> SimplicialComplex:
-        return complex_of_family(full & ~f for f in S.facets)
+            searched[family] = frozenset(minimal_transversals(family, G.p))
+        return searched[family]
 
     cuts, paths = minimal_cuts(G), minimal_paths(G)
-    cut_complex = complex_of_family(_edge_ideal(G, cuts).generators)
-    path_complex = complex_of_family(_edge_ideal(G, paths).generators)
-    cut_facets = set(cut_complex.facet_sets())
-    path_facets = set(path_complex.facet_sets())
-    path_complements = {all_edges - s for s in paths}
-    cut_complements = {all_edges - s for s in cuts}
-    dual = dual_of(cut_complex)
+    cut, path = _edge_ideal(G, cuts), _edge_ideal(G, paths)
+    b_cuts, b_paths = b(cut.generators), b(path.generators)
+    dual = b(b_cuts)
     return DualityReport(
-        cut_facets_are_path_complements=cut_facets == path_complements,
-        path_facets_are_cut_complements=path_facets == cut_complements,
-        dual_of_cuts_is_paths=set(dual.facet_sets()) == path_facets,
-        involution_holds=(dual_of(dual) == cut_complex),
+        cut_facets_are_path_complements=b_cuts == set(map(path.mask_of,
+                                                          paths)),
+        path_facets_are_cut_complements=b_paths == set(map(cut.mask_of,
+                                                           cuts)),
+        dual_of_cuts_is_paths=dual == b_paths,
+        involution_holds=b(dual) == b_cuts,
     )
 
 

@@ -262,6 +262,26 @@ def brute_minimal_transversals(p, edge_masks):
     return sorted(masks, key=lambda m: (bin(m).count("1"), m))
 
 
+def all_complexes(p):
+    """Every simplicial complex on vertices 1..p, as its facet list: an
+    antichain of frozensets, listed in (size, lexicographic) order.  The
+    void complex is ``[]`` and the empty complex ``[frozenset()]``.  Each
+    antichain is grown one subset at a time, in that order, by a subset
+    comparable with none chosen so far, so each is yielded exactly once
+    (Dedekind's number of them: 168 for p = 4, 7,581 for p = 5)."""
+    subsets = [frozenset(c) for size in range(p + 1)
+               for c in combinations(range(1, p + 1), size)]
+
+    def grow(start, chosen):
+        yield chosen
+        for i in range(start, len(subsets)):
+            s = subsets[i]
+            if not any(s <= f or f <= s for f in chosen):
+                yield from grow(i + 1, chosen + [s])
+
+    return grow(0, [])
+
+
 def brute_minimal_nonfaces(p, facet_sets):
     """Inclusion-minimal non-faces of the complex with the given facets
     (frozensets of labels 1..p), by subset enumeration."""

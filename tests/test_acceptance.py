@@ -29,8 +29,9 @@ from hmi.hierarchy import format_factorization
 from hmi.ideal import SquareFreeIdeal, format_generators
 from hmi.simplicial import SimplicialComplex
 
-from oracles import (bell, gaussian_moment_table, brute_chordal,
-                     brute_force_cliques, brute_minimal_nonfaces)
+from oracles import (all_complexes, bell, gaussian_moment_table,
+                     brute_chordal, brute_force_cliques,
+                     brute_minimal_nonfaces)
 
 
 def report(n, label):
@@ -73,19 +74,6 @@ def test_acceptance_1_golden_examples():
     dt = time.time() - t0
     assert dt < 1.0
     report(1, f"golden examples byte-exact ({dt:.2f}s)")
-
-
-def all_complexes(p):
-    subsets = [frozenset(c) for size in range(p + 1)
-               for c in combinations(range(1, p + 1), size)]
-    n = len(subsets)
-    for bits in range(1 << n):
-        family = {subsets[i] for i in range(n) if bits >> i & 1}
-        if family and frozenset() not in family:
-            continue
-        if any(f - {v} not in family for f in family for v in f):
-            continue
-        yield [f for f in family if not any(f < g for g in family)]
 
 
 def test_acceptance_2_duality_properties():

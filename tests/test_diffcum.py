@@ -552,7 +552,7 @@ def test_stencil_table_is_read_only_and_shared():
     after = _stencil_table.cache_info()
     assert after.currsize == before.currsize and after.hits > before.hits
     assert _stencil_table(3, True) is table
-    signs, mask, classes, _ = table
+    signs, mask, classes = table
     for array in (signs, mask, *(weights for _, weights, *_ in classes)):
         assert not array.flags.writeable
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Two-terminal networks: minimal paths and cuts, the cut/path ideals and
 their Alexander duality, on bridges, series and parallel compositions."""
 import random
+from dataclasses import astuple
 
 import pytest
 
@@ -92,18 +93,25 @@ def test_duality_check_searches_each_family_once(monkeypatch):
 
 
 def test_duality_check_sees_a_dropped_path(monkeypatch):
-    # with one minimal path missing, the family of the cut complex's dual
-    # is no longer one searched before, so it is searched afresh and the
-    # report fails instead of reading a remembered answer
+    # with one minimal cut or path missing, the family of the cut complex's
+    # dual is no longer one searched before, so it is searched afresh and
+    # the report fails instead of reading a remembered answer; a path
+    # through every edge is not minimal and leaves the path ideal as it
+    # is, so only the comparison with the enumerated paths sees it
     calls = counted_searches(monkeypatch)
-    real = network.minimal_paths
-    monkeypatch.setattr(network, "minimal_paths", lambda G: real(G)[1:])
-    for G in (bridge(), grid(3, 4)):
-        calls.clear()
-        report = verify_cut_path_duality(G)
-        assert not report.all_pass
-        assert not report.cut_facets_are_path_complements
-        assert len(calls) == 3
+    cuts, paths = network.minimal_cuts, network.minimal_paths
+    faults = [
+        (cuts, lambda G: paths(G)[1:], (False, False, False, True), 3),
+        (lambda G: cuts(G)[1:], paths, (False, False, False, True), 3),
+        (cuts, lambda G: paths(G) + [frozenset(range(1, G.p + 1))],
+         (False, True, True, True), 2)]
+    for cut_fault, path_fault, fields, searches in faults:
+        monkeypatch.setattr(network, "minimal_cuts", cut_fault)
+        monkeypatch.setattr(network, "minimal_paths", path_fault)
+        for G in (bridge(), grid(3, 4)):
+            calls.clear()
+            assert astuple(verify_cut_path_duality(G)) == fields
+            assert len(calls) == searches
 
 
 def test_series_network():

@@ -11,38 +11,19 @@ from hmi import (SimplicialComplex, make_complex, is_face, minimal_nonfaces,
                  alexander_dual, one_skeleton, flag_complex)
 from hmi.errors import DomainError
 from hmi.graphs import make_graph
+from hmi.hierarchy import is_decomposable
 from hmi.ideal import complex_of, make_ideal, stanley_reisner
 from hmi.simplicial import (complex_to_json, complex_from_json,
                             minimal_nonface_masks, minimal_transversals,
                             _antichain, _mask_order)
 
-from oracles import (brute_maximal_cliques, brute_minimal_nonfaces,
-                     brute_minimal_transversals)
+from oracles import (all_complexes, brute_chordal, brute_maximal_cliques,
+                     brute_minimal_nonfaces, brute_minimal_transversals)
 
 
 def size_then_value(mask):
     """The mask order by its definition: by size, then by value."""
     return mask.bit_count(), mask
-
-
-def all_complexes(p):
-    """Every simplicial complex on p vertices (downward-closed face
-    families including the empty face), yielded as facet lists."""
-    subsets = [frozenset(c) for size in range(p + 1)
-               for c in combinations(range(1, p + 1), size)]
-    index = {s: i for i, s in enumerate(subsets)}
-    n = len(subsets)
-    for bits in range(1 << n):
-        family = [subsets[i] for i in range(n) if bits >> i & 1]
-        fam = set(family)
-        if family and frozenset() not in fam:
-            continue
-        if any(frozenset(sub) not in fam
-               for f in family for v in f
-               for sub in [f - {v}]):
-            continue
-        facets = [f for f in family if not any(f < g for g in fam)]
-        yield facets
 
 
 def random_facets(rng, p):
@@ -89,6 +70,29 @@ def test_exhaustive_p4():
         check_involution(S)
         count += 1
     assert count == 168    # Dedekind number M(4): antichains on 4 points
+
+
+def test_exhaustive_p5():
+    # every complex on five vertices: both Stanley-Reisner directions, the
+    # dual involution, the minimal non-faces, and decomposability as a
+    # chordal 1-skeleton whose maximal cliques, on the vertices that lie in
+    # a face, are the facets
+    count = 0
+    for facets in all_complexes(5):
+        S = SimplicialComplex(5, tuple(sorted(
+            (sum(1 << (v - 1) for v in f) for f in facets),
+            key=size_then_value)))
+        if facets:                      # the void complex has no SR ideal
+            assert complex_of(stanley_reisner(S)) == S
+        check_nonfaces(5, S)
+        check_involution(S)
+        edges = {pair for f in facets for pair in combinations(sorted(f), 2)}
+        used = frozenset().union(*facets)
+        cliques = {c for c in brute_maximal_cliques(5, edges) if c <= used}
+        assert is_decomposable(S) == (brute_chordal(5, edges) and
+                                      cliques == {f for f in facets if f})
+        count += 1
+    assert count == 7581   # Dedekind number M(5)
 
 
 def test_randomized_p6():
