@@ -1,7 +1,7 @@
 """Single ``hmi`` executable exposing every operation over the documented
 file formats.  Text output is deterministic and golden-file friendly; JSON
-output is stable-key-ordered.  Exit codes: 0 success, 1 domain error,
-2 usage error."""
+output is stable-key-ordered.  Exit codes: 0 success, 1 domain error or
+out of memory, 2 usage error."""
 from __future__ import annotations
 
 import argparse
@@ -450,6 +450,9 @@ def main(argv=None):
         args.handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     return 0
 

@@ -9,8 +9,9 @@ one adjacency mask per position, built by ``_adjacency`` from any family of
 masks, so ``encode_all`` refuses more than ``MAX_VERTICES`` vertices.  The
 one maximum cardinality search, ``_mcs``, runs on those masks and reads
 chordality (zero fill-in, Tarjan-Yannakakis 1984) and, on a chordal graph,
-the maximal cliques in visit order with a clique tree (Blair-Peyton 1993)
-off one pass.
+the maximal cliques in visit order with a clique tree (Blair-Peyton 1993),
+one parent per clique, off one pass; ``hierarchy.factorize`` reads the
+separators off the cliques.
 
 The one JSON codec for label families (complexes and ideals):
 ``Labelled._to_json`` writes ``p``, the sorted label sets of one mask field
@@ -165,9 +166,10 @@ def make_graph(p: int, edges: Iterable[Iterable], labels=None) -> Graph:
 
 
 class _Search(NamedTuple):
+    """What one ``_mcs`` pass tells: chordality and, on a chordal graph, the
+    maximal cliques with a clique tree as one parent index per clique."""
     chordal: bool
     cliques: list[int]      # maximal cliques in visit order; [] if not chordal
-    separators: list[int]   # per clique, its vertices visited before it began
     parents: list[int]      # per clique, an earlier one holding its separator
 
 
@@ -179,17 +181,19 @@ def _mcs(p: int, adj: list[int], labels: tuple) -> _Search:
     ranks, so the lowest bit of the top mask is the next vertex.  The graph
     is chordal iff it has zero fill-in (Tarjan-Yannakakis 1984): each
     vertex's earlier neighbours lie in the closed neighbourhood of its
-    parent, the latest visited of them.  If so, {v} plus its earlier
-    neighbours is a maximal clique exactly when v is last or the next
-    vertex has no more earlier neighbours than v (Blair-Peyton 1993), and
-    every maximal clique arises so once.
+    parent, the latest visited of them, read off ``adj`` as it stands.  If
+    so, {v} plus its earlier neighbours is a maximal clique exactly when v
+    is last or the next vertex has no more earlier neighbours than v
+    (Blair-Peyton 1993), and every maximal clique arises so once.
 
-    The cliques come with a clique tree (Blair-Peyton 1993, section 4).
-    A clique that starts at u is separated from the earlier ones by
-    earlier(u), and its parent is the clique that u's parent x first joined:
-    that clique holds x and earlier(x), so zero fill-in puts earlier(u)
-    inside it.  A clique that starts a component, the first one included,
-    has the empty separator, which any clique holds."""
+    The cliques come with a clique tree (Blair-Peyton 1993, section 4),
+    kept as one parent per clique.  A clique that starts at u meets the
+    earlier ones in earlier(u), and its parent is the clique that u's
+    parent x first joined: that clique holds x and earlier(x), so zero
+    fill-in puts earlier(u) inside it.  A clique that starts a component,
+    the first one included, meets none of them, and any parent will do.
+    Per vertex the search keeps its weight, parent and first clique
+    (``home``), and nothing per clique but the clique and its parent."""
     by_rank = sorted(range(p), key=labels.__getitem__)
     bit = [0] * p
     for r, v in enumerate(by_rank):
@@ -197,9 +201,8 @@ def _mcs(p: int, adj: list[int], labels: tuple) -> _Search:
     buckets = [(1 << p) - 1] + [0] * p      # unvisited, by weight
     weight = [0] * p
     parent = [0] * p        # the latest visited neighbour
-    closed = [0] * p        # per visited vertex, its closed neighbourhood
     home = [0] * p          # per visited vertex, the first clique it joined
-    cliques, separators, parents = [], [0], [0]
+    cliques, parents = [], [0]
     visited = top = 0
     clique, size = 0, -1
     for _ in range(p):
@@ -210,16 +213,14 @@ def _mcs(p: int, adj: list[int], labels: tuple) -> _Search:
         v = by_rank[low.bit_length() - 1]
         earlier = adj[v] & visited
         x = parent[v]
-        if earlier & ~closed[x]:
-            return _Search(False, [], [], [])
+        if earlier & ~(adj[x] | 1 << x):
+            return _Search(False, [], [])
         if weight[v] <= size:
             cliques.append(clique)
-            separators.append(earlier)
             parents.append(home[x])
         clique, size = earlier | 1 << v, weight[v]
         home[v] = len(cliques)
         visited |= 1 << v
-        closed[v] = adj[v] | 1 << v
         for w in _bits(adj[v] & ~visited):
             k = weight[w]
             buckets[k] ^= bit[w]
@@ -228,7 +229,7 @@ def _mcs(p: int, adj: list[int], labels: tuple) -> _Search:
             parent[w] = v
         top += 1
     cliques.append(clique)
-    return _Search(True, cliques, separators, parents)
+    return _Search(True, cliques, parents)
 
 
 def _bits(mask: int):
@@ -241,17 +242,15 @@ def _bits(mask: int):
 def find_chordless_cycle(graph: Graph) -> list | None:
     """A chordless cycle of length >= 4 (as a label list), or None.
 
-    For every vertex v and non-adjacent pair x, y of its neighbours, a
+    For every vertex v and non-adjacent pair x < y of its neighbours, a
     shortest x-y path avoiding N[v] \\ {x, y} closes a chordless cycle
-    through v (shortest paths are induced)."""
+    through v (shortest paths are induced).  The pairs are walked on the
+    masks: x over N(v), then y over the neighbours of v above x that x
+    misses, each in increasing position."""
     adj = graph.adj
     for v in range(graph.p):
-        nbrs = list(_bits(adj[v]))
-        for a in range(len(nbrs)):
-            for b in range(a + 1, len(nbrs)):
-                x, y = nbrs[a], nbrs[b]
-                if adj[x] >> y & 1:
-                    continue
+        for x in _bits(adj[v]):
+            for y in _bits(adj[v] & ~adj[x] & -(2 << x)):
                 blocked = (adj[v] | (1 << v)) & ~(1 << x) & ~(1 << y)
                 path = _shortest_path(adj, x, y, blocked)
                 if path is not None:

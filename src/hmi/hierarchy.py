@@ -103,11 +103,12 @@ def factorize(S: SimplicialComplex) -> Factorization:
     skeleton, which is the visit order of their last-visited vertices.
     The empty facet, the one facet of the empty complex, goes first.
 
-    The separators come from the search's clique tree: each clique's
-    vertices visited before it, which lie in its parent clique.  That
-    containment, the running intersection property, is checked with one
-    mask test per clique.  A clique the search emits that is no facet is
-    a vertex in no face; it meets no other clique and gets no factor."""
+    Each separator is taken by its definition, the part of its clique
+    that the earlier cliques already cover.  The search's clique tree
+    names a parent clique for each, which must hold that part: the
+    running intersection property, checked with one mask test per clique.
+    A clique the search emits that is no facet is a vertex in no face; it
+    meets no other clique and gets no factor."""
     witness, search = _witness(S)
     if witness is not None:
         kind = "chordless cycle" if isinstance(witness, list) \
@@ -118,8 +119,10 @@ def factorize(S: SimplicialComplex) -> Factorization:
     facets = set(S.facets)
     cliques = [0] if 0 in facets else []
     separators = []
-    for c, sep, parent in zip(search.cliques, search.separators,
-                              search.parents):
+    covered = 0
+    for c, parent in zip(search.cliques, search.parents):
+        sep = c & covered
+        covered |= c
         if c not in facets:
             continue
         if sep & ~search.cliques[parent]:

@@ -3,9 +3,10 @@
 Everything here deliberately takes a different route from the library code:
 multiset partitions come from labelled set partitions, chordality from an
 exhaustive induced-cycle search, cliques and non-faces from subset
-enumeration, smallest enclosing balls from every small boundary subset, and
+enumeration, smallest enclosing balls from every small boundary subset,
 Gaussian moments from the Stein/Isserlis recursion in exact rational
-arithmetic.
+arithmetic, and differential moments and cumulants of the CLI's density
+families from exact log-density polynomials by Faa di Bruno.
 """
 from fractions import Fraction
 from functools import lru_cache
@@ -351,33 +352,72 @@ def fraction_inverse(matrix):
 
 
 # ---------------------------------------------------------------------------
-# Gaussian differential quantities in closed form
+# exact differential moments and cumulants of the CLI's density families
 
-def gaussian_log_derivative(mean, precision, alpha, point):
-    """D^alpha log f at a point for a Gaussian, binary |alpha| <= 2."""
-    import numpy as np
-    lam = np.asarray(precision, dtype=float)
-    d = np.asarray(point, dtype=float) - np.asarray(mean, dtype=float)
-    axes = [i for i, a in enumerate(alpha) if a]
-    if len(axes) == 1:
-        return float(-(lam @ d)[axes[0]])
-    if len(axes) == 2:
-        return float(-lam[axes[0], axes[1]])
-    raise ValueError("oracle covers |alpha| in {1, 2} only")
+def density_log_poly(obj):
+    """log f of a density JSON object, up to the normalising constant, as
+    {exponent tuple: Fraction}: -(x - mu)' Lambda (x - mu) / 2 for
+    ``gaussian``, the same with Lambda = diag(1 / variance) for
+    ``product``, and sum_s a_s x^s for ``mec``.  Every number is read as
+    ``Fraction(x)``, so a float counts as the binary value it holds."""
+    if obj["family"] == "mec":
+        return {tuple(int(ch) for ch in key): Fraction(a)
+                for key, a in obj["coeffs"].items()}
+    if obj["family"] == "product":
+        mean = [Fraction(m) for m in obj["means"]]
+        p = len(mean)
+        lam = [[1 / Fraction(v) if i == j else Fraction(0)
+                for j in range(p)] for i, v in enumerate(obj["variances"])]
+    else:
+        mean = [Fraction(m) for m in obj["mean"]]
+        p = len(mean)
+        lam = [[Fraction(x) for x in row] for row in obj["precision"]]
+    poly = {}
+
+    def add(axes, coeff):
+        exp = tuple(axes.count(i) for i in range(p))
+        poly[exp] = poly.get(exp, 0) + coeff
+
+    for i in range(p):
+        for j in range(p):
+            c = -lam[i][j] / 2          # c (x_i - mu_i)(x_j - mu_j)
+            add([i, j], c)
+            add([i], -c * mean[j])
+            add([j], -c * mean[i])
+            add([], c * mean[i] * mean[j])
+    return {exp: c for exp, c in poly.items() if c}
 
 
-def gaussian_derivative_ratio(mean, precision, alpha, point):
-    """D^alpha f / f at a point for a Gaussian, binary |alpha| <= 2."""
-    import numpy as np
-    lam = np.asarray(precision, dtype=float)
-    d = np.asarray(point, dtype=float) - np.asarray(mean, dtype=float)
-    score = -(lam @ d)
-    axes = [i for i, a in enumerate(alpha) if a]
-    if len(axes) == 0:
-        return 1.0
-    if len(axes) == 1:
-        return float(score[axes[0]])
-    if len(axes) == 2:
-        i, j = axes
-        return float(-lam[i, j] + score[i] * score[j])
-    raise ValueError("oracle covers |alpha| <= 2 only")
+def log_poly_derivative(poly, axes, point):
+    """D^B g at a point, exact, for a polynomial {exponent: coefficient}
+    and a set B of axes each differentiated once."""
+    point = [Fraction(x) for x in point]
+    total = Fraction(0)
+    for exp, coeff in poly.items():
+        term = coeff
+        for i, (e, x) in enumerate(zip(exp, point)):
+            term *= (e * x ** (e - 1) if e else 0) if i in axes else x ** e
+        total += term
+    return total
+
+
+def exact_derivative_ratio(poly, alpha, point):
+    """D^alpha f / f at a point for f = exp(g) and a binary alpha, by Faa di
+    Bruno: the sum over the set partitions of alpha's axes of the product
+    of D^B g over the blocks B."""
+    total = Fraction(0)
+    for part in set_partitions([i for i, a in enumerate(alpha) if a]):
+        term = Fraction(1)
+        for block in part:
+            term *= log_poly_derivative(poly, set(block), point)
+        total += term
+    return total
+
+
+def exact_differential_cumulant(poly, k, point):
+    """kappa^xi_k of f = exp(g) at the point xi: the set-partition sum over
+    the differential moments, each taken by its parity as
+    D^(nu mod 2) f / f."""
+    return cumulant_by_set_partitions(
+        k, lambda nu: exact_derivative_ratio(
+            poly, [v % 2 for v in nu], point))

@@ -2,6 +2,7 @@
 and deterministic reruns."""
 import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,9 @@ import pytest
 
 from hmi import network
 from hmi.cli import main
+
+from oracles import (density_log_poly, exact_derivative_ratio,
+                     exact_differential_cumulant)
 
 
 CHAIN = {"p": 5, "facets": [[1, 2, 3], [2, 3, 4], [3, 4, 5]]}
@@ -61,7 +65,7 @@ def test_dual_decompose_factorize_marginalize(files, capsys):
     cycle = files("cycle.json",
                   {"p": 4, "facets": [[1, 2], [2, 3], [3, 4], [1, 4]]})
     code, out, _ = run(capsys, ["decompose", "--complex", cycle])
-    assert code == 0 and out.startswith("not decomposable")
+    assert (code, out) == (0, "not decomposable (witness: [1, 2, 3, 4])\n")
     code, out, _ = run(capsys, ["factorize", "--complex", chain])
     assert out.strip() == "f{123} f{234} f{345} / f{23} f{34}"
     code, out, _ = run(capsys, ["marginalize", "--complex", chain,
@@ -251,6 +255,27 @@ def test_numeric_commands_reproduce_every_golden(cmd, capsys, tmp_path):
             assert got == (0, goldens[f"{cmd}|{fmt}|{i}"], ""), (fmt, i)
 
 
+@pytest.mark.parametrize("cmd", ["diff-moment", "diff-cumulant",
+                                 "limit-probe"])
+def test_numeric_commands_match_the_exact_oracle(cmd, capsys, tmp_path):
+    # every pool instance's value, or the limit probe's target kappa^xi_k,
+    # against the exact one from the density JSON in Fractions
+    for i in range(CLIJOBS.POOL):
+        files, args = CLIJOBS.instance(cmd, i)
+        xi = next(a for a in args if a.startswith("--xi="))[len("--xi="):]
+        xi = [float(x) for x in xi.split(",")]
+        k = [int(v) for v in args[args.index("--k") + 1].split(",")]
+        poly = density_log_poly(files["d.json"])
+        exact = float(exact_derivative_ratio(poly, [v % 2 for v in k], xi)
+                      if cmd == "diff-moment"
+                      else exact_differential_cumulant(poly, k, xi))
+        argv = CLIJOBS.write_instance(cmd, i, tmp_path)
+        code, out, _ = run(capsys, argv + ["--format", "json"])
+        got = json.loads(out)["target" if cmd == "limit-probe" else "value"]
+        assert code == 0
+        assert abs(got - exact) <= 1e-8 * max(1.0, abs(exact)), (i, got)
+
+
 def test_ci_generators_command(capsys):
     code, out, _ = run(capsys, ["ci-generators", "--p", "3", "--i", "1",
                                 "--j", "2", "--given", "3"])
@@ -434,6 +459,57 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+COMMANDS = ("sr", "complex-of", "dual", "decompose", "factorize",
+            "marginalize", "linear-resolution", "ferrer", "network-cuts",
+            "network-paths", "network-ideals", "network-duality", "nerve",
+            "partitions", "collapse", "cumulant-from-moments", "chain-rule",
+            "parse-poly", "check-model", "artinian", "gaussian-ideal", "mec",
+            "local-moment", "diff-moment", "diff-cumulant", "limit-probe",
+            "ci-generators")
+USAGE = ("usage: hmi [-h]\n           {" + ",".join(COMMANDS) + "}\n"
+         "           ...\n")
+HELP = (USAGE + "\nHierarchical models, differential cumulants and "
+        "square-free monomial ideals\n\npositional arguments:\n  {"
+        + ",".join(COMMANDS) + "}\n\noptions:\n"
+        "  -h, --help            show this help message and exit\n")
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["--help"], 0, HELP, ""),
+    ([], 2, "", USAGE + "hmi: error: the following arguments are required: "
+     "command\n"),
+    (["nosuch"], 2, "", USAGE + "hmi: error: argument command: invalid "
+     "choice: 'nosuch' (choose from "
+     + ", ".join(f"'{c}'" for c in COMMANDS) + ")\n")],
+    ids=["help", "no-command", "unknown-command"])
+def test_argparse_texts(argv, code, out, err, capsys, monkeypatch):
+    # what argparse prints at 80 columns, byte for byte, as recorded on
+    # Python 3.11; it wraps to the terminal width, which COLUMNS sets
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, *capsys.readouterr()) == (code, out, err)
+
+
+def test_out_of_memory_is_a_refusal():
+    # a polynomial on 10^10 variables needs a dense exponent list per term,
+    # which a 1 GiB address space cannot hold: exit 1 and one error line,
+    # as for a domain error.  Only ever run in a child under that limit
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    res = subprocess.run([sys.executable, "-m", "hmi.cli", "parse-poly",
+                          "--p", "10000000000", "--poly", "x1"],
+                         capture_output=True, text=True, env=env,
+                         preexec_fn=limit, timeout=120)
+    assert (res.returncode, res.stdout) == (1, "")
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stderr.startswith("error:")
 
 
 def test_repeated_calls_print_the_same_bytes(files, capsys):

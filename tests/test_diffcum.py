@@ -8,6 +8,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from hmi import (DensityOracle, CubeWindow, parity_alpha, r_factor,
@@ -22,12 +23,14 @@ from hmi.diffcum import _stencil_table
 from hmi.errors import DomainError
 from hmi.partitions import _cumulants
 
-from oracles import (gaussian_derivative_ratio, gaussian_log_derivative,
-                     cumulant_by_set_partitions)
+from oracles import (cumulant_by_set_partitions, density_log_poly,
+                     exact_derivative_ratio, exact_differential_cumulant)
 
 
 RHO = 0.5
 PREC = np.linalg.inv(np.array([[1.0, RHO], [RHO, 1.0]]))
+STD_LOG = density_log_poly({"family": "gaussian", "mean": [0.0, 0.0],
+                            "precision": PREC.tolist()})
 
 
 def std_pair():
@@ -90,7 +93,7 @@ BINARY = [(1, 0), (0, 1), (1, 1)]
 def test_differential_moment_matches_oracle(xi, k):
     f = std_pair()
     got = differential_moment(f, xi, k).value
-    want = gaussian_derivative_ratio((0, 0), PREC, k, xi)
+    want = float(exact_derivative_ratio(STD_LOG, k, xi))
     assert got == pytest.approx(want, abs=1e-6)
 
 
@@ -98,7 +101,7 @@ def test_differential_moment_matches_oracle(xi, k):
 @pytest.mark.parametrize("k", BINARY)
 def test_differential_cumulant_matches_log_oracle(xi, k):
     f = std_pair()
-    want = gaussian_log_derivative((0, 0), PREC, k, xi)
+    want = float(exact_differential_cumulant(STD_LOG, k, xi))
     part = differential_cumulant(f, xi, k, method="partition").value
     logd = differential_cumulant(f, xi, k, method="logderiv").value
     assert part == pytest.approx(want, abs=1e-6)
@@ -119,9 +122,69 @@ def test_differential_cumulant_20_is_one_minus_score_squared():
     # kappa^xi_(2,0) = m_(2,0) - m_(1,0)^2 with m_(2,0) -> 1 by parity
     f = std_pair()
     xi = (0.6, -0.4)
-    score = gaussian_derivative_ratio((0, 0), PREC, (1, 0), xi)
+    score = float(exact_derivative_ratio(STD_LOG, (1, 0), xi))
     got = differential_cumulant(f, xi, (2, 0), method="partition").value
     assert got == pytest.approx(1.0 - score ** 2, abs=1e-6)
+
+
+def _seeded_density(rng, family, p):
+    pick = rng.choice
+    if family == "gaussian":
+        lam = [[0.0] * p for _ in range(p)]
+        for i in range(p):
+            lam[i][i] = pick((1.5, 2.0, 3.25))
+            for j in range(i):
+                lam[i][j] = lam[j][i] = pick((-0.5, -0.3, 0.2, 0.7))
+        return {"family": family, "precision": lam,
+                "mean": [pick((-0.5, 0.0, 0.1, 1.25)) for _ in range(p)]}
+    if family == "product":
+        return {"family": family,
+                "means": [pick((-0.5, 0.0, 0.1, 1.25)) for _ in range(p)],
+                "variances": [pick((0.5, 1.0, 2.0, 3.0)) for _ in range(p)]}
+    return {"family": family, "p": p,
+            "coeffs": {"".join(map(str, s)): f"{rng.randint(-5, 5)}/"
+                       f"{rng.randint(1, 4)}"
+                       for s in product((0, 1), repeat=p) if any(s)}}
+
+
+def _sympy_log_density(obj, xs):
+    """log f up to its constant, from the JSON by sympy's own arithmetic;
+    ``sp.Rational`` reads a float as the binary value it holds."""
+    if obj["family"] == "mec":
+        return sum(sp.Rational(a) * sp.Mul(*(x for x, c in zip(xs, key)
+                                             if c == "1"))
+                   for key, a in obj["coeffs"].items())
+    if obj["family"] == "product":
+        return -sum((x - sp.Rational(m)) ** 2 / (2 * sp.Rational(v))
+                    for x, m, v in zip(xs, obj["means"], obj["variances"]))
+    d = sp.Matrix([x - sp.Rational(m) for x, m in zip(xs, obj["mean"])])
+    lam = sp.Matrix(obj["precision"]).applyfunc(sp.Rational)
+    return -(d.T * lam * d)[0] / 2
+
+
+@pytest.mark.parametrize("family", ["gaussian", "product", "mec"])
+def test_exact_oracle_matches_sympy(family):
+    # the CLI oracle's D^alpha f / f and kappa^xi_k against sympy's
+    # derivatives of exp(g) and of g, exact, on seeded densities of each
+    # family: at a binary k the cumulant is D^k log f
+    rng = random.Random(f"oracle/{family}")
+    for _ in range(3):
+        p = rng.randint(2, 3)
+        obj = _seeded_density(rng, family, p)
+        xs = sp.symbols(f"x1:{p + 1}")
+        g = _sympy_log_density(obj, xs)
+        poly = density_log_poly(obj)
+        xi = [rng.choice((-0.75, -0.5, 0.0, 0.25, 1.5)) for _ in range(p)]
+        at = dict(zip(xs, map(sp.Rational, xi)))
+        for alpha in product((0, 1), repeat=p):
+            f, log = sp.exp(g), g
+            for x in (x for x, a in zip(xs, alpha) if a):
+                f, log = f.diff(x), log.diff(x)
+            assert exact_derivative_ratio(poly, alpha, xi) == \
+                Fraction(str((f / sp.exp(g)).subs(at)))
+            if any(alpha):
+                assert exact_differential_cumulant(poly, alpha, xi) == \
+                    Fraction(str(log.subs(at)))
 
 
 def _dominant_precision(rng, p):

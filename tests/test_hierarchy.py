@@ -51,6 +51,15 @@ def test_labelled_factorization_golden():
     assert decomposability_witness(cycle) == [7, 1, 5, 9]
 
 
+def test_chordless_cycle_walks_each_vertex_pairs_upwards():
+    # K_{2,3}: the first vertex, 1, has the pairwise non-adjacent
+    # neighbours 3, 4, 5; its first pair (3, 4) is joined by 3-2-4, which
+    # closes the witness.  A walk that takes the partners y of x = 3
+    # downwards tries (3, 5) first and returns [3, 2, 5, 1]
+    k23 = make_complex(5, [[1, 3], [1, 4], [1, 5], [2, 3], [2, 4], [2, 5]])
+    assert decomposability_witness(k23) == [3, 2, 4, 1]
+
+
 def test_one_mcs_pass_per_call(monkeypatch):
     calls = []
     real = graphs._mcs
