@@ -46,23 +46,27 @@ class CIStatement:
             raise DomainError("I, J, K must partition {1..p}")
 
 
+def _nonface_cliques(S: SimplicialComplex, search: _Search) -> list[int]:
+    """The maximal cliques of the chordal 1-skeleton with three or more
+    vertices that are not faces of S.  Every facet is a clique, so a
+    maximal clique inside a facet is that facet, and such a clique is a
+    face exactly when it is a facet; a smaller maximal clique is a vertex
+    in no face or an edge, which lies in a facet and so is one.  S equals
+    the flag complex of its skeleton iff there is none: any clique-shaped
+    minimal non-face lies in one of them."""
+    facets = set(S.facets)
+    return [c for c in search.cliques
+            if c.bit_count() >= 3 and c not in facets]
+
+
 def _nonflag_witness(S: SimplicialComplex,
                      search: _Search) -> frozenset[int] | None:
     """The (len, sorted)-first minimal non-face that is a clique of the
-    chordal 1-skeleton, if any.  S equals the flag complex of its skeleton
-    iff there is none.
-
-    The search emits the maximal cliques of the chordal skeleton.  Any
-    clique-shaped minimal non-face lies in one of them, C, which is then
-    not a face; the minimal non-faces inside C are the minimal transversals
-    of {C & ~f : f facet}.  Only those cliques are searched.  Every facet
-    is a clique, so a maximal clique inside a facet is that facet, and C
-    is a face exactly when it is a facet."""
-    facets = set(S.facets)
+    chordal 1-skeleton, if any.  It lies in a non-face maximal clique C,
+    where the minimal non-faces are the minimal transversals of
+    {C & ~f : f facet}; only those cliques are searched."""
     found = []
-    for clique in search.cliques:
-        if clique.bit_count() < 3 or clique in facets:
-            continue
+    for clique in _nonface_cliques(S, search):
         found += minimal_transversals([clique & ~f for f in S.facets], S.p)
     if not found:
         return None
@@ -92,8 +96,12 @@ def decomposability_witness(S: SimplicialComplex):
 
 def is_decomposable(S: SimplicialComplex) -> bool:
     """True iff S is the clique complex of its 1-skeleton and the skeleton
-    is chordal."""
-    return decomposability_witness(S) is None
+    is chordal, decided from one maximum cardinality search alone: the
+    skeleton has zero fill-in, and every maximal clique of three or more
+    vertices is a facet.  No chordless cycle or non-flag face is built;
+    ``decomposability_witness`` builds one."""
+    search = _mcs(S.p, _adjacency(S.p, S.facets), S.labels)
+    return search.chordal and not _nonface_cliques(S, search)
 
 
 def factorize(S: SimplicialComplex) -> Factorization:

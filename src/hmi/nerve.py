@@ -13,8 +13,9 @@ recursion "enclosing radius within tolerance, and every facet present", so
 a whole filtration is one set of birth radii, thresholded at each step.
 Simplices are bit masks over point positions.
 
-The simplices grow level by level.  Each face carries its ball, its
-vertex list and the mask of the vertices above its highest one that are
+The simplices grow level by level.  Each face of at most d + 1 points (d
+the cloud's dimension) carries its ball, and every face its vertex list
+and the mask of the vertices above its highest one that are
 joined to all of its vertices in the 1-skeleton; a face grown by v gets its
 parent's list plus v and the parent's remaining mask cut to v's upward
 neighbours, so no face's bits are read again.  The edges come from one pass
@@ -27,12 +28,19 @@ radius is the larger of its centre's distances to the two points, so by
 the triangle inequality it is at least half their distance up to a few
 ulps of ``math.dist``, and such a pair is never born.
 
-Each simplex J inherits a ball or else solves one.  If a vertex w of J lies
-in the smallest enclosing ball of J minus w, that ball encloses J too and
-is its smallest one; vertices are tried in ascending order.  Otherwise no
-vertex lies in the ball of its opposite facet, so by Welzl's lemma every
-vertex lies on the boundary of J's smallest ball: that ball is J's
-circumball, one ``_circumball`` solve with no recursion.  Its boundary is
+A simplex of more than d + 1 points takes the largest birth of its
+facets as its own, with no ball tested, solved or kept: a smallest
+enclosing ball in R^d is fixed by at most d + 1 boundary points (Welzl
+1991), so some facet has the same enclosing radius and J's birth is the
+largest of its facets'.
+
+Each simplex J of at most d + 1 points inherits a ball or else solves one.
+If a vertex w of J lies in the smallest enclosing ball of J minus w, that
+ball encloses J too and is its smallest one; vertices are tried in
+ascending order.  Otherwise no vertex lies in the ball of its opposite
+facet, so by Welzl's lemma every vertex lies on the boundary of J's
+smallest ball: that ball is J's circumball, one ``_circumball`` solve
+with no recursion.  Its boundary is
 listed as Welzl's recursion over the face, with the newest vertex on the
 boundary, would list it in its last call, so a simplex that solves its own
 ball gets the radius that recursion would give, bit for bit.  A birth need
@@ -60,9 +68,10 @@ import random
 from dataclasses import dataclass
 from functools import cache
 from operator import mul, sub
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .errors import DomainError, _int, _ints, _nonnegative_real, _reals
 from .graphs import MAX_VERTICES
@@ -109,6 +118,7 @@ class PointCloud:
         return len(self.points[0])
 
     def array(self) -> np.ndarray:
+        import numpy as np
         return np.asarray(self.points, dtype=float)
 
 
@@ -246,6 +256,7 @@ def _welzl(points: Sequence[tuple], d: int):
 
 def smallest_enclosing_ball(pts) -> tuple[np.ndarray, float]:
     """Welzl's randomized incremental algorithm (deterministic shuffle)."""
+    import numpy as np
     rows = _rows(pts)
     center, radius = _welzl(rows, len(rows[0]))
     return np.array(center), float(radius)
@@ -266,9 +277,15 @@ def enclosing_radius(cloud: PointCloud, indices: Iterable[int]) -> float:
 
 def _radius(r) -> float:
     """A non-negative real number, or infinity; a finite one too large for
-    a float (an int such as 10**400) is refused."""
-    if np.ndim(r) != 0:
-        raise DomainError("equal radii only: r must be a scalar")
+    a float (an int such as 10**400) is refused, and so is anything with a
+    length but a string, however ragged: equal radii only."""
+    if not isinstance(r, (str, bytes)):
+        try:
+            len(r)
+        except TypeError:
+            pass
+        else:
+            raise DomainError("equal radii only: r must be a scalar")
     r = _nonnegative_real(r, "radius must be a non-negative number")
     try:
         return float(r)
@@ -310,10 +327,13 @@ def _births(cloud: PointCloud, r: float, max_dim: int) -> tuple[dict, dict]:
     Above the edges a face f grows only by the vertices above its highest
     one that are joined to every vertex of f in the nerve's 1-skeleton, so
     each candidate arises once; it is kept when all its facets were kept
-    and its birth is within tolerance of r.  Each kept face carries its
-    ball, its vertex list and its mask of common upward neighbours to the
-    next level: the child by v takes the list plus v and the mask of the
-    neighbours left after v, cut to v's own."""
+    and its birth is within tolerance of r.  A candidate of more than
+    d + 1 points is born with its facets' largest birth; one of at most
+    d + 1 points inherits a facet's ball or solves its circumball.  Each
+    kept face carries its ball (None above d + 1 points), its vertex list
+    and its mask of common upward neighbours to the next level: the child
+    by v takes the list plus v and the mask of the neighbours left after
+    v, cut to v's own."""
     pts = cloud.points
     limit = r + FACE_TOLERANCE
     far = limit * (1 + 1e-9)
@@ -358,20 +378,22 @@ def _births(cloud: PointCloud, r: float, max_dim: int) -> tuple[dict, dict]:
                 simplex, corners = f | low, verts + [v]
                 facets = [simplex ^ 1 << w for w in corners]
                 try:
-                    facet_birth = max(map(births.__getitem__, facets))
+                    birth = max(map(births.__getitem__, facets))
                 except KeyError:
                     continue            # a facet is not in the nerve
-                for w, g in zip(corners, facets):
-                    ball = level[g][0]
-                    if _inside(pts[w], ball):
-                        break
-                else:
-                    # every vertex lies on the boundary: the circumball, as
-                    # the last call of _welzl's recursion over f's points,
-                    # with v held on the boundary, would solve it
-                    ball = _circumball(
-                        (pts[v], *[pts[verts[i]] for i in picks]), d)
-                birth = max(ball[1], facet_birth)
+                ball = None
+                if size <= d + 1:
+                    for w, g in zip(corners, facets):
+                        ball = level[g][0]
+                        if _inside(pts[w], ball):
+                            break
+                    else:
+                        # every vertex lies on the boundary: the circumball,
+                        # as the last call of _welzl's recursion over f's
+                        # points, with v held on the boundary, would solve it
+                        ball = _circumball(
+                            (pts[v], *[pts[verts[i]] for i in picks]), d)
+                    birth = max(ball[1], birth)
                 if birth <= limit:
                     births[simplex] = birth
                     grown[simplex] = ball, corners, rest & up[v]

@@ -15,13 +15,13 @@ from hypothesis import given, strategies as st
 from hmi import (CIStatement, NotDecomposableError, make_complex, make_ideal,
                  is_decomposable, factorize, marginalize, ideal_marginalize,
                  ci_to_generators, stanley_reisner, has_2linear_resolution,
-                 PointCloud, filtration, flag_complex)
+                 PointCloud, SimplicialComplex, filtration, flag_complex)
 from hmi import graphs, hierarchy, ideal
 from hmi.errors import DomainError
 from hmi.hierarchy import decomposability_witness, format_factorization
 from hmi.ideal import format_generators
 
-from oracles import (brute_chordal, brute_maximal_cliques,
+from oracles import (all_complexes, brute_chordal, brute_maximal_cliques,
                      brute_minimal_nonfaces, fraction_inverse)
 
 
@@ -122,6 +122,49 @@ def test_filled_triangle_decomposable():
     void = factorize(make_complex(3, []))
     assert void.cliques == void.separators == ()
     assert format_factorization(void) == ""
+
+
+def _seeded_graphs(rng, count):
+    """Graphs on 6..10 vertices as edge lists: random ones of random
+    density, random 2-trees (chordal) and random trees."""
+    for trial in range(count):
+        p = rng.randint(6, 10)
+        if trial % 3 == 0:
+            density = rng.random()
+            edges = [e for e in combinations(range(1, p + 1), 2)
+                     if rng.random() < density]
+        elif trial % 3 == 1:
+            edges = [(1, 2)]
+            for v in range(3, p + 1):
+                a, b = rng.choice(edges)
+                edges += [(a, v), (b, v)]
+        else:
+            edges = [(rng.randint(1, v - 1), v) for v in range(2, p + 1)]
+        yield p, edges
+
+
+def test_is_decomposable_builds_no_witness(monkeypatch):
+    # the one search decides: zero fill-in, and every maximal clique of
+    # three or more vertices a facet; no chordless cycle is walked and no
+    # transversal searched, and the answer is the witness's absence on
+    # every complex on five vertices and on the flag and edge complexes of
+    # seeded graphs
+    complexes = [SimplicialComplex(5, tuple(sorted(
+        (sum(1 << (v - 1) for v in f) for f in facets),
+        key=lambda m: (m.bit_count(), m)))) for facets in all_complexes(5)]
+    rng = random.Random(3413)
+    for p, edges in _seeded_graphs(rng, 240):
+        complexes += [flag_complex(graphs.make_graph(p, edges)),
+                      make_complex(p, edges)]
+    expected = [decomposability_witness(S) is None for S in complexes]
+    assert len(complexes) == 7581 + 480
+    assert True in expected[7581:] and False in expected[7581:]
+
+    def refuse(*args):
+        raise AssertionError("is_decomposable built a witness")
+    monkeypatch.setattr(hierarchy, "minimal_transversals", refuse)
+    monkeypatch.setattr(hierarchy, "find_chordless_cycle", refuse)
+    assert [is_decomposable(S) for S in complexes] == expected
 
 
 def test_vertices_in_no_face_get_no_factor():

@@ -3,8 +3,8 @@ collinear filtration, nesting and edge-before-face ordering, the brute Čech
 comparison on random and lattice clouds, facets against the maximal born
 simplices, two- and three-point balls against the Gram elimination, Welzl's
 algorithm on 3,000 points, the ball-solve count in the plane and in space,
-far pairs never solved, and the births at a radius as those at infinity cut
-at it."""
+far pairs never solved, the births at a radius as those at infinity cut
+at it, and the births above d + 1 points as their facets' largest."""
 import math
 from collections import Counter
 from fractions import Fraction
@@ -330,6 +330,50 @@ def test_births_at_a_radius_are_the_infinite_ones_cut_at_it(max_dim):
                 [hexes(births, limit), hexes(cover, limit)]
 
 
+def test_births_above_d_plus_one_points_are_their_facets_largest(
+        monkeypatch):
+    # a smallest enclosing ball in R^d is fixed by at most d + 1 boundary
+    # points, so a simplex of more points takes its facets' largest birth:
+    # the levels up to d + 1 points make every ball test and solve, and
+    # each birth above them equals its facets' largest, hex for hex.  The
+    # last cloud, 1e-5 across at 1e3 from the origin, loses the ball tests
+    # to cancellation: a solve there used to give {1,3,5,7,8} the birth
+    # 0x1.c71d58c000000p-17, 3.4e-9 relative above its facets' largest
+    calls = Counter()
+    for name in ("_inside", "_circumball"):
+        def counted(*args, name=name, real=getattr(nerve, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(nerve, name, counted)
+    offset = PointCloud((
+        (820.638994822973, 727.242186867549, -640.9990178156238),
+        (820.6389750135291, 727.2421846735349, -640.9990296537803),
+        (820.6389812144292, 727.2421898767321, -640.9990045902472),
+        (820.6389899896608, 727.2421802243628, -640.9990257918491),
+        (820.6389823943282, 727.2421752231999, -640.9990246777736),
+        (820.6389827988078, 727.2421870864266, -640.9990043415589),
+        (820.6389676960271, 727.242186867549, -640.9990178156238),
+        (820.6389812595, 727.2421964583727, -640.9990082248),
+        (820.6389873162213, 727.2421779075319, -640.9990260011)))
+    rng = np.random.default_rng(89)
+    above = 0
+    for cloud in [*_clouds(rng, 60), offset]:
+        d = cloud.d
+        calls.clear()
+        nerve._births(cloud, math.inf, d)
+        up_to_d_plus_one = Counter(calls)
+        calls.clear()
+        births, _ = nerve._births(cloud, math.inf, nerve._max_dim(cloud, None))
+        assert calls == up_to_d_plus_one
+        for s, b in births.items():
+            if s.bit_count() > d + 1:
+                above += 1
+                assert b.hex() == max(births[s ^ 1 << v] for v in
+                                      range(cloud.p) if s >> v & 1).hex()
+    assert births[0b11010101].hex() == "0x1.c71d58a5fc09dp-17"
+    assert above > 1000
+
+
 def _hex_ball(ball):
     center, radius = ball
     return [x.hex() for x in center], radius.hex()
@@ -450,6 +494,11 @@ def test_nerve_validation():
     cloud = PointCloud(((0.0,), (1.0,)))
     with pytest.raises(DomainError, match="scalar"):
         nerve_complex(cloud, [0.1, 0.2])
+    # a ragged radius used to end in numpy's ValueError
+    with pytest.raises(DomainError, match="equal radii only"):
+        nerve_complex(cloud, [1, [2]])
+    with pytest.raises(DomainError, match="equal radii only"):
+        filtration(cloud, [0.5, [1, [2]]])
     with pytest.raises(DomainError):
         nerve_complex(cloud, -1.0)
     with pytest.raises(DomainError, match="strictly increasing"):
