@@ -13,10 +13,12 @@ this window; e.g. the second moment of a flat density over the window is
 eps^2/3.
 
 Every estimate is a ratio of density samples, so every sample must be
-positive: a zero, negative or nan value anywhere on a stencil or grid raises
-``DomainError`` (exit 1 at the command line).  Each batch's shape is checked
-as it comes (``_sample``), and all the samples of one estimate pass one
-positivity gate (``_positive``) before any of them is read.  A finite
+positive and finite: a zero, negative, infinite or nan value anywhere on a
+stencil or grid raises ``DomainError`` (exit 1 at the command line).  Each
+batch's shape is checked as it comes (``_sample``), and all the samples of
+one estimate pass one gate (``_positive``) before any of them is read; a
+density may overflow or divide by zero on the way, so its floating-point
+warnings are silenced once per estimate while it is sampled.  A finite
 difference estimate reads all its stencils off one cached geometry table
 (``_stencil_table``) but still sends each stencil as its own batch, and
 reads each stencil's sum with one BLAS dot (``ndarray.dot``, the kernel
@@ -130,9 +132,12 @@ def _sample(f: DensityOracle, pts) -> np.ndarray:
 
 def _positive(vals) -> None:
     """The one sample gate: every estimator here is a ratio of density
-    samples, so each one must be positive; ``min`` also catches a nan."""
+    samples, so each one must be positive and finite; ``min`` also catches
+    a nan."""
     if not vals.min() > 0:
         raise DomainError("non-positive density sample encountered")
+    if not vals.max() < math.inf:
+        raise DomainError("infinite density sample encountered")
 
 
 @cache
@@ -209,11 +214,12 @@ def _central_differences(f: DensityOracle, xi, step_scale, classes,
         pts[:, axes] += offsets
     with_xi = odd > 0 and not log
     vals = np.empty(len(pts) - 1 + with_xi)
-    for _, _, *stencils in table:
-        for a, b in stencils:
-            vals[a:b] = _sample(f, pts[a:b])
-    if with_xi:
-        vals[-1:] = _sample(f, pts[-1:])
+    with np.errstate(all="ignore"):
+        for _, _, *stencils in table:
+            for a, b in stencils:
+                vals[a:b] = _sample(f, pts[a:b])
+        if with_xi:
+            vals[-1:] = _sample(f, pts[-1:])
     if len(vals):
         _positive(vals)
     at_xi = float(vals[-1]) if with_xi else None
@@ -369,7 +375,8 @@ def _local_moments(f: DensityOracle, window: CubeWindow, k, nodes, method,
         meta = {"samples": mc_samples, "seed": seed}
     else:
         raise DomainError(f"unknown method {method!r}")
-    vals = _sample(f, np.asarray(center) + offsets)
+    with np.errstate(all="ignore"):
+        vals = _sample(f, np.asarray(center) + offsets)
     _positive(vals)
     denom = float(weights @ vals)
     powers = [[None, offsets[:, i]] + [offsets[:, i] ** e
@@ -522,8 +529,13 @@ def mec_density(coeffs, p: int) -> DensityOracle:
 
 def product_gaussian_density(means, variances) -> DensityOracle:
     """Product of independent univariate normals: the Gaussian with
-    diagonal precision 1 / variance."""
+    diagonal precision 1 / variance; a variance so small that its
+    reciprocal overflows is refused."""
     var = _floats(variances, "variances", positive=True)
     if not hasattr(means, "__len__") or len(means) != len(var):
         raise DomainError("means and variances must have the same length")
-    return gaussian_density(means, np.diag(1.0 / np.array(var)))
+    precision = [1.0 / v for v in var]
+    if math.inf in precision:
+        raise DomainError(f"variances {list(var)} have a reciprocal out of "
+                          "float range")
+    return gaussian_density(means, np.diag(precision))

@@ -7,11 +7,11 @@ label sets into bit masks over positions with ``encode_all`` and back with
 in ``_label_set_key`` order (size, then sorted labels).  A graph is
 one adjacency mask per position, built by ``_adjacency`` from any family of
 masks, so ``encode_all`` refuses more than ``MAX_VERTICES`` vertices.  The
-one maximum cardinality search, ``_mcs``, runs on those masks and reads
-chordality (zero fill-in, Tarjan-Yannakakis 1984) and, on a chordal graph,
-the maximal cliques in visit order with a clique tree (Blair-Peyton 1993),
-one parent per clique, off one pass; ``hierarchy.factorize`` reads the
-separators off the cliques.
+one maximum cardinality search, ``_mcs``, runs on those masks and returns
+the maximal cliques in visit order (Blair-Peyton 1993) from one pass, or
+None when zero fill-in fails (Tarjan-Yannakakis 1984): the graph is not
+chordal.  ``hierarchy.factorize`` reads the separators and the clique
+tree off the cliques.
 
 The one JSON codec for label families (complexes and ideals):
 ``Labelled._to_json`` writes ``p``, the sorted label sets of one mask field
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import DomainError, _int, _json_int
 
@@ -165,17 +165,10 @@ def make_graph(p: int, edges: Iterable[Iterable], labels=None) -> Graph:
     return Graph(p, tuple(_adjacency(p, masks)), labels)
 
 
-class _Search(NamedTuple):
-    """What one ``_mcs`` pass tells: chordality and, on a chordal graph, the
-    maximal cliques with a clique tree as one parent index per clique."""
-    chordal: bool
-    cliques: list[int]      # maximal cliques in visit order; [] if not chordal
-    parents: list[int]      # per clique, an earlier one holding its separator
-
-
-def _mcs(p: int, adj: list[int], labels: tuple) -> _Search:
+def _mcs(p: int, adj: list[int], labels: tuple) -> list[int] | None:
     """Maximum cardinality search: visit next the unvisited vertex with the
-    most visited neighbours, the lowest label on ties.
+    most visited neighbours, the lowest label on ties.  The maximal cliques
+    in visit order, or None if the graph is not chordal.
 
     The unvisited vertices sit in one mask per weight over their label
     ranks, so the lowest bit of the top mask is the next vertex.  The graph
@@ -184,16 +177,7 @@ def _mcs(p: int, adj: list[int], labels: tuple) -> _Search:
     parent, the latest visited of them, read off ``adj`` as it stands.  If
     so, {v} plus its earlier neighbours is a maximal clique exactly when v
     is last or the next vertex has no more earlier neighbours than v
-    (Blair-Peyton 1993), and every maximal clique arises so once.
-
-    The cliques come with a clique tree (Blair-Peyton 1993, section 4),
-    kept as one parent per clique.  A clique that starts at u meets the
-    earlier ones in earlier(u), and its parent is the clique that u's
-    parent x first joined: that clique holds x and earlier(x), so zero
-    fill-in puts earlier(u) inside it.  A clique that starts a component,
-    the first one included, meets none of them, and any parent will do.
-    Per vertex the search keeps its weight, parent and first clique
-    (``home``), and nothing per clique but the clique and its parent."""
+    (Blair-Peyton 1993), and every maximal clique arises so once."""
     by_rank = sorted(range(p), key=labels.__getitem__)
     bit = [0] * p
     for r, v in enumerate(by_rank):
@@ -201,8 +185,7 @@ def _mcs(p: int, adj: list[int], labels: tuple) -> _Search:
     buckets = [(1 << p) - 1] + [0] * p      # unvisited, by weight
     weight = [0] * p
     parent = [0] * p        # the latest visited neighbour
-    home = [0] * p          # per visited vertex, the first clique it joined
-    cliques, parents = [], [0]
+    cliques = []
     visited = top = 0
     clique, size = 0, -1
     for _ in range(p):
@@ -214,12 +197,10 @@ def _mcs(p: int, adj: list[int], labels: tuple) -> _Search:
         earlier = adj[v] & visited
         x = parent[v]
         if earlier & ~(adj[x] | 1 << x):
-            return _Search(False, [], [])
+            return None
         if weight[v] <= size:
             cliques.append(clique)
-            parents.append(home[x])
         clique, size = earlier | 1 << v, weight[v]
-        home[v] = len(cliques)
         visited |= 1 << v
         for w in _bits(adj[v] & ~visited):
             k = weight[w]
@@ -229,7 +210,7 @@ def _mcs(p: int, adj: list[int], labels: tuple) -> _Search:
             parent[w] = v
         top += 1
     cliques.append(clique)
-    return _Search(True, cliques, parents)
+    return cliques
 
 
 def _bits(mask: int):

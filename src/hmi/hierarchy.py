@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DomainError, NotDecomposableError, _int, _ints
-from .graphs import (Graph, Labelled, _Search, _adjacency, _label_set_key,
+from .graphs import (Graph, Labelled, _adjacency, _bits, _label_set_key,
                      _mcs, find_chordless_cycle)
 from .ideal import SquareFreeIdeal, complex_of
 from .simplicial import (SimplicialComplex, _antichain, _mask_order,
@@ -46,7 +46,7 @@ class CIStatement:
             raise DomainError("I, J, K must partition {1..p}")
 
 
-def _nonface_cliques(S: SimplicialComplex, search: _Search) -> list[int]:
+def _nonface_cliques(S: SimplicialComplex, cliques: list[int]) -> list[int]:
     """The maximal cliques of the chordal 1-skeleton with three or more
     vertices that are not faces of S.  Every facet is a clique, so a
     maximal clique inside a facet is that facet, and such a clique is a
@@ -55,18 +55,17 @@ def _nonface_cliques(S: SimplicialComplex, search: _Search) -> list[int]:
     the flag complex of its skeleton iff there is none: any clique-shaped
     minimal non-face lies in one of them."""
     facets = set(S.facets)
-    return [c for c in search.cliques
-            if c.bit_count() >= 3 and c not in facets]
+    return [c for c in cliques if c.bit_count() >= 3 and c not in facets]
 
 
 def _nonflag_witness(S: SimplicialComplex,
-                     search: _Search) -> frozenset[int] | None:
+                     cliques: list[int]) -> frozenset[int] | None:
     """The (len, sorted)-first minimal non-face that is a clique of the
     chordal 1-skeleton, if any.  It lies in a non-face maximal clique C,
     where the minimal non-faces are the minimal transversals of
     {C & ~f : f facet}; only those cliques are searched."""
     found = []
-    for clique in _nonface_cliques(S, search):
+    for clique in _nonface_cliques(S, cliques):
         found += minimal_transversals([clique & ~f for f in S.facets], S.p)
     if not found:
         return None
@@ -74,13 +73,14 @@ def _nonflag_witness(S: SimplicialComplex,
 
 
 def _witness(S: SimplicialComplex):
-    """The decomposability witness of S and the one MCS pass over its
-    1-skeleton that found it."""
+    """The decomposability witness of S and the maximal cliques of its
+    1-skeleton in the visit order of the one MCS pass that found it (None
+    if the skeleton is not chordal)."""
     adj = _adjacency(S.p, S.facets)
-    search = _mcs(S.p, adj, S.labels)
-    if not search.chordal:
-        return find_chordless_cycle(Graph(S.p, tuple(adj), S.labels)), search
-    return _nonflag_witness(S, search), search
+    cliques = _mcs(S.p, adj, S.labels)
+    if cliques is None:
+        return find_chordless_cycle(Graph(S.p, tuple(adj), S.labels)), None
+    return _nonflag_witness(S, cliques), cliques
 
 
 def decomposability_witness(S: SimplicialComplex):
@@ -100,8 +100,8 @@ def is_decomposable(S: SimplicialComplex) -> bool:
     skeleton has zero fill-in, and every maximal clique of three or more
     vertices is a facet.  No chordless cycle or non-flag face is built;
     ``decomposability_witness`` builds one."""
-    search = _mcs(S.p, _adjacency(S.p, S.facets), S.labels)
-    return search.chordal and not _nonface_cliques(S, search)
+    cliques = _mcs(S.p, _adjacency(S.p, S.facets), S.labels)
+    return cliques is not None and not _nonface_cliques(S, cliques)
 
 
 def factorize(S: SimplicialComplex) -> Factorization:
@@ -112,12 +112,16 @@ def factorize(S: SimplicialComplex) -> Factorization:
     The empty facet, the one facet of the empty complex, goes first.
 
     Each separator is taken by its definition, the part of its clique
-    that the earlier cliques already cover.  The search's clique tree
-    names a parent clique for each, which must hold that part: the
-    running intersection property, checked with one mask test per clique.
-    A clique the search emits that is no facet is a vertex in no face; it
-    meets no other clique and gets no factor."""
-    witness, search = _witness(S)
+    that the earlier cliques already cover, and the clique tree is read
+    off the cliques (Blair-Peyton 1993, section 4): the separator's parent
+    is the first clique of its latest visited vertex, which holds it by
+    zero fill-in.  First-clique indices never decrease along the visit
+    order, so that vertex has the largest of them in the separator.  The
+    parent must hold the separator: the running intersection property,
+    checked with one mask test per clique.  A clique the search emits that
+    is no facet is a vertex in no face; it meets no other clique and gets
+    no factor."""
+    witness, found = _witness(S)
     if witness is not None:
         kind = "chordless cycle" if isinstance(witness, list) \
             else "non-flag face"
@@ -127,13 +131,16 @@ def factorize(S: SimplicialComplex) -> Factorization:
     facets = set(S.facets)
     cliques = [0] if 0 in facets else []
     separators = []
+    first = [0] * S.p       # per covered vertex, the first clique it joined
     covered = 0
-    for c, parent in zip(search.cliques, search.parents):
+    for j, c in enumerate(found):
         sep = c & covered
+        for v in _bits(c & ~covered):
+            first[v] = j
         covered |= c
         if c not in facets:
             continue
-        if sep & ~search.cliques[parent]:
+        if sep and sep & ~found[max(first[v] for v in _bits(sep))]:
             raise AssertionError("running intersection property violated")
         if cliques:
             separators.append(sep)

@@ -94,7 +94,7 @@ def has_2linear_resolution(I: SquareFreeIdeal) -> bool:
     full = (1 << I.p) - 1
     adj = [full & ~(a | 1 << v)
            for v, a in enumerate(_adjacency(I.p, I.generators))]
-    return _mcs(I.p, adj, I.labels).chordal
+    return _mcs(I.p, adj, I.labels) is not None
 
 
 def recognize_ferrer(I: SquareFreeIdeal) -> FerrerShape | None:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hmi import network
+from hmi import network, partitions
 from hmi.cli import main
 
 from oracles import (density_log_poly, exact_derivative_ratio,
@@ -24,6 +24,8 @@ BRIDGE = {"nodes": [1, 2, 3, 4],
           "input": 1, "output": 4}
 GAUSS = {"family": "gaussian", "mean": [0.0, 0.0],
          "precision": [[4 / 3, -2 / 3], [-2 / 3, 4 / 3]]}
+# exp(800 x1) overflows on every stencil and grid near (1, 1)
+MEC_OVERFLOW = {"family": "mec", "p": 2, "coeffs": {"10": 800}}
 
 
 @pytest.fixture
@@ -402,6 +404,16 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
     (["limit-probe", "--density", "d.json", "--xi=0.1,0.2", "--k", "1,1",
       "--eps-seq", "0.4,0.2,0.1", "--nodes", "0"], json.dumps(GAUSS)),
     (["nerve", "--points", "pts.csv", "--radius", "0"], ""),
+    (["diff-moment", "--density", "d.json", "--xi=1,1", "--k", "1,0"],
+     json.dumps(MEC_OVERFLOW)),
+    (["diff-moment", "--density", "d.json", "--xi=1,1", "--k", "1,1"],
+     json.dumps(MEC_OVERFLOW)),
+    (["diff-cumulant", "--density", "d.json", "--xi=1,1", "--k", "1,0"],
+     json.dumps(MEC_OVERFLOW)),
+    (["local-moment", "--density", "d.json", "--xi=1,1", "--eps", "0.1",
+      "--k", "1,1"], json.dumps(MEC_OVERFLOW)),
+    (["diff-moment", "--density", "d.json", "--xi=0", "--k", "2"],
+     json.dumps({"family": "product", "means": [0], "variances": [1e-320]})),
 ], ids=["missing-points", "csv-cell", "filtration-list",
         "radius-and-filtration", "neither-radius-nor-filtration",
         "missing-poly", "strip-list", "ci-list", "given-list", "ci-huge-p",
@@ -421,7 +433,9 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
         "density-not-object", "density-unknown-family",
         "logderiv-empty-multiset", "logderiv-not-square-free",
         "limit-probe-scale-underflow", "mc-nodes-zero",
-        "limit-probe-nodes-zero", "nerve-empty-csv"])
+        "limit-probe-nodes-zero", "nerve-empty-csv", "mec-overflow-moment",
+        "mec-overflow-mixed-moment", "mec-overflow-cumulant",
+        "mec-overflow-local", "product-variance-subnormal"])
 def test_bad_input_exits_one_with_one_error_line(argv, text, capsys,
                                                  tmp_path):
     # missing files, non-numeric CSV cells, bad number lists, a CI
@@ -438,7 +452,9 @@ def test_bad_input_exits_one_with_one_error_line(argv, text, capsys,
     # not an object or names no known family, a log-derivative at a k that
     # is not square-free, a limit probe whose r(eps, k) underflows, a node
     # count of 0 (read under Monte Carlo too, where no grid is built), a
-    # points CSV with no points;
+    # points CSV with no points, an MEC density whose samples overflow to
+    # an infinity, a variance whose reciprocal overflows (numpy's warnings
+    # are errors here, so a warning before the error line fails too);
     # text goes to the first file named, or a tuple of texts to the files
     # in the order named
     files = [a for a in argv if a.endswith((".csv", ".txt", ".json"))]
@@ -510,6 +526,16 @@ def test_out_of_memory_is_a_refusal():
     assert (res.returncode, res.stdout) == (1, "")
     assert len(res.stderr.splitlines()) == 1
     assert res.stderr.startswith("error:")
+
+
+def test_out_of_memory_in_a_handler_is_one_error_line(capsys, monkeypatch):
+    # the same refusal in process: a library call that runs out of memory
+    def exhausted(partition):
+        raise MemoryError
+
+    monkeypatch.setattr(partitions, "collapse_number", exhausted)
+    assert run(capsys, ["collapse", "--partition", "1|1"]) == \
+        (1, "", "error: out of memory\n")
 
 
 def test_repeated_calls_print_the_same_bytes(files, capsys):

@@ -3,6 +3,7 @@ Gaussian oracles, scaling-factor goldens, and the convergence probe; the
 density builders against the exact specs they compile."""
 import math
 import random
+import warnings
 from fractions import Fraction
 from itertools import product
 
@@ -585,11 +586,11 @@ def test_estimates_equal_point_by_point_reference(f, xi, ks, log):
                                                       **options).value)
 
 
-@pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan])
+@pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan, np.inf])
 def test_bad_sample_in_last_fine_stencil_rejected(bad):
     # k = (1,1,1) reads seven classes: 14 stencils in table order, the
     # last one the fine stencil of the class (1,1,1), and then f(xi); the
-    # stencil's last point must still be gated
+    # stencil's last point must still be gated, an infinite one too
     base = gaussian_density((0.0,) * 3, np.eye(3) + 0.3)
     batches = []
 
@@ -600,7 +601,8 @@ def test_bad_sample_in_last_fine_stencil_rejected(bad):
             vals[-1] = bad
         return vals
 
-    with pytest.raises(DomainError, match="non-positive"):
+    match = "infinite" if bad == np.inf else "non-positive"
+    with pytest.raises(DomainError, match=match):
         differential_cumulant(DensityOracle(3, spoiled), (0.3, -0.2, 0.1),
                               (1, 1, 1))
     assert batches == [2, 2, 2, 2, 4, 4, 2, 2, 4, 4, 4, 4, 8, 8, 1]
@@ -821,6 +823,47 @@ def test_non_positive_density_rejected():
         for method in ("partition", "logderiv"):
             with pytest.raises(DomainError, match="non-positive"):
                 differential_cumulant(g, xi, (1,), method=method)
+
+
+def test_infinite_density_rejected():
+    # +inf passes a `> 0` test, and a ratio of infinities is nan: an
+    # all-inf density, one infinite point of a stencil (xi + h, h = 1e-3,
+    # f(xi) finite) and one infinite node of the grid are each refused by
+    # every estimator
+    everywhere = DensityOracle(1, lambda pts: np.full(len(pts), np.inf))
+    stencil = DensityOracle(1, lambda pts: np.where(
+        pts[:, 0] > 5e-4, np.inf, 1.0 + pts[:, 0]))
+    grid = DensityOracle(1, lambda pts: np.where(
+        pts[:, 0] == pts[:, 0].max(), np.inf, 1.0 + pts[:, 0]))
+    assert stencil(0.0) == 1.0
+    window = CubeWindow((0.0,), 0.5)
+    for f in (everywhere, stencil):
+        with pytest.raises(DomainError, match="infinite"):
+            differential_moment(f, (0.0,), (1,))
+        for method in ("partition", "logderiv"):
+            with pytest.raises(DomainError, match="infinite"):
+                differential_cumulant(f, (0.0,), (1,), method=method)
+    for f in (everywhere, grid):
+        for method in ("quadrature", "mc"):
+            with pytest.raises(DomainError, match="infinite"):
+                local_moment(f, window, (1,), method=method)
+            with pytest.raises(DomainError, match="infinite"):
+                local_cumulant(f, window, (2,), method=method)
+
+
+def test_overflow_is_refused_without_a_warning():
+    # exp(800 x1) overflows near (1, 1), and 1 / 1e-320 overflows: each is
+    # one DomainError, and numpy warns of neither on the way
+    mec = mec_density({(1, 0): 800}, 2)
+    window = CubeWindow((1.0, 1.0), 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="infinite"):
+            differential_cumulant(mec, (1.0, 1.0), (1, 0))
+        with pytest.raises(DomainError, match="infinite"):
+            local_cumulant(mec, window, (1, 1))
+        with pytest.raises(DomainError, match=r"variances \[1e-320\]"):
+            product_gaussian_density([0.0], [1e-320])
 
 
 # ---------------------------------------------------------------------------

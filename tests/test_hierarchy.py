@@ -185,23 +185,24 @@ def test_vertices_in_no_face_get_no_factor():
 def test_factorize_refuses_an_order_without_running_intersection(
         monkeypatch):
     # the path 1-2-3-4 is decomposable: its search emits {1,2}, {2,3},
-    # {3,4} with the separators {2}, {3} inside the parents {1,2}, {2,3}.
-    # A clique tree that hangs {3,4} under {1,2}, which misses its
-    # separator {3}, is refused by the one mask test of that clique
+    # {3,4}, and each separator, {2} then {3}, lies in the first clique
+    # of its latest joined vertex.  In the order {1,2}, {3,4}, {2,3} the
+    # separator {2,3} lies in no earlier clique; its latest joined vertex
+    # 3 first joined {3,4}, and the one mask test of {2,3} refuses it
     S = make_complex(4, [[1, 2], [2, 3], [3, 4]])
     real = graphs._mcs
 
-    def search(parents):
+    def search(order):
         def mcs(p, adj, labels):
             found = real(p, adj, labels)
-            assert found.parents == [0, 0, 1]
-            return found._replace(parents=parents)
+            assert found == [0b0011, 0b0110, 0b1100]
+            return [found[j] for j in order]
         return mcs
 
-    monkeypatch.setattr(hierarchy, "_mcs", search([0, 0, 1]))
+    monkeypatch.setattr(hierarchy, "_mcs", search([0, 1, 2]))
     assert format_factorization(factorize(S)) == \
         "f{12} f{23} f{34} / f{2} f{3}"
-    monkeypatch.setattr(hierarchy, "_mcs", search([0, 0, 0]))
+    monkeypatch.setattr(hierarchy, "_mcs", search([0, 2, 1]))
     with pytest.raises(AssertionError, match="running intersection"):
         factorize(S)
 
@@ -436,12 +437,26 @@ def test_witness_is_first_clique_shaped_minimal_nonface(case):
 
 
 def _mcs_answer(p, edges, labels):
-    """Chordality and the emitted cliques, as label sets, of one MCS pass
-    over the graph with the given position edges (1..p) under labels."""
+    """Chordality and the emitted cliques, as label sets in visit order, of
+    one MCS pass over the graph with the given position edges (1..p) under
+    labels."""
     graph = graphs.make_graph(p, [[labels[u - 1], labels[v - 1]]
                                   for u, v in edges], labels=labels)
-    search = graphs._mcs(p, list(graph.adj), graph.labels)
-    return search.chordal, [graph.vertices_of(c) for c in search.cliques]
+    cliques = graphs._mcs(p, list(graph.adj), graph.labels)
+    return cliques is not None, [graph.vertices_of(c) for c in cliques or ()]
+
+
+def _assert_clique_tree(emitted):
+    """Each emitted clique's separator, its part covered by the earlier
+    cliques, lies inside the first clique of its latest joined vertex: the
+    clique tree that factorize reads off the cliques."""
+    first = {}
+    for j, clique in enumerate(emitted):
+        sep = [v for v in clique if v in first]
+        if sep:
+            assert set(sep) <= emitted[max(first[v] for v in sep)]
+        for v in clique:
+            first.setdefault(v, j)
 
 
 def _by_size(sets):
@@ -451,7 +466,8 @@ def _by_size(sets):
 def test_one_pass_mcs_on_every_small_graph():
     # every graph with at most 5 vertices, under a shuffled integer
     # labelling and under string labels: zero fill-in is chordality, and
-    # on a chordal graph each maximal clique is emitted exactly once
+    # on a chordal graph each maximal clique is emitted exactly once, in an
+    # order whose clique tree factorize can read off
     rng = random.Random(4031)
     for p in range(1, 6):
         pairs = list(combinations(range(1, p + 1), 2))
@@ -467,11 +483,13 @@ def test_one_pass_mcs_on_every_small_graph():
                 if chordal:
                     assert _by_size(emitted) == _by_size(
                         frozenset(labels[v - 1] for v in c) for c in cliques)
+                    _assert_clique_tree(emitted)
 
 
 def test_one_pass_mcs_on_random_chordal_graphs():
     # seeded random 2-trees and interval graphs on 6..12 vertices, and each
-    # with one added non-edge, against networkx as the oracle
+    # with one added non-edge, against networkx as the oracle, with the
+    # clique tree read off the chordal ones' cliques
     rng = random.Random(1984)
     for trial in range(300):
         p = rng.randint(6, 12)
@@ -499,6 +517,7 @@ def test_one_pass_mcs_on_random_chordal_graphs():
                 assert _by_size(emitted) == _by_size(
                     frozenset(labels[v - 1] for v in c)
                     for c in nx.find_cliques(g))
+                _assert_clique_tree(emitted)
 
 
 def test_chordless_cycle_search_on_every_small_graph():
