@@ -15,16 +15,29 @@ eps^2/3.
 Every estimate is a ratio of density samples, so every sample must be
 positive and finite: a zero, negative, infinite or nan value anywhere on a
 stencil or grid raises ``DomainError`` (exit 1 at the command line).  Each
-batch's shape is checked as it comes (``_sample``), and all the samples of
-one estimate pass one gate (``_positive``) before any of them is read; a
-density may overflow or divide by zero on the way, so its floating-point
-warnings are silenced once per estimate while it is sampled.  A finite
-difference estimate reads all its stencils off one cached geometry table
-(``_stencil_table``) but still sends each stencil as its own batch, and
-reads each stencil's sum with one BLAS dot (``ndarray.dot``, the kernel
-``@`` calls too, at about half the dispatch cost).  A partition-sum or
-local cumulant runs the moment-cumulant transform on a schedule built once
-per k (``partitions._cumulants``).
+batch's shape is checked as it comes, and all the samples of one estimate
+pass one gate (``_positive``) before any of them is read; a density may
+overflow or divide by zero on the way, so its floating-point warnings are
+silenced once per estimate while it is sampled.  Finite samples can still
+have a difference or a sum out of float range: an ``EstimateReport`` whose
+value is not finite is refused too.
+
+Finite differences: everything an estimate reads that depends only on k
+and the method (the parity classes, their axes, the stencils' signs and
+mask, the batches, each class's weights and divisors, each nu's ratio) is
+one cached plan (``_plan``), as ``partitions._schedule`` is for the
+moment-cumulant transform.  A call builds its points, sends each stencil
+as its own batch, gates the samples, reads each stencil's sum with one
+BLAS dot (``ndarray.dot``, the kernel ``@`` calls too, at about half the
+dispatch cost) and runs the transform.
+
+Local moments: the quadrature window is a product grid, so its points are
+written once, as p contiguous columns centre_i + eps * t_a, and freed
+once sampled; each monomial x^nu is a broadcast product of the per-axis
+powers of the node vector eps * t.  Monte Carlo runs the same moment loop
+on its sampled offset columns.  A partition-sum or local cumulant runs
+the moment-cumulant transform on a schedule built once per k
+(``partitions._cumulants``).
 """
 from __future__ import annotations
 
@@ -33,13 +46,14 @@ import os
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DomainError, _floats, _int, _positive_int
 from .logdensity import GaussianSpec, MECSpec
-from .partitions import _cumulants, _validate, plus_norm
+from .partitions import (MAX_ENUMERATION_ORDER, _cumulants, _validate,
+                         plus_norm)
 
 DEFAULT_NODES = 16
 DEFAULT_STEP_SCALE = 1e-3
@@ -77,9 +91,18 @@ class CubeWindow:
 
 @dataclass(frozen=True)
 class EstimateReport:
+    """An estimate, the method that gave it and how.  A value that is not
+    finite is refused: samples can all be finite while a difference or a
+    sum of them leaves float range."""
     value: float
     method: str
     metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise DomainError(f"the {self.method} estimate is "
+                              f"{self.value!r}: the density's differences "
+                              "or sums leave float range")
 
 
 def parity_alpha(k: Sequence[int]) -> tuple[int, ...]:
@@ -121,11 +144,13 @@ def same_moment_class(u: Sequence[int], k: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 # density samples and finite differences
 
-def _sample(f: DensityOracle, pts) -> np.ndarray:
-    """f on the rows of pts, one value per row."""
-    vals = f.batch(pts)
-    if vals.shape != (len(pts),):
-        raise DomainError(f"density gave shape {vals.shape} for {len(pts)} "
+def _sample(fn, pts, shape) -> np.ndarray:
+    """A density's ``fn`` on the rows of pts, a float array, which must
+    give one value per row: ``DensityOracle.batch`` less its no-op
+    ``asarray`` of the points."""
+    vals = np.asarray(fn(pts), dtype=float)
+    if vals.shape != shape:
+        raise DomainError(f"density gave shape {vals.shape} for {shape[0]} "
                           "points")
     return vals
 
@@ -140,101 +165,156 @@ def _positive(vals) -> None:
         raise DomainError("infinite density sample encountered")
 
 
-@cache
-def _stencil_table(n, every):
-    """The geometry of the Richardson-extrapolated central tensor
-    differences over n axes: for the one class marking all of them or, with
-    ``every``, for each nonzero binary pattern on them in lexicographic
-    order.  Read-only, shared by every estimate; returns (signs, mask,
-    classes):
+class _Plan(NamedTuple):
+    """What a finite-difference estimate reads that depends only on k and
+    the method, built once (see ``_plan``); its arrays are read-only.
 
-    - ``signs``: per class, its coarse rows (+-1 on its axes in ``product``
-      order, 0 elsewhere) and then its fine rows (+-0.5), and last a zero
-      row, the point xi itself; ``mask`` marks each row's axes;
-    - ``classes``: per class, its axes, its weights (each sign row's
-      product), and the row spans of its coarse and its fine stencil; the
-      classes' spans, in order, run through the rows in order."""
-    patterns = [alpha for alpha in product((0, 1), repeat=n)
-                if any(alpha) and (every or all(alpha))]
-    rows, classes = [], []
+    - ``axes``: the axes the stencils move along;
+    - ``signs``: per parity class its coarse rows (+-1 on the class's axes
+      in ``product`` order, 0 elsewhere) and then its fine rows (+-0.5),
+      and last a zero row, the point xi itself; ``mask`` marks each row's
+      axes;
+    - ``batches``: per density batch, in the order sent, its row span and
+      the shape its samples must have; ``size`` counts the samples;
+    - ``classes``: per class its weights (each sign row's product), the
+      spans of its coarse and its fine stencil, and the index of its
+      divisor;
+    - ``products``: how to form the divisors prod(2 h_i) over each class's
+      axes left to right, as ``math.prod`` would: entry j - 1 is (parent,
+      position), and divisor j is divisor ``parent`` times the factor on
+      ``axes[position]``; divisor 0 is the empty product 1.0, and every
+      prefix of a class's axes has its own divisor;
+    - ``log``: read D^alpha log f rather than D^alpha f / f;
+    - ``slots``: for the partition sum, the index of each nonzero nu <= k
+      in the list of ratios, whose entry 0 is the zero class's 1."""
+    axes: tuple
+    signs: np.ndarray
+    mask: np.ndarray
+    batches: tuple
+    size: int
+    classes: tuple
+    products: tuple
+    log: bool
+    slots: dict
+
+
+@cache
+def _plan(key, method):
+    """The plan of ``method`` ("moment", "partition" or "logderiv") at
+    ``key``: the parity pattern of k for a moment, k itself otherwise.  A
+    moment or a log-derivative reads the one class marking all of key's
+    support; the partition sum reads every nonzero binary pattern on it in
+    ``product`` order, which puts the odd parity classes of the nu <= k in
+    the order the moment-cumulant transform first asks for them, and with
+    the zero class first, the rank of a pattern read as a binary number is
+    its slot.  Callers read it through ``_plan_of``."""
+    axes = tuple(i for i, v in enumerate(key) if v)
+    patterns = [alpha for alpha in product((0, 1), repeat=len(axes))
+                if any(alpha) and (method == "partition" or all(alpha))]
+    rows, classes, divisors, products = [], [], {(): 0}, []
     for alpha in patterns:
-        axes = [i for i, a in enumerate(alpha) if a]
-        coarse = np.array(list(product((1.0, -1.0), repeat=len(axes))))
+        pos = tuple(i for i, a in enumerate(alpha) if a)
+        for n in range(1, len(pos) + 1):
+            if pos[:n] not in divisors:
+                products.append((divisors[pos[:n - 1]], pos[n - 1]))
+                divisors[pos[:n]] = len(products)
+        coarse = np.array(list(product((1.0, -1.0), repeat=len(pos))))
         spans = []
         for scale in (1.0, 0.5):
-            spans.append((len(rows), len(rows) + len(coarse)))
+            spans.append(slice(len(rows), len(rows) + len(coarse)))
             for signs in coarse:
-                row = [0.0] * n
-                for i, s in zip(axes, signs):
+                row = [0.0] * len(axes)
+                for i, s in zip(pos, signs):
                     row[i] = scale * s
                 rows.append(row)
         weights = coarse.prod(axis=1)
         weights.flags.writeable = False
-        classes.append((axes, weights, *spans))
-    signs = np.array(rows + [[0.0] * n])
+        classes.append((weights, *spans, divisors[pos]))
+    signs = np.array(rows + [[0.0] * len(axes)])
     mask = signs != 0.0
     signs.flags.writeable = mask.flags.writeable = False
-    return signs, mask, tuple(classes)
+    log = method == "logderiv"
+    spans = [s for _, *stencils, _ in classes for s in stencils]
+    if classes and not log:     # f(xi) last, once
+        spans.append(slice(len(rows), len(rows) + 1))
+    batches = tuple((s, (s.stop - s.start,)) for s in spans)
+    slots = None
+    if method == "partition":
+        slots = {nu: int("".join(str(nu[i] % 2) for i in axes), 2)
+                 for nu in product(*(range(v + 1) for v in key))}
+    return _Plan(axes, signs, mask, batches,
+                 spans[-1].stop if spans else 0, tuple(classes),
+                 tuple(products), log, slots)
 
 
-def _central_differences(f: DensityOracle, xi, step_scale, classes,
-                         log=False) -> list[float]:
-    """D^alpha f / f (or D^alpha log f with ``log``) at xi for each binary
-    alpha in ``classes``: the central tensor difference over the axes alpha
-    marks, Richardson-extrapolated once, (4 D(h/2) - D(h)) / 3.
-    ``classes`` is one class, or the parity classes of every nu <= k in
-    ``product`` order, which puts the odd ones in the order the
-    moment-cumulant transform first asks for them.  The zero class is 1,
-    and a log-derivative never needs f(xi).
+def _plan_of(key, method):
+    """``_plan``, cached up to order ``MAX_ENUMERATION_ORDER`` as the
+    transform's schedule is (``partitions._cumulants``): a partition plan
+    holds one slot per nu <= k, and beyond that order it is built afresh
+    on each call."""
+    build = _plan if sum(key) <= MAX_ENUMERATION_ORDER else _plan.__wrapped__
+    return build(key, method)
 
-    Every stencil is read off one ``_stencil_table``: its offsets are the
-    table's signs times the steps, in one array operation, and all its
-    points are xi plus them, in one more.  Each stencil is still sent to
-    the density as its own batch, in the table's order, and f(xi) last:
-    a density may round differently by batch length (the Gaussian's
-    ``einsum`` does at p = 2), so merging batches would move the estimates
-    in the last digits.  That waits for numeric goldens that hold across
-    such rounding (see ROADMAP.md); then it is one call on this table.
-    All samples pass one gate before any difference is read."""
+
+def _central_differences(f: DensityOracle, xi, step_scale,
+                         plan: _Plan) -> list[float]:
+    """The ratios D^alpha f / f (or D^alpha log f with ``plan.log``) at xi
+    for the zero class, which is 1, and each of the plan's classes alpha:
+    the central tensor difference over the axes alpha marks,
+    Richardson-extrapolated once, (4 D(h/2) - D(h)) / 3.
+
+    Everything but the points comes from the plan: the points' offsets are
+    its signs times the steps, in one array operation, and the points are
+    xi plus them, in one more.  Each stencil is still sent to the density
+    as its own batch, in the plan's order, and f(xi) last (a
+    log-derivative never needs it): a density may round differently by
+    batch length (the Gaussian's ``einsum`` does at p = 2), so merging
+    batches would move the estimates in the last digits.  That waits for
+    numeric goldens that hold across such rounding (see ROADMAP.md); then
+    it is one call on this plan.  All samples pass one gate, under the one
+    ``errstate`` that silences the density's floating-point warnings,
+    before any difference is read.  Each stencil's sum is one BLAS dot
+    (``ndarray.dot``, the kernel ``@`` calls too, at about half the
+    dispatch cost)."""
+    if not plan.classes:
+        return [1.0]
     x = np.asarray(xi, dtype=float)
-    axes = [i for i, marks in enumerate(zip(*classes)) if any(marks)]
-    odd = sum(map(any, classes))
-    signs, mask, table = _stencil_table(len(axes), odd > 1)
-    step = [step_scale * max(1.0, abs(xi[i])) for i in axes]
+    step = [step_scale * max(1.0, abs(xi[i])) for i in plan.axes]
     # +-h on a class's axes and -0.0 elsewhere: x + -0.0 is x bit for bit
     # (a -0.0 coordinate included), and no step off the class, even an
     # infinite one, touches the stencil.  (+-0.5) * h is (+-h) * 0.5 bit
     # for bit, so the fine offsets are the coarse ones halved.
-    offsets = np.full(signs.shape, -0.0)
-    np.multiply(signs, step, out=offsets, where=mask)
-    if len(axes) == len(x):
+    offsets = np.empty(plan.signs.shape)
+    offsets.fill(-0.0)
+    np.multiply(plan.signs, step, out=offsets, where=plan.mask)
+    if len(plan.axes) == len(x):
         pts = x + offsets
-    else:   # off the table's axes every point is xi
+    else:   # off the plan's axes every point is xi
         pts = np.repeat(x[None, :], len(offsets), axis=0)
-        pts[:, axes] += offsets
-    with_xi = odd > 0 and not log
-    vals = np.empty(len(pts) - 1 + with_xi)
+        pts[:, plan.axes] += offsets
+    vals = np.empty(plan.size)
     with np.errstate(all="ignore"):
-        for _, _, *stencils in table:
-            for a, b in stencils:
-                vals[a:b] = _sample(f, pts[a:b])
-        if with_xi:
-            vals[-1:] = _sample(f, pts[-1:])
-    if len(vals):
+        for span, shape in plan.batches:
+            vals[span] = _sample(f.fn, pts[span], shape)
         _positive(vals)
-    at_xi = float(vals[-1]) if with_xi else None
-    if log:
+    if plan.log:
         vals = np.log(vals)
-    estimates = []
-    for class_axes, weights, (a, b), (c, d) in table:
-        h = [step[i] for i in class_axes]
-        est = float(weights.dot(vals[a:b])) / math.prod(2.0 * v for v in h)
-        fine = (float(weights.dot(vals[c:d]))
-                / math.prod(2.0 * (v / 2) for v in h))
-        est = (4.0 * fine - est) / 3.0
-        estimates.append(est if log else est / at_xi)
-    estimates = iter(estimates)
-    return [next(estimates) if any(alpha) else 1.0 for alpha in classes]
+    else:
+        at_xi = float(vals[-1])
+    two, half = [1.0], [1.0]
+    for parent, i in plan.products:
+        two.append(two[parent] * (2.0 * step[i]))
+        half.append(half[parent] * (2.0 * (step[i] / 2)))
+    if 0.0 in half:     # each is at most two's, so a zero shows here
+        raise DomainError(f"step_scale={step_scale!r}: a product of "
+                          "steps underflows to zero")
+    ratios = [1.0]
+    for weights, coarse, fine, d in plan.classes:
+        est = float(weights.dot(vals[coarse])) / two[d]
+        est_fine = float(weights.dot(vals[fine])) / half[d]
+        est = (4.0 * est_fine - est) / 3.0
+        ratios.append(est if plan.log else est / at_xi)
+    return ratios
 
 
 def _point_and_index(f: DensityOracle, xi, k, step_scale=None):
@@ -260,7 +340,8 @@ def differential_moment(f: DensityOracle, xi, k, *,
     ``step_scale=1e-2`` brings it under 1e-6 for small coefficients."""
     xi, k = _point_and_index(f, xi, k, step_scale)
     alpha = _parity(k)
-    (value,) = _central_differences(f, xi, step_scale, [alpha])
+    value = _central_differences(f, xi, step_scale,
+                                 _plan_of(alpha, "moment"))[-1]
     return EstimateReport(value, "finite-difference", {
         "k": k, "alpha": alpha, "xi": xi,
         "step_scale": step_scale, "richardson": True})
@@ -284,17 +365,17 @@ def differential_cumulant(f: DensityOracle, xi, k, *, method="partition",
     if method == "partition":
         # differential moments depend on nu only through its parity, and
         # the nu <= k take every parity on k's support
-        classes = list(product(*((0, 1) if v else (0,) for v in k)))
-        ratio = dict(zip(classes, _central_differences(
-            f, xi, step_scale, classes)))
-        value = _cumulants(k, lambda nu: ratio[_parity(nu)])
+        plan = _plan_of(k, method)
+        ratios = _central_differences(f, xi, step_scale, plan)
+        slots = plan.slots
+        value = _cumulants(k, lambda nu: ratios[slots[nu]])
         label = "partition-sum"
     elif method == "logderiv":
         if max(k) > 1:
             raise DomainError("the log-derivative needs a square-free k; "
                               "use method='partition'")
-        (value,) = _central_differences(f, xi, step_scale, [alpha],
-                                        log=True)
+        value = _central_differences(f, xi, step_scale,
+                                     _plan_of(k, method))[-1]
         label = "log-derivative"
     else:
         raise DomainError(f"unknown method {method!r}")
@@ -315,22 +396,14 @@ def _gauss_legendre(nodes):
     return t, w
 
 
-def _quadrature_grid(window: CubeWindow, nodes: int):
-    """The tensor Gauss-Legendre grid on the window, as offsets from its
-    centre, and the product weights, both in C order over the axes (the
-    last axis varies fastest).  Each offset column is built contiguous and
-    the (N, p) array is their transposed view, so reading a column copies
-    nothing; each weight is w_i0 * w_i1 * ... multiplied left to right."""
-    p = len(window.center)
-    t, w = _gauss_legendre(nodes)
-    offs = window.eps * t
-    columns = np.empty((p, nodes ** p))
-    for i in range(p):
-        columns[i] = np.tile(np.repeat(offs, nodes ** (p - 1 - i)), nodes ** i)
+def _tensor_weights(nodes, p):
+    """The tensor Gauss-Legendre weights of the (nodes,)*p grid, flat in C
+    order: each is w_i0 * w_i1 * ... multiplied left to right."""
+    _, w = _gauss_legendre(nodes)
     weights = w
     for _ in range(p - 1):
         weights = np.multiply.outer(weights, w)
-    return columns.T, weights.ravel()
+    return weights.ravel()
 
 
 def _local_moments(f: DensityOracle, window: CubeWindow, k, nodes, method,
@@ -340,12 +413,21 @@ def _local_moments(f: DensityOracle, window: CubeWindow, k, nodes, method,
     nu -> (w . (x^nu f)) / (w . f), x the offset from the centre, with the
     report's label and metadata.  ``nodes``, ``mc_samples`` and ``seed``
     are read whichever method runs, and for a ``cumulant`` an empty
-    multiset is refused, all before f is sampled.  x^nu is a product of
-    power-table entries x_i ** nu_i taken left to right over the nonzero
-    nu_i, the same float operations as a fresh monomial from ones: 1.0 * x
-    and x ** 1 are x bit for bit, so the table reads x_i ** 1 as the offset
-    column itself and holds each x_i ** e, 2 <= e <= k_i, once per
-    estimate."""
+    multiset is refused, all before f is sampled.
+
+    The quadrature grid is the product of p copies of the nodes eps * t,
+    in C order over the axes (the last varies fastest).  Its points are
+    written once, as the p contiguous columns centre_i + eps * t_a of one
+    F-order (N, p) array, which f reads; they are freed once f has been
+    sampled, and the weights are built only then.  The offsets are never
+    laid out on the grid: axis i's are the node vector eps * t shaped to
+    broadcast along axis i, and x^nu is the broadcast product of the
+    per-axis powers x_i ** nu_i, taken left to right over the nonzero
+    nu_i, which is the product of full offset columns bit for bit.  Monte
+    Carlo runs the same loop on its sampled offset columns.  The same float
+    operations as a fresh monomial from ones: 1.0 * x and x ** 1 are x bit
+    for bit, so the power table reads x_i ** 1 as the offsets themselves
+    and holds each x_i ** e, 2 <= e <= k_i, once per estimate."""
     center, k = _point_and_index(f, window.center, k)
     if cumulant and not any(k):
         raise DomainError("empty multiset")
@@ -355,12 +437,20 @@ def _local_moments(f: DensityOracle, window: CubeWindow, k, nodes, method,
         message = f"seed must be a non-negative integer, not {seed!r}"
         if (seed := _int(seed, message)) < 0:
             raise DomainError(message)
+    p = len(center)
     if method == "quadrature":
-        if len(center) > TENSOR_GRID_MAX_DIM:
+        if p > TENSOR_GRID_MAX_DIM:
             raise DomainError(
                 f"tensor quadrature supports p <= {TENSOR_GRID_MAX_DIM}; "
                 "use method='mc'")
-        offsets, weights = _quadrature_grid(window, nodes)
+        t, _ = _gauss_legendre(nodes)
+        offs = window.eps * t
+        pts = np.empty((nodes ** p, p), order="F")
+        for i, c in enumerate(center):
+            pts[:, i].reshape(nodes ** i, nodes, -1)[...] = (c + offs)[:, None]
+        axes = [offs.reshape([nodes if j == i else 1 for j in range(p)])
+                for i in range(p)]
+        shape = (nodes,) * p
         meta = {"nodes": nodes}
     elif method == "mc":
         if seed is None:
@@ -370,25 +460,35 @@ def _local_moments(f: DensityOracle, window: CubeWindow, k, nodes, method,
                                   f"not {text!r}")
             seed = int(text)
         offsets = np.random.default_rng(seed).uniform(
-            -window.eps, window.eps, size=(mc_samples, len(center)))
-        weights = np.ones(mc_samples)
+            -window.eps, window.eps, size=(mc_samples, p))
+        pts = np.asarray(center) + offsets
+        axes = list(offsets.T)
+        shape = (mc_samples,)
         meta = {"samples": mc_samples, "seed": seed}
     else:
         raise DomainError(f"unknown method {method!r}")
     with np.errstate(all="ignore"):
-        vals = _sample(f, np.asarray(center) + offsets)
-    _positive(vals)
-    denom = float(weights @ vals)
-    powers = [[None, offsets[:, i]] + [offsets[:, i] ** e
-                                       for e in range(2, v + 1)]
-              for i, v in enumerate(k)]
+        vals = _sample(f.fn, pts, (len(pts),))
+        del pts
+        _positive(vals)
+        weights = (_tensor_weights(nodes, p) if method == "quadrature"
+                   else np.ones(mc_samples))
+        denom = float(weights @ vals)
+    if not denom < math.inf:
+        raise DomainError("the density's mass on the window leaves float "
+                          "range")
+    grid = vals.reshape(shape)
+    powers = [[None, x] + [x ** e for e in range(2, v + 1)]
+              for x, v in zip(axes, k)]
 
     def moment(nu):
         mono = None
         for i, e in enumerate(nu):
             if e:
                 mono = powers[i][e] if mono is None else mono * powers[i][e]
-        return float(weights @ (vals if mono is None else mono * vals)) / denom
+        if mono is None:
+            return float(weights @ vals) / denom
+        return float(weights @ (mono * grid).ravel()) / denom
 
     meta.update({"k": k, "eps": window.eps, "center": center,
                  "method": method})
@@ -405,7 +505,9 @@ def local_moment(f: DensityOracle, window: CubeWindow, k, *,
     ``method="mc"`` runs there."""
     moment, label, meta = _local_moments(f, window, k, nodes, method,
                                          mc_samples, seed)
-    return EstimateReport(moment(meta["k"]), label, meta)
+    with np.errstate(all="ignore"):
+        value = moment(meta["k"])
+    return EstimateReport(value, label, meta)
 
 
 def local_cumulant(f: DensityOracle, window: CubeWindow, k, *,
@@ -415,7 +517,9 @@ def local_cumulant(f: DensityOracle, window: CubeWindow, k, *,
     all of them from one evaluation of f on the grid."""
     moment, label, meta = _local_moments(f, window, k, nodes, method,
                                          mc_samples, seed, cumulant=True)
-    return EstimateReport(_cumulants(meta["k"], moment), label, meta)
+    with np.errstate(all="ignore"):
+        value = _cumulants(meta["k"], moment)
+    return EstimateReport(value, label, meta)
 
 
 @dataclass(frozen=True)
@@ -436,7 +540,8 @@ def limit_matches_differential(f: DensityOracle, xi, k, eps_values, *,
     means monotone error decay over at least three levels with the final
     scaled value within 5% of the target.  ``nodes`` and every r(eps, k)
     are read before f is sampled, so a bad node count or an eps whose scale
-    leaves float range is refused first."""
+    leaves float range is refused first.  A scaled value, or its distance
+    to the target, that leaves float range is refused too."""
     xi, k = _point_and_index(f, xi, k)
     eps_values = _floats(eps_values, "eps values", positive=True)
     if len(eps_values) < 3 or any(b >= a for a, b in
@@ -450,6 +555,9 @@ def limit_matches_differential(f: DensityOracle, xi, k, eps_values, *,
         window = CubeWindow(xi, eps)
         kappa = local_cumulant(f, window, k, nodes=nodes).value
         scaled.append(kappa / scale)
+        if not math.isfinite(scaled[-1] - target):
+            raise DomainError("kappa^A_k / r(eps, k) or its distance to the "
+                              f"target leaves float range at eps={eps!r}")
     errors = tuple(abs(s - target) for s in scaled)
     atol = 1e-9 * max(1.0, abs(target))
     decaying = all(b < a or b < atol for a, b in zip(errors, errors[1:]))
@@ -475,6 +583,7 @@ def gaussian_density(mean, precision) -> DensityOracle:
     def fn(pts):
         diff = pts - mu
         quad = np.einsum("ni,ij,nj->n", diff, lam, diff)
+        del diff
         return np.exp(lognorm - 0.5 * quad)
 
     return DensityOracle(spec.p, fn)

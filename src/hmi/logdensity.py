@@ -1,6 +1,6 @@
 """Exact symbolic log-densities as sparse rational polynomials: parsing,
 differentiation, hierarchical verification, Artinian degree checks and the
-BEC/MEC/Gaussian families.
+MEC and Gaussian families.
 
 Log-densities are treated modulo additive constants; every mixed derivative
 of positive order kills the normalization anyway.

@@ -5,8 +5,9 @@ multiset partitions come from labelled set partitions, chordality from an
 exhaustive induced-cycle search, cliques and non-faces from subset
 enumeration, smallest enclosing balls from every small boundary subset,
 Gaussian moments from the Stein/Isserlis recursion in exact rational
-arithmetic, and differential moments and cumulants of the CLI's density
-families from exact log-density polynomials by Faa di Bruno.
+arithmetic, differential moments and cumulants of the CLI's density
+families from exact log-density polynomials by Faa di Bruno, and local
+moments from arrays laid out on the full quadrature grid.
 """
 from fractions import Fraction
 from functools import lru_cache
@@ -326,6 +327,54 @@ def brute_meb_radius(points):
             if np.linalg.norm(pts - center, axis=1).max() <= radius + 1e-12:
                 best = min(best, float(radius))
     return best
+
+
+# ---------------------------------------------------------------------------
+# local moments over the full grid
+
+def full_grid_moments(density, center, eps, nodes=None, samples=None,
+                      seed=None):
+    """The local moment function nu -> (w . (x^nu f)) / (w . f) with every
+    array laid out on the full grid, numpy only: the tensor Gauss-Legendre
+    offsets as p tiled columns in C order over the axes (the last varies
+    fastest) and their transposed (N, p) view, the density read once on
+    the F-layout points centre + offsets, each monomial the product of the
+    full offset columns x_i ** nu_i taken left to right over the nonzero
+    nu_i, and one ``weights @`` per moment.  With ``samples``, the seeded
+    uniform offsets ``default_rng(seed).uniform(-eps, eps, (samples, p))``
+    and unit weights take the grid's place.  ``density`` maps an (N, p)
+    array to N values."""
+    import numpy as np
+    p = len(center)
+    if samples is None:
+        t, w = np.polynomial.legendre.leggauss(nodes)
+        offs = eps * t
+        columns = np.empty((p, nodes ** p))
+        for i in range(p):
+            columns[i] = np.tile(np.repeat(offs, nodes ** (p - 1 - i)),
+                                 nodes ** i)
+        offsets = columns.T
+        weights = w
+        for _ in range(p - 1):
+            weights = np.multiply.outer(weights, w)
+        weights = weights.ravel()
+    else:
+        offsets = np.random.default_rng(seed).uniform(-eps, eps,
+                                                      size=(samples, p))
+        weights = np.ones(samples)
+    pts = np.asarray(center, dtype=float) + offsets
+    assert samples is not None or pts.flags.f_contiguous
+    vals = density(pts)
+    denom = float(weights @ vals)
+
+    def moment(nu):
+        mono = None
+        for i, e in enumerate(nu):
+            if e:
+                column = offsets[:, i] ** e
+                mono = column if mono is None else mono * column
+        return float(weights @ (vals if mono is None else mono * vals)) / denom
+    return moment
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ GAUSS = {"family": "gaussian", "mean": [0.0, 0.0],
          "precision": [[4 / 3, -2 / 3], [-2 / 3, 4 / 3]]}
 # exp(800 x1) overflows on every stencil and grid near (1, 1)
 MEC_OVERFLOW = {"family": "mec", "p": 2, "coeffs": {"10": 800}}
+MEC_705 = {"family": "mec", "p": 2, "coeffs": {"10": 705}}
 
 
 @pytest.fixture
@@ -414,6 +415,14 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
       "--k", "1,1"], json.dumps(MEC_OVERFLOW)),
     (["diff-moment", "--density", "d.json", "--xi=0", "--k", "2"],
      json.dumps({"family": "product", "means": [0], "variances": [1e-320]})),
+    (["diff-moment", "--density", "d.json", "--xi=1,1", "--k", "1,0"],
+     json.dumps(MEC_705)),
+    (["diff-cumulant", "--density", "d.json", "--xi=1,1", "--k", "1,0"],
+     json.dumps(MEC_705)),
+    (["local-moment", "--density", "d.json", "--xi=1.0066,1", "--eps",
+      "1e-5", "--k", "1,0"], json.dumps(MEC_705)),
+    (["limit-probe", "--density", "d.json", "--xi=1,1", "--k", "1,0",
+      "--eps-seq", "0.004,0.002,0.001"], json.dumps(MEC_705)),
 ], ids=["missing-points", "csv-cell", "filtration-list",
         "radius-and-filtration", "neither-radius-nor-filtration",
         "missing-poly", "strip-list", "ci-list", "given-list", "ci-huge-p",
@@ -435,7 +444,9 @@ def test_domain_errors_exit_one(files, capsys, tmp_path):
         "limit-probe-scale-underflow", "mc-nodes-zero",
         "limit-probe-nodes-zero", "nerve-empty-csv", "mec-overflow-moment",
         "mec-overflow-mixed-moment", "mec-overflow-cumulant",
-        "mec-overflow-local", "product-variance-subnormal"])
+        "mec-overflow-local", "product-variance-subnormal",
+        "mec-nan-moment", "mec-nan-cumulant", "mec-mass-overflow-local",
+        "mec-nan-limit-probe"])
 def test_bad_input_exits_one_with_one_error_line(argv, text, capsys,
                                                  tmp_path):
     # missing files, non-numeric CSV cells, bad number lists, a CI
@@ -453,7 +464,9 @@ def test_bad_input_exits_one_with_one_error_line(argv, text, capsys,
     # is not square-free, a limit probe whose r(eps, k) underflows, a node
     # count of 0 (read under Monte Carlo too, where no grid is built), a
     # points CSV with no points, an MEC density whose samples overflow to
-    # an infinity, a variance whose reciprocal overflows (numpy's warnings
+    # an infinity, a variance whose reciprocal overflows, an MEC density
+    # whose samples are finite but whose differences (a nan estimate, also
+    # as a limit probe's target) or window mass overflow (numpy's warnings
     # are errors here, so a warning before the error line fails too);
     # text goes to the first file named, or a tuple of texts to the files
     # in the order named

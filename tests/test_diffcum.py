@@ -3,6 +3,7 @@ Gaussian oracles, scaling-factor goldens, and the convergence probe; the
 density builders against the exact specs they compile."""
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import product
@@ -20,12 +21,14 @@ from hmi import (DensityOracle, CubeWindow, parity_alpha, r_factor,
                  gaussian_log_poly, mec_polynomial, mec_support_complex,
                  make_complex, stanley_reisner, differentiate,
                  is_hierarchical)
-from hmi.diffcum import _stencil_table
+from hmi import diffcum
+from hmi.diffcum import EstimateReport, _plan
 from hmi.errors import DomainError
-from hmi.partitions import _cumulants
+from hmi.partitions import MAX_ENUMERATION_ORDER, _cumulants
 
 from oracles import (cumulant_by_set_partitions, density_log_poly,
-                     exact_derivative_ratio, exact_differential_cumulant)
+                     exact_derivative_ratio, exact_differential_cumulant,
+                     full_grid_moments)
 
 
 RHO = 0.5
@@ -352,6 +355,63 @@ def test_local_moments_bit_identical_to_fresh_monomials(kind, options):
                         == _cumulants(k, moment))
 
 
+def grid_density(kind, p):
+    """A Gaussian, a product of normals or an MEC density on p axes."""
+    if kind == "product":
+        return product_gaussian_density((0.3, -0.2, 0.1, 0.0)[:p],
+                                        (0.8, 1.7, 0.5, 2.4)[:p])
+    return local_density(kind, p)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "product", "mec"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_local_estimates_equal_full_grid_reference(kind, p):
+    # the estimators lay no array out on the full grid but the points,
+    # which they free once sampled, and take each monomial as a broadcast
+    # product of per-axis powers; every estimate must still equal the full
+    # grid's, by ==, on seeded k with entries up to 3 and on k = (3,)*p
+    rng = random.Random(3600 + 10 * p + len(kind))
+    f = grid_density(kind, p)
+    w = CubeWindow((0.15, -0.25, 0.05, -0.1)[:p], 0.35)
+    for options in ({"nodes": 4}, {"nodes": 8}, {"nodes": 16},
+                    {"method": "mc", "mc_samples": 2000, "seed": 17}):
+        reference = full_grid_moments(
+            f.batch, w.center, w.eps, nodes=options.get("nodes"),
+            samples=options.get("mc_samples"), seed=options.get("seed"))
+        ks = [tuple(rng.randint(0, 3) for _ in range(p)) for _ in range(3)]
+        for k in ks + [(3,) * p]:
+            assert local_moment(f, w, k, **options).value == reference(k)
+            if any(k):
+                assert (local_cumulant(f, w, k, **options).value
+                        == _cumulants(k, reference))
+
+
+@pytest.mark.parametrize("kind, bound_mib", [("gaussian", 5.0),
+                                             ("mec", 4.0)])
+def test_local_cumulant_holds_one_point_array(kind, bound_mib):
+    # at p = 4 and 16 nodes one (N, p) array of points is 2 MiB: the grid's
+    # points are held once and freed once sampled, and the weights are
+    # built only then, so the traced peak stays under 5 MiB for the
+    # Gaussian (whose centred copy of the points is one more such array)
+    # and under 4 MiB for the MEC density; a full grid of offsets held
+    # beside the points read 8 and 6 MiB
+    f = local_density(kind, 4)
+    w = CubeWindow((0.1, -0.2, 0.3, -0.15), 0.4)
+    local_cumulant(f, w, (1, 1, 1, 1), nodes=16)   # caches warm
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        local_cumulant(f, w, (1, 1, 1, 1), nodes=16)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= bound_mib * 2 ** 20
+
+
 def test_local_cumulant_refuses_empty_multiset_before_any_sample():
     # the refusal comes before the 65,536 grid points are sampled; the
     # local moment at k = 0 is m_0 = 1 and still samples the grid
@@ -608,20 +668,45 @@ def test_bad_sample_in_last_fine_stencil_rejected(bad):
     assert batches == [2, 2, 2, 2, 4, 4, 2, 2, 4, 4, 4, 4, 8, 8, 1]
 
 
-def test_stencil_table_is_read_only_and_shared():
+def test_difference_plan_is_read_only_and_shared():
+    # a second estimate at the same k and method reads the cached plan,
+    # whatever its point and step; a moment's plan is keyed by the parity
+    # of k, so (3, 1, 1) shares the plan of (1, 1, 1)
     f = gaussian_density((0.0,) * 3, np.eye(3) + 0.3)
     differential_cumulant(f, (0.3, -0.2, 0.1), (1, 1, 1))
-    table = _stencil_table(3, True)
-    before = _stencil_table.cache_info()
+    differential_moment(f, (0.3, -0.2, 0.1), (1, 1, 1))
+    plan = _plan((1, 1, 1), "partition")
+    before = _plan.cache_info()
     differential_cumulant(f, (1.5, 0.4, -2.0), (1, 1, 1), step_scale=1e-2)
-    after = _stencil_table.cache_info()
-    assert after.currsize == before.currsize and after.hits > before.hits
-    assert _stencil_table(3, True) is table
-    signs, mask, classes = table
-    for array in (signs, mask, *(weights for _, weights, *_ in classes)):
+    differential_moment(f, (1.5, 0.4, -2.0), (3, 1, 1))
+    after = _plan.cache_info()
+    assert after.currsize == before.currsize
+    assert after.hits == before.hits + 2
+    assert _plan((1, 1, 1), "partition") is plan
+    assert len(plan.classes) == 7 and len(plan.batches) == 15
+    for array in (plan.signs, plan.mask,
+                  *(weights for weights, *_ in plan.classes)):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+def test_partition_plan_is_cached_only_up_to_the_schedule_bound():
+    # a partition plan holds one slot per nu <= k, so like the transform's
+    # schedule it is cached only up to order MAX_ENUMERATION_ORDER; a
+    # moment's plan is keyed by the parity of k alone
+    f = DensityOracle(2, lambda pts: np.exp(-(pts ** 2).sum(axis=1)))
+    xi = (0.2, -0.1)
+    differential_moment(f, xi, (1, 0))
+    differential_moment(f, xi, (0, 1))
+    size = _plan.cache_info().currsize
+    top = MAX_ENUMERATION_ORDER
+    for k in ((top, 1), (top + 1, 0)):
+        differential_cumulant(f, xi, k)
+        differential_moment(f, xi, k)
+    assert _plan.cache_info().currsize == size
+    differential_cumulant(f, xi, (top - 1, 1))
+    assert _plan.cache_info().currsize == size + 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -629,7 +714,7 @@ def test_stencil_sum_dot_equals_matmul(n):
     # each stencil sum is read with weights.dot, the BLAS dot that
     # weights @ vals calls as well; a numpy that splits the two kernels
     # fails here rather than in the numeric goldens
-    ((_, weights, *_),) = _stencil_table(n, False)[2]
+    ((weights, *_),) = _plan((1,) * n, "moment").classes
     assert len(weights) == 2 ** n
     rng = np.random.default_rng(n)
     for spread in (1.0, 1e-6):
@@ -864,6 +949,83 @@ def test_overflow_is_refused_without_a_warning():
             local_cumulant(mec, window, (1, 1))
         with pytest.raises(DomainError, match=r"variances \[1e-320\]"):
             product_gaussian_density([0.0], [1e-320])
+
+
+
+@pytest.mark.parametrize("xi, k, step_scale", [
+    ((0.1,), (1,), 5e-324), ((0.1, 0.2), (1, 1), 1e-320),
+    ((0.1, 0.2, -0.3), (1, 2, 1), 1e-200)])
+def test_step_product_underflow_refused(xi, k, step_scale):
+    # a positive step_scale so small that some divisor prod(2 h_i), or h / 2
+    # itself, underflows to zero is refused, not a ZeroDivisionError
+    f = gaussian_density((0.0,) * len(xi), np.eye(len(xi)))
+    calls = [lambda: differential_moment(f, xi, k, step_scale=step_scale),
+             lambda: differential_cumulant(f, xi, k, step_scale=step_scale)]
+    if max(k) == 1:
+        calls.append(lambda: differential_cumulant(
+            f, xi, k, method="logderiv", step_scale=step_scale))
+    for call in calls:
+        with pytest.raises(DomainError, match="underflows to zero"):
+            call()
+
+MEC_705 = {(1, 0): 705}   # samples near (1, 1) are about 1e306, still finite
+
+
+def test_non_finite_estimate_refused():
+    # every sample of exp(705 x1) near (1, 1) is finite, but the central
+    # difference (f(x+h) - f(x-h)) / 2h overflows, and Richardson's
+    # 4 inf - inf is nan: the ratios are refused, while the log-derivative
+    # reads 705 as it should
+    f = mec_density(MEC_705, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="finite-difference estimate "
+                                              "is nan"):
+            differential_moment(f, (1.0, 1.0), (1, 0))
+        with pytest.raises(DomainError, match="partition-sum estimate is "
+                                              "nan"):
+            differential_cumulant(f, (1.0, 1.0), (1, 0))
+        assert differential_cumulant(f, (1.0, 1.0), (1, 0),
+                                     method="logderiv").value == \
+            pytest.approx(705.0, rel=1e-9)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="leave float range"):
+            EstimateReport(value, "finite-difference")
+    assert EstimateReport(1e308, "finite-difference").value == 1e308
+
+
+def test_window_mass_out_of_float_range_refused():
+    # near x1 = 1.0066 every sample of exp(705 x1) is about 1.6e308, but
+    # the weighted sum over the window is not: each local moment would be
+    # a finite sum divided by inf, a silent 0.0
+    f = mec_density(MEC_705, 2)
+    window = CubeWindow((1.0066, 1.0), 1e-5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for method in ("quadrature", "mc"):
+            with pytest.raises(DomainError, match="mass on the window"):
+                local_moment(f, window, (1, 0), method=method,
+                             mc_samples=100)
+            with pytest.raises(DomainError, match="mass on the window"):
+                local_cumulant(f, window, (1, 0), method=method,
+                               mc_samples=100)
+
+
+def test_limit_probe_refuses_non_finite_values(monkeypatch):
+    # the target of exp(705 x1) at (1, 1) is nan and refused before any
+    # window is sampled; a scaled value kappa / r(eps, k) that overflows is
+    # refused too, though every local cumulant is finite
+    f = mec_density(MEC_705, 2)
+    with pytest.raises(DomainError, match="partition-sum estimate is nan"):
+        limit_matches_differential(f, (1.0, 1.0), (1, 0),
+                                   (0.004, 0.002, 0.001))
+    huge = EstimateReport(1e300, "tensor-quadrature")
+    monkeypatch.setattr(diffcum, "local_cumulant", lambda *a, **kw: huge)
+    with pytest.raises(DomainError, match=r"r\(eps, k\) or its distance to "
+                                          r"the target leaves float range "
+                                          r"at eps=0\.001"):
+        limit_matches_differential(std_pair(), (0.0, 0.0), (1, 1),
+                                   (0.4, 0.2, 0.001))
 
 
 # ---------------------------------------------------------------------------
