@@ -423,8 +423,9 @@ def _local_moments(f: DensityOracle, window: CubeWindow, k, nodes, method,
     laid out on the grid: axis i's are the node vector eps * t shaped to
     broadcast along axis i, and x^nu is the broadcast product of the
     per-axis powers x_i ** nu_i, taken left to right over the nonzero
-    nu_i, which is the product of full offset columns bit for bit.  Monte
-    Carlo runs the same loop on its sampled offset columns.  The same float
+    nu_i, which is the product of full offset columns bit for bit, and
+    x^nu f is written into one buffer that every nu shares.  Monte Carlo
+    runs the same loop on its sampled offset columns.  The same float
     operations as a fresh monomial from ones: 1.0 * x and x ** 1 are x bit
     for bit, so the power table reads x_i ** 1 as the offsets themselves
     and holds each x_i ** e, 2 <= e <= k_i, once per estimate."""
@@ -480,6 +481,7 @@ def _local_moments(f: DensityOracle, window: CubeWindow, k, nodes, method,
     grid = vals.reshape(shape)
     powers = [[None, x] + [x ** e for e in range(2, v + 1)]
               for x, v in zip(axes, k)]
+    weighed = np.empty(shape)   # x^nu f, one buffer for every nu
 
     def moment(nu):
         mono = None
@@ -488,7 +490,8 @@ def _local_moments(f: DensityOracle, window: CubeWindow, k, nodes, method,
                 mono = powers[i][e] if mono is None else mono * powers[i][e]
         if mono is None:
             return float(weights @ vals) / denom
-        return float(weights @ (mono * grid).ravel()) / denom
+        np.multiply(mono, grid, out=weighed)
+        return float(weights @ weighed.ravel()) / denom
 
     meta.update({"k": k, "eps": window.eps, "center": center,
                  "method": method})
@@ -614,11 +617,14 @@ def mec_density(coeffs, p: int) -> DensityOracle:
         if len(pts) > _MEC_SHORT_BATCH:
             g = np.zeros(pts.shape[0])
             for a, axes in terms:
-                term = a
-                for i in axes:
-                    term = term * pts[:, i]
+                term = a    # drops the last term's array before the next
+                for n, i in enumerate(axes):
+                    if n:   # in place: one temporary per term
+                        term *= pts[:, i]
+                    else:
+                        term = term * pts[:, i]
                 g += term
-            return np.exp(g)
+            return np.exp(g, out=g)
         # a stencil: one gather of every factor row and one array operation
         # per factor depth rather than several per term, so its cost does
         # not grow with the terms.  The running sum starts at the first
