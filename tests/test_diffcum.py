@@ -951,7 +951,6 @@ def test_overflow_is_refused_without_a_warning():
             product_gaussian_density([0.0], [1e-320])
 
 
-
 @pytest.mark.parametrize("xi, k, step_scale", [
     ((0.1,), (1,), 5e-324), ((0.1, 0.2), (1, 1), 1e-320),
     ((0.1, 0.2, -0.3), (1, 2, 1), 1e-200)])
@@ -967,6 +966,7 @@ def test_step_product_underflow_refused(xi, k, step_scale):
     for call in calls:
         with pytest.raises(DomainError, match="underflows to zero"):
             call()
+
 
 MEC_705 = {(1, 0): 705}   # samples near (1, 1) are about 1e306, still finite
 
