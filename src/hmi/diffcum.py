@@ -64,16 +64,24 @@ _MEC_SHORT_BATCH = 128  # longest batch an MEC density evaluates at once
 @dataclass(frozen=True)
 class DensityOracle:
     """Strictly positive density on the queried region.  ``fn`` maps an
-    (n, p) array of points to an (n,) array of density values."""
+    (n, p) array of points to an (n,) array of density values.
+
+    Calling the oracle reads one point, a sequence of p reals (at p = 1 a
+    number too), and ``batch`` reads an (n, p) array of them.  Both read
+    the points as a float array, as ``np.asarray`` does, and check the
+    shape of what ``fn`` gives, so points of another dimension or shape,
+    points numpy cannot read as floats and values of the wrong shape are
+    each refused with ``DomainError``."""
     p: int
     fn: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, x) -> float:
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        return float(self.fn(pts)[0])
+        pts = _points(x, self.p, one=True)
+        return float(_sample(self.fn, pts, (1,))[0])
 
-    def batch(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(pts, dtype=float)), dtype=float)
+    def batch(self, pts) -> np.ndarray:
+        pts = _points(pts, self.p)
+        return _sample(self.fn, pts, (len(pts),))
 
 
 @dataclass(frozen=True)
@@ -144,10 +152,28 @@ def same_moment_class(u: Sequence[int], k: Sequence[int]) -> bool:
 # ---------------------------------------------------------------------------
 # density samples and finite differences
 
+def _points(x, p, one=False) -> np.ndarray:
+    """x as a float (n, p) array of points, or with ``one`` as the (1, p)
+    array of one point, which may come as a vector (or at p = 1 as a
+    number); anything else is refused."""
+    try:
+        pts = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        pts = None
+    if one and pts is not None:
+        pts = np.atleast_2d(pts)
+    if pts is None or pts.ndim != 2 or pts.shape[1] != p or \
+            one and len(pts) != 1:
+        what = f"one point of {p}" if one else f"an (n, {p}) array of"
+        raise DomainError(f"a density of dimension {p} reads {what} real "
+                          "coordinates")
+    return pts
+
+
 def _sample(fn, pts, shape) -> np.ndarray:
-    """A density's ``fn`` on the rows of pts, a float array, which must
-    give one value per row: ``DensityOracle.batch`` less its no-op
-    ``asarray`` of the points."""
+    """A density's ``fn`` on the rows of pts, a float (n, p) array, which
+    must give one value per row: ``DensityOracle.batch`` less its reading
+    of the points."""
     vals = np.asarray(fn(pts), dtype=float)
     if vals.shape != shape:
         raise DomainError(f"density gave shape {vals.shape} for {shape[0]} "
@@ -175,7 +201,7 @@ class _Plan(NamedTuple):
       and last a zero row, the point xi itself; ``mask`` marks each row's
       axes;
     - ``batches``: per density batch, in the order sent, its row span and
-      the shape its samples must have; ``size`` counts the samples;
+      the shape its samples must have;
     - ``classes``: per class its weights (each sign row's product), the
       spans of its coarse and its fine stencil, and the index of its
       divisor;
@@ -191,7 +217,6 @@ class _Plan(NamedTuple):
     signs: np.ndarray
     mask: np.ndarray
     batches: tuple
-    size: int
     classes: tuple
     products: tuple
     log: bool
@@ -242,8 +267,7 @@ def _plan(key, method):
     if method == "partition":
         slots = {nu: int("".join(str(nu[i] % 2) for i in axes), 2)
                  for nu in product(*(range(v + 1) for v in key))}
-    return _Plan(axes, signs, mask, batches,
-                 spans[-1].stop if spans else 0, tuple(classes),
+    return _Plan(axes, signs, mask, batches, tuple(classes),
                  tuple(products), log, slots)
 
 
@@ -267,15 +291,19 @@ def _central_differences(f: DensityOracle, xi, step_scale,
     its signs times the steps, in one array operation, and the points are
     xi plus them, in one more.  Each stencil is still sent to the density
     as its own batch, in the plan's order, and f(xi) last (a
-    log-derivative never needs it): a density may round differently by
-    batch length (the Gaussian's ``einsum`` does at p = 2), so merging
-    batches would move the estimates in the last digits.  That waits for
-    numeric goldens that hold across such rounding (see ROADMAP.md); then
-    it is one call on this plan.  All samples pass one gate, under the one
-    ``errstate`` that silences the density's floating-point warnings,
-    before any difference is read.  Each stencil's sum is one BLAS dot
-    (``ndarray.dot``, the kernel ``@`` calls too, at about half the
-    dispatch cost)."""
+    log-derivative never needs it), because a density may round
+    differently by batch length.  The Gaussian's ``einsum`` does: on
+    numpy 2.4.6 it sums each row of a 1- or 2-point batch at p = 2 as
+    (t00 + t01) + (t10 + t11), t_ij the form's term at (i, j), and every
+    other row, at any p and batch length, as one running sum.  So merging
+    batches would move only the estimates of p = 2 Gaussians with a
+    non-diagonal precision, in their last digits.  That waits for numeric
+    goldens that hold across such rounding (see ROADMAP.md); then it is
+    one call on this plan.  The batches' samples are joined into one
+    array, which passes one gate, all under the one ``errstate`` that
+    silences the density's floating-point warnings, before any difference
+    is read.  Each stencil's sum is one BLAS dot (``ndarray.dot``, the
+    kernel ``@`` calls too, at about half the dispatch cost)."""
     if not plan.classes:
         return [1.0]
     x = np.asarray(xi, dtype=float)
@@ -292,10 +320,9 @@ def _central_differences(f: DensityOracle, xi, step_scale,
     else:   # off the plan's axes every point is xi
         pts = np.repeat(x[None, :], len(offsets), axis=0)
         pts[:, plan.axes] += offsets
-    vals = np.empty(plan.size)
     with np.errstate(all="ignore"):
-        for span, shape in plan.batches:
-            vals[span] = _sample(f.fn, pts[span], shape)
+        vals = np.concatenate([_sample(f.fn, pts[span], shape)
+                               for span, shape in plan.batches])
         _positive(vals)
     if plan.log:
         vals = np.log(vals)
@@ -574,7 +601,17 @@ def limit_matches_differential(f: DensityOracle, xi, k, eps_values, *,
 
 def gaussian_density(mean, precision) -> DensityOracle:
     """Normal density with the given mean and precision (inverse
-    covariance) matrix, compiled from its ``GaussianSpec``."""
+    covariance) matrix, compiled from its ``GaussianSpec``.
+
+    The precision is scaled by -1/2 once, here, so a batch is one
+    subtraction, one ``einsum`` of -1/2 (x - mu)' Lambda (x - mu), and
+    ``+= lognorm`` and ``exp`` in place.  A power of two scales each of
+    the form's terms and sums exactly, so every sample has the bits of
+    exp(lognorm - 0.5 * quad), quad the unscaled form, with one exception:
+    where quad's terms overflow to +inf and -inf, quad is nan and so is
+    that sample, while the scaled terms, half the size, may not overflow
+    and give exp of a huge negative number, 0.0.  The sample gate refuses
+    both with the same message."""
     spec = GaussianSpec(mean, precision)
     mu = np.array(_floats(spec.mean, "the mean"))
     lam = np.array([_floats(row, "the precision") for row in spec.precision])
@@ -582,12 +619,14 @@ def gaussian_density(mean, precision) -> DensityOracle:
     if sign <= 0:
         raise DomainError("precision must be positive definite")
     lognorm = 0.5 * (logdet - spec.p * math.log(2 * math.pi))
+    half = -0.5 * lam
 
     def fn(pts):
         diff = pts - mu
-        quad = np.einsum("ni,ij,nj->n", diff, lam, diff)
+        out = np.einsum("ni,ij,nj->n", diff, half, diff)
         del diff
-        return np.exp(lognorm - 0.5 * quad)
+        out += lognorm
+        return np.exp(out, out=out)
 
     return DensityOracle(spec.p, fn)
 

@@ -18,9 +18,10 @@ itself, with the message its caller gives (or builds from ``what``):
   infinite or nan.
 - ``_fraction(value, message)``: a finite real as an exact ``Fraction``,
   a float by its binary value; the polynomials' coefficient reader.
-- ``_reals(values, message, positive=False)``: a tuple of floats read from
-  an iterable of finite reals (positive ones with ``positive``); an int
-  too large for a float is refused.
+- ``_reals(values, message, positive=False)``: a tuple of built-in floats
+  read from an iterable of finite reals (positive ones with
+  ``positive``); an int too large for a float is refused, and a tuple
+  that already holds only such floats is returned as it is.
 - ``_floats(values, what, positive=False)``: ``_reals`` with the message
   "<what>: expected [positive ]finite real numbers".
 - ``_nonnegative_real(value, message)``: a real of at least 0, infinity
@@ -111,6 +112,10 @@ def _fraction(value, message: str) -> Fraction:
 def _reals(values, message: str, positive=False) -> tuple[float, ...]:
     try:
         values = tuple(values)
+        # finite built-in floats, the common case, are returned as they are
+        low = 0.0 if positive else -math.inf
+        if all(type(v) is float and low < v < math.inf for v in values):
+            return values
         if all(_finite_real(v) and (v > 0 or not positive) for v in values):
             return tuple(map(float, values))
     except (TypeError, OverflowError):

@@ -27,7 +27,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, islice, product
+from itertools import accumulate, islice, product, repeat
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, _finite_real, _index, _json_int
@@ -139,8 +139,11 @@ def _multiset_partitions(r, table, strides, memo, keep):
             sub = _multiset_partitions(rest, table, strides, memo, True)
             if keep:
                 memo[rest] = sub
-        cut = bisect_right(sub, b, key=operator.itemgetter(0))
-        out += [head + tail for tail in islice(sub, cut)]
+        # the rest's partitions whose first block is <= b; for a set
+        # partition that is all of them, as b holds m's first symbol
+        if sub[-1][0] > b:
+            sub = islice(sub, bisect_right(sub, b, key=operator.itemgetter(0)))
+        out += map(head.__add__, sub)
     return out
 
 
@@ -197,8 +200,7 @@ def chain_rule_terms(k: Sequence[int]) -> list[tuple[Fraction, int, list[MultiIn
     fact = _factorials(max(k))
     top = math.prod(fact[x] for x in k)
     if top == 1:
-        one = Fraction(1)
-        return [(one, len(pi), list(pi)) for pi in pis]
+        return list(zip(repeat(Fraction(1)), map(len, pis), map(list, pis)))
     block_den, fraction = {}, {}
     return [(_collapse(pi, fact, top, block_den, fraction), len(pi), list(pi))
             for pi in pis]

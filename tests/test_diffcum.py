@@ -871,12 +871,74 @@ def test_bad_estimator_arguments_rejected(call, match):
     lambda pts: np.ones(len(pts) + 1), lambda pts: np.ones(0)],
     ids=["scalar", "column", "one-too-many", "empty"])
 def test_density_of_wrong_shape_rejected(fn):
-    # each used to end in a numpy ValueError or TypeError, or to be read
+    # each used to end in a numpy ValueError or TypeError, or to be read;
+    # calling the oracle on one point, a number ended in a TypeError and
+    # an empty array in an IndexError
     f = DensityOracle(2, fn)
     with pytest.raises(DomainError, match="shape"):
         differential_cumulant(f, (0.0, 0.0), (1, 1))
     with pytest.raises(DomainError, match="shape"):
         local_cumulant(f, CubeWindow((0.0, 0.0), 0.1), (1, 1), nodes=2)
+    gave = r"^density gave shape \(.*\) for {} points$"
+    with pytest.raises(DomainError, match=gave.format(1)):
+        f((0.1, 0.2))
+    with pytest.raises(DomainError, match=gave.format(2)):
+        f.batch([[0.1, 0.2], [0.3, 0.4]])
+
+
+ONE_POINT = "a density of dimension 2 reads one point of 2 real coordinates"
+POINT_ROWS = ("a density of dimension 2 reads an (n, 2) array of real "
+              "coordinates")
+
+
+@pytest.mark.parametrize("call, message", [
+    # a 3-coordinate point used to be evaluated, 'ab' to end in a
+    # ValueError and two points to give the first one's value
+    (lambda f: f((0, 0, 0)), ONE_POINT),
+    (lambda f: f((0.5,)), ONE_POINT),
+    (lambda f: f(0.5), ONE_POINT),
+    (lambda f: f("ab"), ONE_POINT),
+    (lambda f: f((1j, 0)), ONE_POINT),
+    (lambda f: f([[0, 0], [1, 1]]), ONE_POINT),
+    (lambda f: f([[0, 0], [1]]), ONE_POINT),
+    (lambda f: f.batch(np.zeros((3, 3))), POINT_ROWS),
+    (lambda f: f.batch(np.zeros(2)), POINT_ROWS),
+    (lambda f: f.batch(np.zeros((1, 1, 2))), POINT_ROWS),
+    (lambda f: f.batch("ab"), POINT_ROWS),
+    (lambda f: f.batch([[0, None, 1]]), POINT_ROWS),
+    (lambda f: f.batch([[0, 0], [1]]), POINT_ROWS)],
+    ids=["three-coordinates", "one-coordinate", "number", "text", "complex",
+         "two-points", "ragged", "batch-three-columns", "batch-vector",
+         "batch-3d", "batch-text", "batch-none", "batch-ragged"])
+def test_density_oracle_reads_points_of_its_dimension(call, message):
+    seen = []
+
+    def fn(pts):
+        seen.append(pts)
+        return np.ones(len(pts))
+
+    with pytest.raises(DomainError) as refused:
+        call(DensityOracle(2, fn))
+    assert str(refused.value) == message
+    assert seen == []
+
+
+def test_density_oracle_reads_floats():
+    f = std_pair()
+    pts = np.array([[0.1, -0.2], [1.5, 0.25], [-0.0, 3.0]])
+    vals = f.batch(pts)
+    assert vals.dtype == np.float64 and vals.shape == (3,)
+    assert vals.tobytes() == f.fn(pts).tobytes()
+    for row, want in zip(pts, vals):
+        for point in (tuple(row), list(row), row, row[None, :],
+                      tuple(map(Fraction, row.tolist()))):
+            got = f(point)
+            assert type(got) is float and got == want
+    assert f.batch([[0, 1]])[0] == f((0.0, 1.0))
+    assert f.batch(np.empty((0, 2))).shape == (0,)
+    normal = product_gaussian_density([0.0], [1.0])
+    assert normal(0.0) == normal((0.0,)) == normal([[0.0]])
+    assert normal(0.0) == pytest.approx(1 / math.sqrt(2 * math.pi))
 
 
 def test_non_positive_density_rejected():
@@ -1067,6 +1129,79 @@ def test_gaussian_density_normalization():
     assert mass == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(DomainError):
         gaussian_density((0.0, 0.0), ((1.0, 2.0), (2.0, 1.0)))
+
+
+def gaussian_reference(mean, precision, pts):
+    """exp(lognorm - 0.5 * quad), quad the unscaled form
+    (x - mu)' Lambda (x - mu) row by row, and lognorm from ``slogdet``."""
+    lam = np.array(precision, dtype=float)
+    _, logdet = np.linalg.slogdet(lam)
+    lognorm = 0.5 * (logdet - len(mean) * math.log(2 * math.pi))
+    x = pts - np.array(mean, dtype=float)
+    return np.exp(lognorm - 0.5 * np.einsum("ni,ij,nj->n", x, lam, x))
+
+
+def assert_gaussian_bits(mean, precision, pts):
+    """The oracle's samples have the reference's bits, except where the
+    reference's form has terms of +inf and -inf, so reads nan: there the
+    oracle's form, scaled by -1/2 before its terms are summed, may stay
+    below float range and give 0.0.  Returns how many such points there
+    were."""
+    with np.errstate(all="ignore"):
+        got = gaussian_density(mean, precision).fn(pts)
+        want = gaussian_reference(mean, precision, pts)
+    nan = np.isnan(want)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+    assert np.all((got[nan] == 0.0) | np.isnan(got[nan]))
+    return int(nan.sum())
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_gaussian_samples_equal_the_unscaled_reference(p):
+    # the precision is scaled by -1/2 once, when the oracle is built;
+    # a power of two changes no rounding, so every sample keeps its bits
+    # (but for the nan corner of assert_gaussian_bits), at the mean, at
+    # -0.0, 1e-160 off the mean (subnormal terms) and near 1e154, where
+    # the form overflows
+    rng = np.random.default_rng(p)
+    mean = rng.uniform(-1, 1, p)
+    specials = [lambda m: m, lambda m: -0.0, lambda m: m + 1e-160,
+                lambda m: m - 1e-160, lambda m: 1e154, lambda m: -1.3e154,
+                lambda m: 2e154]
+    precisions = [_spd(p, p), np.round(_spd(p, p + 10), 1),
+                  np.diag(rng.uniform(0.5, 3.0, p))]
+    for precision in precisions:
+        for n in range(1, 21):
+            pts = rng.normal(size=(n, p))
+            for _ in range(n):
+                i, j = rng.integers(0, n), rng.integers(0, p)
+                pts[i, j] = specials[rng.integers(0, len(specials))](mean[j])
+            assert_gaussian_bits(mean, precision, pts)
+        axis = np.linspace(-3.0, 3.0, 16)
+        axis[:4] = -0.0, 1e-160, 1e154, -1e154
+        grid = np.array(list(product(*(mean[i] + axis for i in range(p)))))
+        grid[:, 0][::3] = mean[0]
+        assert_gaussian_bits(mean, precision, grid)
+
+
+def test_gaussian_overflow_is_a_refused_sample():
+    # at (2e154, -2e154) the unscaled form's diagonal terms are +inf and
+    # its cross terms -inf, so the reference reads nan; the scaled cross
+    # terms stay finite, and the oracle reads 0.0.  Either is one refused
+    # sample, with the same message, as at (1e154, 1e154), where both
+    # forms leave float range and both read 0.0
+    mean, precision = (0.0, 0.0), [[2.0, 0.5], [0.5, 2.0]]
+    f = gaussian_density(mean, precision)
+    far = np.array([[2e154, -2e154], [1e154, 1e154]])
+    assert assert_gaussian_bits(mean, precision, far) == 1
+    with np.errstate(all="ignore"):
+        assert f.fn(far).tolist() == [0.0, 0.0]
+    for xi in map(tuple, far):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as refused:
+                differential_cumulant(f, xi, (1, 1))
+        assert str(refused.value) == "non-positive density sample encountered"
 
 
 @pytest.mark.parametrize("means, variances", [

@@ -2,6 +2,7 @@
 float, a string and, where the site iterates, a non-iterable are each
 refused with ``DomainError`` and the site's own message, word for word."""
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from hmi import (CIStatement, CubeWindow, FerrerShape, MECSpec, PointCloud,
                  SparsePolynomial, make_complex, make_ideal, manhattan_norm,
                  nerve_complex, plus_norm, total_degree_cumulant_check)
 from hmi.diffcum import local_cumulant, product_gaussian_density, r_factor
-from hmi.errors import DomainError
+from hmi.errors import DomainError, _floats, _reals
 from hmi.graphs import make_graph
 from hmi.logdensity import GaussianSpec, gaussian_ideal
 from hmi.nerve import enclosing_radius, filtration, smallest_enclosing_ball
@@ -192,3 +193,64 @@ def test_tolerance_is_compared_as_given():
     assert gaussian_ideal(spec, Fraction(1, 3)).generators == (0b11,)
     assert gaussian_ideal(spec, 1 / 3).generators == ()
     assert gaussian_ideal(spec, math.inf).generators == (0b11,)
+
+
+# values -> (repr of what _reals returns, the same with positive=True);
+# None where the reader refuses
+READS = {
+    "floats": ((0.5, 2.0), "(0.5, 2.0)", "(0.5, 2.0)"),
+    "negative-zero": ((-0.0,), "(-0.0,)", None),
+    "zero": ((0.0,), "(0.0,)", None),
+    "negative": ((-2.5, 1.0), "(-2.5, 1.0)", None),
+    "subnormal": ((5e-324,), "(5e-324,)", "(5e-324,)"),
+    "largest-float": ((sys.float_info.max,), "(1.7976931348623157e+308,)",
+                      "(1.7976931348623157e+308,)"),
+    "empty": ((), "()", "()"),
+    "list": ([0.25, 3.0], "(0.25, 3.0)", "(0.25, 3.0)"),
+    "range": (range(1, 3), "(1.0, 2.0)", "(1.0, 2.0)"),
+    "numpy-float64": ((np.float64(0.1),), "(0.1,)", "(0.1,)"),
+    "numpy-float32": ((np.float32(0.1),), "(0.10000000149011612,)",
+                      "(0.10000000149011612,)"),
+    "numpy-array": (np.array([0.5, -1.0]), "(0.5, -1.0)", None),
+    "ints": ((3, 0), "(3.0, 0.0)", None),
+    "numpy-int": ((np.int64(7),), "(7.0,)", "(7.0,)"),
+    "fraction": ((Fraction(1, 3),), "(0.3333333333333333,)",
+                 "(0.3333333333333333,)"),
+    "mixed": ((1, 0.5, Fraction(1, 4)), "(1.0, 0.5, 0.25)",
+              "(1.0, 0.5, 0.25)"),
+    "huge-int": ((10 ** 400,), None, None),
+    "bool": ((True,), None, None),
+    "numpy-bool": ((np.bool_(True),), None, None),
+    "nan": ((0.5, math.nan), None, None),
+    "inf": ((math.inf,), None, None),
+    "minus-inf": ((-math.inf, 1.0), None, None),
+    "numpy-inf": ((np.float64(np.inf),), None, None),
+    "string": (("1.0",), None, None),
+    "text": ("12", None, None),
+    "complex": ((1j,), None, None),
+    "number": (1.0, None, None),
+    "none": (None, None, None),
+}
+
+
+@pytest.mark.parametrize("values, plain, positive", READS.values(),
+                         ids=READS)
+@pytest.mark.parametrize("on", [False, True], ids=["any", "positive"])
+def test_real_readers_table(values, plain, positive, on):
+    # _reals returns a tuple of built-in floats or refuses with its
+    # caller's message, and _floats is _reals with a message built from
+    # what it reads; a tuple of finite floats comes back as it is
+    want = positive if on else plain
+    runs = [lambda: _reals(values, "m", on), lambda: _floats(values, "w", on)]
+    refusals = ["m", f"w: expected {'positive ' * on}finite real numbers"]
+    for run, message in zip(runs, refusals):
+        if want is None:
+            with pytest.raises(DomainError) as refused:
+                run()
+            assert str(refused.value) == message
+            continue
+        got = run()
+        assert type(got) is tuple and repr(got) == want
+        assert all(type(v) is float for v in got)
+        if type(values) is tuple and all(type(v) is float for v in values):
+            assert got is values

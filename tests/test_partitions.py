@@ -5,6 +5,7 @@ import gc
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -93,6 +94,33 @@ def test_enumeration_matches_sympy_multiset_partitions(k):
         coefficients = {tuple(inner): c
                         for c, _, inner in chain_rule_terms(k)}
         assert coefficients == multiset_partition_counts(k)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_every_small_multi_index_matches_the_oracles(p):
+    # every k of p <= 4 entries and order 1..8: the enumeration against
+    # sympy, in order, and the chain rule's terms in the enumeration's
+    # order, each coefficient the factorial quotient
+    # k! / (prod_j M_j! * prod of the factorials of the block repeats)
+    fact = math.factorial
+    for k in product(range(9), repeat=p):
+        if not 0 < sum(k) <= 8:
+            continue
+        symbols = [i for i, v in enumerate(k) for _ in range(v)]
+        expected = sorted(
+            tuple(sorted((tuple(block.count(i) for i in range(p))
+                          for block in part), reverse=True))
+            for part in multiset_partitions(symbols))
+        got = enumerate_partitions(k)
+        assert got == expected
+        top = math.prod(map(fact, k))
+        terms = chain_rule_terms(k)
+        assert [(c, outer, tuple(inner)) for c, outer, inner in terms] == [
+            (Fraction(top, math.prod(fact(v) for b in pi for v in b)
+                      * math.prod(map(fact, Counter(pi).values()))),
+             len(pi), pi) for pi in got]
+        assert all(type(c) is Fraction and type(inner) is list
+                   for c, _, inner in terms)
 
 
 @pytest.mark.parametrize("k", [(1,) * 9, (2, 2, 2, 2), (3, 3, 2),
